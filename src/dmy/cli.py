@@ -6,9 +6,10 @@ One executable, eight subcommands:
 
 Maps are selected with ``--map {linear|szlenk|ga|counterexample}`` plus
 variant parameters (``--matrix a11,a12,a21,a22``, ``--k``, ``--a``).
-Regions are ``xmin:xmax:ymin:ymax``, grids are ``NxM``.  Reports are JSON,
-tables are CSV with 17-significant-digit floats, basin images are binary
-PGM; every file is written atomically (temporary file, then rename).
+Regions are ``xmin:xmax:ymin:ymax``, grids are ``NxM``.  Reports are strict
+JSON (a non-finite number is written as null), tables are CSV with
+17-significant-digit floats, basin images are binary PGM; every file is
+written atomically (temporary file, then rename).
 
 Exit codes: 0 all checks passed, 1 a verdict failed or a search did not
 converge, 2 usage or parameter error, 3 I/O error.
@@ -37,7 +38,7 @@ from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
 from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
 from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict,
-                       check_ball, check_interval_free, check_real_free,
+                       _log_radii, check_ball, check_interval_free, check_real_free,
                        sample_spectrum)
 
 # tokens that begin with a minus and a digit (or a decimal point) are values,
@@ -306,8 +307,19 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _finite_or_null(v):
+    """v with every non-finite float replaced by None, so the JSON is strict."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -456,11 +468,8 @@ def _run_phi(sub: str, resolved: dict) -> int:
     n = resolved["log_samples"]
     if n < 2:
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
-    lo, hi = math.log(profile.R / 10.0), math.log(10.0 * profile.r_tail)
-    rows = []
-    for i in range(n):
-        r = math.exp(((n - 1 - i) * lo + i * hi) / (n - 1))
-        rows.append((r, phi_eval(profile, r), phi_log_slope(profile, r)))
+    rows = [(r, phi_eval(profile, r), phi_log_slope(profile, r))
+            for r in _log_radii(profile.R / 10.0, 10.0 * profile.r_tail, n)]
     _emit_csv(["r", "phi", "phi_prime_times_r"], rows, resolved["out"])
     return 0
 

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .dynamics import NewtonConfig, find_periodic
-from .errors import (ConvergenceError, NewtonError, NumericOverflowError,
-                     ParameterError)
+from .errors import ConvergenceError, NewtonError, ParameterError
 from .geometry import Point2
 from .phi import PhiProfile, build_phi, phi_eval, phi_log_slope
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import operator_norm, spectral_radius
+from .spectral import (_growth, _lerp, _log_radii, _ring_points, _sweep_sup,
+                       operator_norm, spectral_radius)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -140,63 +141,31 @@ class VerificationReport:
         }
 
 
-def _log_radii(lo: float, hi: float, n: int):
-    llo, lhi = math.log(lo), math.log(hi)
-    return [math.exp(((n - 1 - i) * llo + i * lhi) / (n - 1)) for i in range(n)]
-
-
-def _ring_points(radii, angles: int):
-    for r in radii:
-        for j in range(angles):
-            t = 2.0 * math.pi * j / angles
-            yield Point2(r * math.cos(t), r * math.sin(t))
-
-
-def _lerp(lo: float, hi: float, i: int, n: int) -> float:
-    return ((n - 1 - i) * lo + i * hi) / (n - 1)
-
-
 def _damped_sweep(damped: DampedSzlenkMap, cfg: SweepConfig):
     """Sampled sup of Jacobian norm and spectral radius over a wide
     multi-scale region: a uniform grid around the origin plus log-spaced
     rings far beyond it."""
-    sup_norm = 0.0
-    sup_sr = 0.0
     g = cfg.norm_grid
     hw = cfg.norm_half_width
-
-    def visit(p):
-        nonlocal sup_norm, sup_sr
+    grid = (Point2(_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
+            for iy in range(g) for ix in range(g))
+    rings = _ring_points(_log_radii(1e-2, cfg.norm_r_max, cfg.norm_radii), cfg.norm_angles)
+    sup_norm = sup_sr = 0.0
+    for p in chain([Point2(0.0, 0.0)], grid, rings):
         jac = damped.jacobian(p)
         sup_norm = max(sup_norm, operator_norm(jac))
         sup_sr = max(sup_sr, spectral_radius(jac))
-
-    visit(Point2(0.0, 0.0))
-    for iy in range(g):
-        y = _lerp(-hw, hw, iy, g)
-        for ix in range(g):
-            visit(Point2(_lerp(-hw, hw, ix, g), y))
-    for p in _ring_points(_log_radii(1e-2, cfg.norm_r_max, cfg.norm_radii),
-                          cfg.norm_angles):
-        visit(p)
     return sup_norm, sup_sr
 
 
 def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float,
                         cfg: SweepConfig):
-    """Max sampled spectral radius of the composed map's Jacobian over log
-    radii from far inside the flat disc to past the profile tail."""
-    sup = spectral_radius(m.jacobian(Point2(0.0, 0.0)))
-    worst = Point2(0.0, 0.0)
-    count = 1
+    """Max sampled spectral radius of the composed map's Jacobian, where it
+    is attained, and the sample count, over the origin and log radii from
+    far inside the flat disc to past the profile tail."""
     radii = _log_radii(flat_radius * 1e-6, cfg.sr_span * tail_radius, cfg.sr_radii)
-    for p in _ring_points(radii, cfg.sr_angles):
-        count += 1
-        sr = spectral_radius(m.jacobian(p))
-        if sr > sup:
-            sup = sr
-            worst = p
-    return sup, worst, count
+    return _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(radii, cfg.sr_angles)),
+                      lambda p: spectral_radius(m.jacobian(p)))
 
 
 def _build_once(k: float, a: float, eps_init: float, cfg: SweepConfig) -> CounterexampleBundle:
@@ -295,19 +264,9 @@ def _check_tail_contraction(bundle: CounterexampleBundle, cfg: SweepConfig) -> C
             name="tail-contraction", passed=False,
             detail=f"profile tail {r_tail!r} is beyond the sampling cap {cfg.tail_r_max!r}",
             data={"tail_radius": r_tail, "cap": cfg.tail_r_max, "samples": 0})
-    worst = 0.0
-    worst_at = Point2(r_tail, 0.0)
-    count = 0
-    for p in _ring_points(_log_radii(r_tail, cfg.tail_r_max, cfg.tail_radii),
-                          cfg.tail_angles):
-        count += 1
-        try:
-            ratio = bundle.composite.eval(p).norm() / p.norm()
-        except NumericOverflowError:
-            ratio = math.inf
-        if ratio > worst:
-            worst = ratio
-            worst_at = p
+    worst, worst_at, count = _sweep_sup(
+        _ring_points(_log_radii(r_tail, cfg.tail_r_max, cfg.tail_radii), cfg.tail_angles),
+        _growth(bundle.composite.eval), 0.0, Point2(r_tail, 0.0))
     return CheckRecord(
         name="tail-contraction", passed=worst <= 0.5,
         detail=f"max |f(p)|/|p| = {worst!r} over {count} tail samples (bound 0.5)",

@@ -16,7 +16,8 @@ Four questions about a planar map, answered by finite computation:
 ``basin_raster`` runs the classifier over a pixel grid and is the one
 parallel entry point: rows go to a process pool and are reassembled in row
 order, so the raster is a deterministic function of its inputs no matter the
-worker count (``DMY_THREADS`` caps it; 0 or unset means one worker per CPU).
+worker count (never more than one per CPU; ``DMY_THREADS`` caps it further,
+0 or unset meaning no further cap).
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
 from .planar import PlanarMap, fd_jacobian, step_function
-from .spectral import EigenPair, eig2, operator_norm
+from .spectral import (EigenPair, _growth, _log_radii, _ring_points, _sweep_sup, eig2,
+                       operator_norm)
 
 
 class OmegaTag(Enum):
@@ -163,10 +166,7 @@ def orbit_multipliers(m: PlanarMap, points) -> EigenPair:
     pts = tuple(points)
     if not pts:
         raise ParameterError("orbit must have at least one point")
-    jac = Mat2.identity()
-    for p in pts:
-        jac = m.jacobian(p) @ jac
-    return eig2(jac)
+    return eig2(_chain_jacobian(m, pts, True))
 
 
 def _orbit_segment(m: PlanarMap, p0: Point2, n: int):
@@ -289,20 +289,6 @@ class DissipativityBound:
         return self.hypothesis_ok and self.contraction_ok
 
 
-def _log_radii(lo: float, hi: float, n: int):
-    if n == 1:
-        return [hi]
-    llo, lhi = math.log(lo), math.log(hi)
-    return [math.exp(((n - 1 - i) * llo + i * lhi) / (n - 1)) for i in range(n)]
-
-
-def _ring_points(radii, angles: int):
-    for r in radii:
-        for j in range(angles):
-            t = 2.0 * math.pi * j / angles
-            yield Point2(r * math.cos(t), r * math.sin(t))
-
-
 def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
                         cfg: DissipativitySampling | None = None) -> DissipativityBound:
     cfg = cfg or DissipativitySampling()
@@ -311,42 +297,18 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    count = 1
-    norm_sup = operator_norm(m.jacobian(Point2(0.0, 0.0)))
     ball = _log_radii(ball_radius / cfg.ball_span, ball_radius, cfg.ball_radii)
-    for p in _ring_points(ball, cfg.angles):
-        count += 1
-        norm_sup = max(norm_sup, operator_norm(m.jacobian(p)))
+    norm_sup, _, n_ball = _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(ball, cfg.angles)),
+                                     lambda p: operator_norm(m.jacobian(p)))
     norm_sup_used = max(norm_sup, 1.0)  # threshold formula needs a bound > alpha
     threshold = 2.0 * (norm_sup_used * ball_radius - alpha * ball_radius) / (1.0 - alpha)
     factor = (alpha + 1.0) / 2.0
 
-    hyp_ratio = 0.0
-    hyp_at = None
-    for p in _ring_points(_log_radii(ball_radius, cfg.outer_span * threshold,
-                                     cfg.outer_radii), cfg.angles):
-        count += 1
-        pn = p.norm()
-        try:
-            ratio = m.jacobian(p).apply(p).norm() / pn
-        except NumericOverflowError:
-            ratio = math.inf
-        if ratio > hyp_ratio:
-            hyp_ratio = ratio
-            hyp_at = p
-    con_ratio = 0.0
-    con_at = None
-    for p in _ring_points(_log_radii(threshold, cfg.outer_span * threshold,
-                                     cfg.outer_radii), cfg.angles):
-        count += 1
-        pn = p.norm()
-        try:
-            ratio = m.eval(p).norm() / pn
-        except NumericOverflowError:
-            ratio = math.inf
-        if ratio > con_ratio:
-            con_ratio = ratio
-            con_at = p
+    outer = _log_radii(ball_radius, cfg.outer_span * threshold, cfg.outer_radii)
+    hyp_ratio, hyp_at, n_hyp = _sweep_sup(_ring_points(outer, cfg.angles),
+                                          _growth(lambda p: m.jacobian(p).apply(p)), 0.0)
+    far = _log_radii(threshold, cfg.outer_span * threshold, cfg.outer_radii)
+    con_ratio, con_at, n_con = _sweep_sup(_ring_points(far, cfg.angles), _growth(m.eval), 0.0)
     return DissipativityBound(
         ball_radius=ball_radius, alpha=alpha,
         norm_sup=norm_sup, norm_sup_used=norm_sup_used,
@@ -355,7 +317,7 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
         hypothesis_worst_at=hyp_at,
         contraction_ok=con_ratio <= factor, contraction_max_ratio=con_ratio,
         contraction_worst_at=con_at,
-        sample_count=count)
+        sample_count=n_ball + n_hyp + n_con)
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,10 +456,13 @@ class BasinGrid:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count for parallel sweeps: explicit request or one per CPU,
-    capped by the DMY_THREADS environment variable (0 or unset = no cap)."""
-    chosen = requested if requested is not None else (os.cpu_count() or 1)
+    never more than the CPU count, then capped by the DMY_THREADS
+    environment variable (0 or unset = no cap)."""
+    cpus = os.cpu_count() or 1
+    chosen = requested if requested is not None else cpus
     if chosen < 1:
         raise ParameterError(f"worker count must be >= 1, got {requested!r}")
+    chosen = min(chosen, cpus)
     raw = os.environ.get("DMY_THREADS", "").strip()
     if raw:
         try:

@@ -84,9 +84,6 @@ class Mat2:
         return Mat2(self.a11 - other.a11, self.a12 - other.a12,
                     self.a21 - other.a21, self.a22 - other.a22)
 
-    def scaled(self, s: float) -> "Mat2":
-        return Mat2(self.a11 * s, self.a12 * s, self.a21 * s, self.a22 * s)
-
     def max_abs(self) -> float:
         return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
 

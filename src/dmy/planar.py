@@ -5,9 +5,13 @@ Five variants share one interface: linear maps, the Szlenk cubic map
     F(x, y) = (-k y^3 / (1 + x^2 + y^2),  k x^3 / (1 + x^2 + y^2)),
 
 its damped version F - a*Id, radial squashing by a profile phi, and
-composition.  Map objects are immutable and ``eval``/``jacobian`` are pure
-functions of their arguments, so instances can be shared freely across
-threads or processes.
+composition.  Each variant supplies two float kernels: ``xy(x, y)``, the
+image, and ``jac(x, y)``, the row-major Jacobian entries as a 4-tuple.
+``PlanarMap`` derives the rest from them: ``eval`` and ``jacobian`` run the
+kernel once and check the result for finiteness, and ``step_function`` hands
+out the unchecked ``xy`` for hot loops, so every path shares one arithmetic.
+Map objects are immutable and the kernels are pure functions of their
+arguments, so instances can be shared freely across threads or processes.
 
 The damped variant reuses the plain Szlenk arithmetic verbatim and then
 subtracts a*(x, y) term by term, so its image and Jacobian are exactly the
@@ -49,71 +53,72 @@ def _szlenk_jac(k, x, y):
 
 
 class PlanarMap(ABC):
-    """A differentiable self-map of the plane."""
+    """A differentiable self-map of the plane, given by two float kernels.
+
+    The kernels return their result unchecked: a non-finite component means
+    the evaluation left the doubles, and callers of the raw kernels must
+    treat it as an escape.  ``eval`` and ``jacobian`` are the checked forms.
+    """
 
     @abstractmethod
-    def eval(self, p: Point2) -> Point2:
-        """Image of p; raises NumericOverflowError if a component leaves the doubles."""
+    def xy(self, x: float, y: float) -> tuple[float, float]:
+        """Image of (x, y), unchecked."""
 
     @abstractmethod
-    def jacobian(self, p: Point2) -> Mat2:
-        """Analytic Jacobian at p."""
+    def jac(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """Analytic Jacobian entries (a11, a12, a21, a22) at (x, y), unchecked."""
 
     @abstractmethod
     def describe(self) -> str:
         """Short human-readable tag used in reports and error messages."""
 
-    @abstractmethod
-    def _step_fn(self):
-        """Raw (x, y) -> (x, y) closure for hot loops.
+    def eval(self, p: Point2) -> Point2:
+        """Image of p; raises NumericOverflowError if a component leaves the doubles."""
+        x, y = self._image(p.x, p.y)
+        return Point2(x, y)
 
-        Skips the finiteness guard for speed; callers must treat non-finite
-        output as an escape.  The arithmetic matches ``eval`` operation for
-        operation, so both paths produce bitwise-identical orbits.
-        """
+    def jacobian(self, p: Point2) -> Mat2:
+        """Analytic Jacobian at p; raises NumericOverflowError on a non-finite entry."""
+        j11, j12, j21, j22 = self.jac(p.x, p.y)
+        if not (math.isfinite(j11) and math.isfinite(j12)
+                and math.isfinite(j21) and math.isfinite(j22)):
+            raise NumericOverflowError(
+                f"{self.describe()} Jacobian overflowed at ({p.x!r}, {p.y!r})")
+        return Mat2(j11, j12, j21, j22)
 
     def __call__(self, p: Point2) -> Point2:
         return self.eval(p)
 
+    def _image(self, x: float, y: float) -> tuple[float, float]:
+        """``xy(x, y)``, raising NumericOverflowError on a non-finite component."""
+        fx, fy = self.xy(x, y)
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise NumericOverflowError(
+                f"{self.describe()} overflowed evaluating ({x!r}, {y!r})")
+        return fx, fy
 
-def _guard(m: PlanarMap, p: Point2, fx: float, fy: float) -> Point2:
-    if not (math.isfinite(fx) and math.isfinite(fy)):
-        raise NumericOverflowError(
-            f"{m.describe()} overflowed evaluating ({p.x!r}, {p.y!r})")
-    return Point2(fx, fy)
 
-
-def _guard_mat(m: PlanarMap, p: Point2, j11, j12, j21, j22) -> Mat2:
-    if not (math.isfinite(j11) and math.isfinite(j12)
-            and math.isfinite(j21) and math.isfinite(j22)):
-        raise NumericOverflowError(
-            f"{m.describe()} Jacobian overflowed at ({p.x!r}, {p.y!r})")
-    return Mat2(j11, j12, j21, j22)
-
+# Every variant binds ``eval`` and ``jacobian`` in its own class body, so
+# they can be wrapped or patched one variant at a time.
 
 @dataclass(frozen=True, slots=True)
 class LinearMap(PlanarMap):
     matrix: Mat2
 
-    def eval(self, p):
+    def xy(self, x, y):
         m = self.matrix
-        return _guard(self, p, m.a11 * p.x + m.a12 * p.y, m.a21 * p.x + m.a22 * p.y)
+        return m.a11 * x + m.a12 * y, m.a21 * x + m.a22 * y
 
-    def jacobian(self, p):
-        return self.matrix
+    def jac(self, x, y):
+        m = self.matrix
+        return m.a11, m.a12, m.a21, m.a22
+
+    eval = PlanarMap.eval
+    jacobian = PlanarMap.jacobian
 
     def describe(self):
         m = self.matrix
         return f"linear[[{m.a11!r},{m.a12!r}],[{m.a21!r},{m.a22!r}]]"
-
-    def _step_fn(self):
-        m = self.matrix
-        a, b, c, d = m.a11, m.a12, m.a21, m.a22
-
-        def step(x, y):
-            return a * x + b * y, c * x + d * y
-
-        return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,23 +130,17 @@ class SzlenkMap(PlanarMap):
             raise ParameterError(
                 f"szlenk parameter must satisfy 1 < k < 2/sqrt(3) ~= {K_MAX:.10f}, got {self.k!r}")
 
-    def eval(self, p):
-        fx, fy = _szlenk_xy(self.k, p.x, p.y)
-        return _guard(self, p, fx, fy)
+    def xy(self, x, y):
+        return _szlenk_xy(self.k, x, y)
 
-    def jacobian(self, p):
-        return _guard_mat(self, p, *_szlenk_jac(self.k, p.x, p.y))
+    def jac(self, x, y):
+        return _szlenk_jac(self.k, x, y)
+
+    eval = PlanarMap.eval
+    jacobian = PlanarMap.jacobian
 
     def describe(self):
         return f"szlenk(k={self.k!r})"
-
-    def _step_fn(self):
-        k = self.k
-
-        def step(x, y):
-            return _szlenk_xy(k, x, y)
-
-        return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,25 +157,21 @@ class DampedSzlenkMap(PlanarMap):
         if not (0.0 < self.a < 1.0):
             raise ParameterError(f"damping must satisfy 0 < a < 1, got {self.a!r}")
 
-    def eval(self, p):
-        fx, fy = _szlenk_xy(self.k, p.x, p.y)
-        return _guard(self, p, fx - self.a * p.x, fy - self.a * p.y)
+    def xy(self, x, y):
+        a = self.a
+        fx, fy = _szlenk_xy(self.k, x, y)
+        return fx - a * x, fy - a * y
 
-    def jacobian(self, p):
-        j11, j12, j21, j22 = _szlenk_jac(self.k, p.x, p.y)
-        return _guard_mat(self, p, j11 - self.a, j12, j21, j22 - self.a)
+    def jac(self, x, y):
+        a = self.a
+        j11, j12, j21, j22 = _szlenk_jac(self.k, x, y)
+        return j11 - a, j12, j21, j22 - a
+
+    eval = PlanarMap.eval
+    jacobian = PlanarMap.jacobian
 
     def describe(self):
         return f"ga(k={self.k!r}, a={self.a!r})"
-
-    def _step_fn(self):
-        k, a = self.k, self.a
-
-        def step(x, y):
-            fx, fy = _szlenk_xy(k, x, y)
-            return fx - a * x, fy - a * y
-
-        return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,37 +180,27 @@ class RadialMap(PlanarMap):
 
     profile: PhiProfile
 
-    def eval(self, p):
-        f = phi_eval(self.profile, math.hypot(p.x, p.y))
-        # f in [floor, 1] and p is finite, so no overflow is possible
-        return Point2(f * p.x, f * p.y)
+    def xy(self, x, y):
+        f = phi_eval(self.profile, math.hypot(x, y))
+        return f * x, f * y
 
-    def jacobian(self, p):
-        r = math.hypot(p.x, p.y)
-        if r == 0.0:
-            f = phi_eval(self.profile, 0.0)
-            return Mat2(f, 0.0, 0.0, f)
-        f = phi_eval(self.profile, r)
-        fp = phi_deriv(self.profile, r)
+    def jac(self, x, y):
+        prof = self.profile
+        r = math.hypot(x, y)
+        f = phi_eval(prof, r)
+        fp = phi_deriv(prof, r)
         if fp == 0.0:
-            # flat zones: exactly f times the identity
-            return Mat2(f, 0.0, 0.0, f)
+            # flat zones, the origin included: exactly f times the identity
+            return f, 0.0, 0.0, f
         s = fp / r
-        return Mat2(f + s * p.x * p.x, s * p.x * p.y,
-                    s * p.x * p.y, f + s * p.y * p.y)
+        return f + s * x * x, s * x * y, s * x * y, f + s * y * y
+
+    eval = PlanarMap.eval
+    jacobian = PlanarMap.jacobian
 
     def describe(self):
         pr = self.profile
         return f"radial(R={pr.R!r}, C={pr.C!r}, eps={pr.eps!r})"
-
-    def _step_fn(self):
-        prof = self.profile
-
-        def step(x, y):
-            f = phi_eval(prof, math.hypot(x, y))
-            return f * x, f * y
-
-        return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,33 +216,38 @@ class CompositeMap(PlanarMap):
             if not isinstance(m, PlanarMap):
                 raise ParameterError(f"composite member is not a planar map: {m!r}")
 
-    def eval(self, p):
+    def xy(self, x, y):
         for m in reversed(self.members):
-            p = m.eval(p)
-        return p
+            x, y = m.xy(x, y)
+        return x, y
 
-    def jacobian(self, p):
-        # chain rule: ordered product of member Jacobians at the intermediate points
-        jac = None
-        cur = p
+    def _image(self, x, y):
+        # checked after every member, so a non-finite intermediate never
+        # reaches the next member's kernel
         for m in reversed(self.members):
-            jm = m.jacobian(cur)
-            jac = jm if jac is None else jm @ jac
-            cur = m.eval(cur)
-        return jac
+            x, y = m._image(x, y)
+        return x, y
+
+    def jac(self, x, y):
+        # chain rule: ordered product of member Jacobians at the intermediate
+        # points, each new factor on the left with the products of
+        # Mat2.__matmul__; the intermediate points are checked as in eval
+        members = self.members
+        i = len(members) - 1
+        b11, b12, b21, b22 = members[i].jac(x, y)
+        while i:
+            x, y = members[i]._image(x, y)
+            i -= 1
+            a11, a12, a21, a22 = members[i].jac(x, y)
+            b11, b12, b21, b22 = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                                  a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+        return b11, b12, b21, b22
+
+    eval = PlanarMap.eval
+    jacobian = PlanarMap.jacobian
 
     def describe(self):
         return "compose(" + " o ".join(m.describe() for m in self.members) + ")"
-
-    def _step_fn(self):
-        fns = tuple(m._step_fn() for m in reversed(self.members))
-
-        def step(x, y):
-            for f in fns:
-                x, y = f(x, y)
-            return x, y
-
-        return step
 
 
 def compose(outer: PlanarMap, inner: PlanarMap) -> CompositeMap:
@@ -270,8 +260,10 @@ def compose(outer: PlanarMap, inner: PlanarMap) -> CompositeMap:
 
 
 def step_function(m: PlanarMap):
-    """Raw float step closure for hot loops; see PlanarMap._step_fn."""
-    return m._step_fn()
+    """The unchecked image kernel ``m.xy`` for hot loops; callers must treat
+    non-finite output, or an ArithmeticError or ValueError raised by a
+    member's kernel on it, as an escape."""
+    return m.xy
 
 
 def fd_jacobian(m: PlanarMap, p: Point2, h: float) -> Mat2:

@@ -16,9 +16,9 @@ Region sweeps are deterministic.  Grid strategies enumerate row-major from
 the lower edge, x fastest, using the lerp form ((n-1-i)*lo + i*hi)/(n-1) so
 the endpoints and a symmetric zero land exactly on the axes.  The random
 strategy derives every sample from one explicit seed recorded in the report.
-A sample whose Jacobian overflows is counted and flagged, never raised, and
-any flagged sample makes every verdict fail: an unbounded Jacobian cannot
-certify a spectrum bound.
+A sample whose Jacobian or eigenvalue modulus overflows is counted and
+flagged, never raised, and any flagged sample makes every verdict fail: an
+unbounded spectrum cannot certify a spectrum bound.
 """
 
 from __future__ import annotations
@@ -132,6 +132,44 @@ def _lerp(lo: float, hi: float, i: int, n: int) -> float:
     return ((n - 1 - i) * lo + i * hi) / (n - 1)
 
 
+def _log_radii(lo: float, hi: float, n: int) -> list[float]:
+    """n radii from lo to hi, evenly spaced in log-radius (just hi when n == 1)."""
+    if n == 1:
+        return [hi]
+    llo, lhi = math.log(lo), math.log(hi)
+    return [math.exp(_lerp(llo, lhi, i, n)) for i in range(n)]
+
+
+def _ring_points(radii, angles: int):
+    """Points on one circle per radius, at evenly spaced angles from 0."""
+    for r in radii:
+        for j in range(angles):
+            t = 2.0 * math.pi * j / angles
+            yield Point2(r * math.cos(t), r * math.sin(t))
+
+
+def _sweep_sup(points, value, sup: float = -math.inf, at=None):
+    """Largest value(p) over the points, the first point attaining it (``at``
+    if no value beats ``sup``), and the number of points visited."""
+    count = 0
+    for p in points:
+        count += 1
+        v = value(p)
+        if v > sup:
+            sup, at = v, p
+    return sup, at, count
+
+
+def _growth(f):
+    """The sweep value p -> |f(p)| / |p|, infinite where f overflows."""
+    def ratio(p):
+        try:
+            return f(p).norm() / p.norm()
+        except NumericOverflowError:
+            return math.inf
+    return ratio
+
+
 def _sample_points(region: Rect, strategy):
     if isinstance(strategy, GridStrategy):
         for iy in range(strategy.ny):
@@ -206,6 +244,10 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
             continue
         pair = eig2(jac)
         mod = pair.max_modulus
+        if not math.isfinite(mod):
+            # finite entries can still overflow tr^2 - 4 det
+            overflow += 1
+            continue
         if max_mod is None or mod > max_mod:
             max_mod = mod
             max_mod_at = p
@@ -296,13 +338,8 @@ def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:
     Returns inf when any sample overflows: an overflowing Jacobian has no
     finite norm bound, and callers use this value as an upper estimate.
     """
-    sup = 0.0
-    for x, y in _sample_points(region, strategy):
-        try:
-            jac = m.jacobian(Point2(x, y))
-        except NumericOverflowError:
-            return math.inf
-        nrm = operator_norm(jac)
-        if nrm > sup:
-            sup = nrm
-    return sup
+    points = (Point2(x, y) for x, y in _sample_points(region, strategy))
+    try:
+        return _sweep_sup(points, lambda p: operator_norm(m.jacobian(p)), 0.0)[0]
+    except NumericOverflowError:
+        return math.inf

@@ -14,6 +14,15 @@ def run_json(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def run_strict_json(argv, capsys):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+
+
 def run_csv(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -109,6 +118,28 @@ def test_spectrum_random_strategy(capsys):
     assert obj2 == obj
 
 
+def test_spectrum_eigenvalue_overflow_is_counted(capsys):
+    # finite Jacobian entries, but tr^2 - 4 det overflows to inf - inf
+    code, obj = run_strict_json(["spectrum", "--map", "linear", "--matrix", "1e308,0,0,1",
+                                 "--region", "1:2:1:2", "--grid", "3x3",
+                                 "--check", "ball:1"], capsys)
+    assert code == 1
+    assert obj["samples"] == 9 and obj["overflows"] == 9
+    assert obj["max_modulus"] is None and obj["max_modulus_at"] is None
+    assert obj["checks"][0]["passed"] is False
+
+
+def test_spectrum_composite_overflow_is_counted(capsys):
+    # the damped cubic's image is NaN this far out; it must count as an
+    # overflow, not reach the radial profile
+    code, obj = run_strict_json(["spectrum", "--map", "counterexample",
+                                 "--region", "1e200:2e200:1e200:2e200",
+                                 "--grid", "3x3"], capsys)
+    assert code == 0
+    assert obj["samples"] == 9 and obj["overflows"] == 9
+    assert obj["max_modulus"] is None
+
+
 def test_spectrum_negative_region_tokens(capsys):
     code, obj = run_json(["spectrum", "--map", "linear", "--matrix", "0.5,0,0,0.5",
                           "--region", "-1:1:-1:1", "--grid", "3x3"], capsys)
@@ -144,6 +175,14 @@ def test_orbit_escape_truncates(capsys):
     assert code == 0
     assert len(lines) == 1 + 1798  # header, start, then 1797 recorded steps
     assert float(lines[-1].split(",")[3]) > 1e9
+
+
+def test_orbit_composite_overflow_keeps_start_row(capsys):
+    code, lines = run_csv(["orbit", "--map", "counterexample", "--start", "1e200,1e200",
+                           "--steps", "3"], capsys)
+    assert code == 0
+    assert len(lines) == 2  # header and the start row
+    assert lines[1].startswith("0,")
 
 
 # ----------------------------------------------------------------- periodic
@@ -282,6 +321,14 @@ def test_dissipativity_tail_radius(capsys):
     assert obj["passed"] is True
     assert obj["contraction_factor"] == 0.75
     assert obj["ball_radius"] == pytest.approx(2.407840247103163e+49, rel=1e-6)
+
+
+def test_dissipativity_overflow_writes_strict_json(capsys):
+    code, obj = run_strict_json(["dissipativity", "--map", "szlenk", "--radius", "1e75"],
+                                capsys)
+    assert code == 1
+    assert obj["hypothesis_ok"] is False
+    assert obj["hypothesis_max_ratio"] is None
 
 
 def test_dissipativity_tail_needs_counterexample_map(capsys):

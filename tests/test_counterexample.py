@@ -5,7 +5,8 @@ import pytest
 
 from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
                  RadialMap, build_counterexample, basin_raster, compose,
-                 dissipativity_bound, phi_eval, verify_counterexample)
+                 dissipativity_bound, phi_eval, step_function,
+                 verify_counterexample)
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
                    "radial-orientation", "period-4-orbit", "profile-envelope"]
@@ -163,7 +164,7 @@ def test_long_run_orbit_stays_bounded(bundle):
     report = verify_counterexample(bundle)
     orbit = next(c for c in report.checks if c.name == "period-4-orbit")
     x, y = orbit.data["points"][0]
-    step = bundle.composite._step_fn()
+    step = step_function(bundle.composite)
     biggest = 0.0
     for _ in range(40_000):
         x, y = step(x, y)

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -17,34 +18,28 @@ SZLENK = SzlenkMap(1.01)
 class TranslationMap(PlanarMap):
     """f(p) = p + (1, 0): Jacobian is the identity, so Df^n - I is singular."""
 
-    def eval(self, p):
-        return Point2(p.x + 1.0, p.y)
+    def xy(self, x, y):
+        return x + 1.0, y
 
-    def jacobian(self, p):
-        return Mat2.identity()
+    def jac(self, x, y):
+        return 1.0, 0.0, 0.0, 1.0
 
     def describe(self):
         return "translate(1,0)"
-
-    def _step_fn(self):
-        return lambda x, y: (x + 1.0, y)
 
 
 class LyingJacobianMap(PlanarMap):
     """Halves every point but reports the identity as its Jacobian,
     forcing the periodic-orbit search onto its finite-difference retry."""
 
-    def eval(self, p):
-        return Point2(0.5 * p.x, 0.5 * p.y)
+    def xy(self, x, y):
+        return 0.5 * x, 0.5 * y
 
-    def jacobian(self, p):
-        return Mat2.identity()
+    def jac(self, x, y):
+        return 1.0, 0.0, 0.0, 1.0
 
     def describe(self):
         return "lying-half"
-
-    def _step_fn(self):
-        return lambda x, y: (0.5 * x, 0.5 * y)
 
 
 # ---------------------------------------------------------------- classify
@@ -325,6 +320,7 @@ def test_basin_grid_validation():
 
 
 def test_resolve_workers_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.delenv("DMY_THREADS", raising=False)
     assert resolve_workers(3) == 3
     assert resolve_workers() >= 1
@@ -342,3 +338,18 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("DMY_THREADS", raising=False)
     with pytest.raises(ParameterError):
         resolve_workers(0)
+
+
+def test_resolve_workers_clamps_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("DMY_THREADS", raising=False)
+    assert resolve_workers(64) == 4
+    assert resolve_workers() == 4
+    assert resolve_workers(3) == 3
+    monkeypatch.setenv("DMY_THREADS", "2")
+    assert resolve_workers(64) == 2
+    monkeypatch.setenv("DMY_THREADS", "8")
+    assert resolve_workers(64) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown counts as one
+    monkeypatch.delenv("DMY_THREADS", raising=False)
+    assert resolve_workers(64) == 1

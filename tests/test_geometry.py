@@ -63,7 +63,6 @@ def test_mat_rejects_non_finite():
 
 def test_mat_scaled_and_sub():
     m = Mat2(1.0, 2.0, 3.0, 4.0)
-    assert m.scaled(2.0) == Mat2(2.0, 4.0, 6.0, 8.0)
     assert m - Mat2.identity() == Mat2(0.0, 2.0, 3.0, 3.0)
 
 

@@ -151,12 +151,15 @@ def test_maps_are_picklable():
     assert c2.eval(p) == c.eval(p)
 
 
-def test_step_function_matches_eval():
+def test_step_function_matches_eval(bundle):
+    r_tail = bundle.profile.r_tail
     for m in (SzlenkMap(1.01), DampedSzlenkMap(1.01, 0.005),
               LinearMap(Mat2(0.5, 1.0, 0.0, 0.5)),
-              compose(RadialMap(build_phi(20.0, 2.0, 0.05)), SzlenkMap(1.01))):
+              compose(RadialMap(build_phi(20.0, 2.0, 0.05)), SzlenkMap(1.01)),
+              bundle.composite):
         step = step_function(m)
-        for p in (Point2(1.0, 2.0), Point2(-7.0, 0.1), Point2(30.0, -30.0)):
+        for p in (Point2(1.0, 2.0), Point2(-7.0, 0.1), Point2(30.0, -30.0),
+                  Point2(2.0 * r_tail, -r_tail)):
             assert step(p.x, p.y) == tuple(m.eval(p))
 
 
