@@ -17,7 +17,7 @@ from .spectral import (EigenPair, GridStrategy, RandomStrategy, Rect,
                        check_interval_free, check_real_free, eig2,
                        operator_norm, sample_norm_sup, sample_spectrum,
                        spectral_radius)
-from .dynamics import (BasinConfig, BasinGrid, DissipativityBound,
+from .dynamics import (BasinGrid, DissipativityBound,
                        DissipativitySampling, NewtonConfig, OmegaConfig,
                        OmegaTag, OmegaVerdict, PeriodicOrbit, RayVerdict,
                        basin_raster, classify_omega, dissipativity_bound,
@@ -41,7 +41,7 @@ __all__ = [
     "RealSpectrumSample", "SpectrumReport", "Verdict", "check_ball",
     "check_interval_free", "check_real_free", "eig2", "operator_norm",
     "sample_norm_sup", "sample_spectrum", "spectral_radius",
-    "BasinConfig", "BasinGrid", "DissipativityBound", "DissipativitySampling",
+    "BasinGrid", "DissipativityBound", "DissipativitySampling",
     "NewtonConfig", "OmegaConfig", "OmegaTag", "OmegaVerdict", "PeriodicOrbit",
     "RayVerdict", "basin_raster", "classify_omega", "dissipativity_bound",
     "find_periodic", "orbit_multipliers", "resolve_workers",

@@ -31,9 +31,9 @@ import sys
 import tempfile
 
 from .counterexample import build_counterexample, verify_counterexample
-from .dynamics import (BasinConfig, BasinGrid, NewtonConfig, OmegaConfig,
-                       DissipativitySampling, basin_raster, dissipativity_bound,
-                       find_periodic, verify_invariant_ray)
+from .dynamics import (BasinGrid, NewtonConfig, OmegaConfig, DissipativitySampling,
+                       basin_raster, dissipativity_bound, find_periodic,
+                       verify_invariant_ray)
 from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
 from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
@@ -446,8 +446,8 @@ def _run_basin(sub: str, resolved: dict) -> int:
                         escape_radius=resolved["escape_radius"], window=resolved["window"],
                         cycle_rel_tol=resolved["cycle_tol"])
     workers = resolved["workers"]
-    cfg = BasinConfig(omega=omega, workers=None if workers == 0 else workers)
-    grid = basin_raster(m, resolved["L"], width, height, cfg)
+    grid = basin_raster(m, resolved["L"], width, height, omega,
+                        None if workers == 0 else workers)
     _write_atomic(resolved["out"], render_pgm(grid))
     return 0
 

@@ -36,46 +36,35 @@ from .spectral import (_growth, _lerp, _log_radii, _ring_points, _sweep_sup,
 K_CEIL = K_MAX * 0.88
 
 
-@dataclass(frozen=True, slots=True)
 class SweepConfig:
-    """Sample counts and caps for the build search and the verification."""
+    """The fixed sampling plan of the build search and the verification."""
 
     # spectral-radius sweeps of the composed map (also the eps search)
-    sr_radii: int = 400
-    sr_angles: int = 32
-    sr_span: float = 10.0        # radii reach sr_span * r_tail
-    sr_cap: float = 0.95
+    sr_radii = 400
+    sr_angles = 32
+    sr_span = 10.0        # radii reach sr_span * r_tail
+    sr_cap = 0.95
     # norm and spectral-radius sweep of the damped map (c_raw and the
     # damping precondition)
-    norm_grid: int = 81
-    norm_half_width: float = 50.0
-    norm_radii: int = 240
-    norm_angles: int = 32
-    norm_r_max: float = 1e6
-    ga_sr_cap: float = 0.9
+    norm_grid = 81
+    norm_half_width = 50.0
+    norm_radii = 240
+    norm_angles = 32
+    norm_r_max = 1e6
+    ga_sr_cap = 0.9
     # tail-contraction sweep
-    tail_radii: int = 128
-    tail_angles: int = 16
-    tail_r_max: float = 1e60
+    tail_radii = 128
+    tail_angles = 16
+    tail_r_max = 1e60
     # radial-map orientation sweep
-    orient_radii: int = 256
-    orient_angles: int = 16
+    orient_radii = 256
+    orient_angles = 16
     # profile envelope sweep
-    phi_samples: int = 10_000
+    phi_samples = 10_000
     # search budgets
-    max_eps_halvings: int = 20
-    max_a_halvings: int = 8
-    newton_tol: float = 1e-12
-    newton_max_steps: int = 60
-
-    def __post_init__(self):
-        for name in ("sr_radii", "sr_angles", "norm_grid", "norm_radii", "norm_angles",
-                     "tail_radii", "tail_angles", "orient_radii", "orient_angles",
-                     "phi_samples", "newton_max_steps"):
-            if getattr(self, name) < 2:
-                raise ParameterError(f"{name} must be >= 2, got {getattr(self, name)!r}")
-        if self.max_eps_halvings < 0 or self.max_a_halvings < 0:
-            raise ParameterError("halving budgets must be >= 0")
+    max_eps_halvings = 20
+    max_a_halvings = 8
+    newton = NewtonConfig(tol=1e-12, max_steps=60)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,15 +130,16 @@ class VerificationReport:
         }
 
 
-def _damped_sweep(damped: DampedSzlenkMap, cfg: SweepConfig):
+def _damped_sweep(damped: DampedSzlenkMap):
     """Sampled sup of Jacobian norm and spectral radius over a wide
     multi-scale region: a uniform grid around the origin plus log-spaced
     rings far beyond it."""
-    g = cfg.norm_grid
-    hw = cfg.norm_half_width
+    g = SweepConfig.norm_grid
+    hw = SweepConfig.norm_half_width
     grid = (Point2(_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
             for iy in range(g) for ix in range(g))
-    rings = _ring_points(_log_radii(1e-2, cfg.norm_r_max, cfg.norm_radii), cfg.norm_angles)
+    rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
+                         SweepConfig.norm_angles)
     sup_norm = sup_sr = 0.0
     for p in chain([Point2(0.0, 0.0)], grid, rings):
         jac = damped.jacobian(p)
@@ -158,34 +148,34 @@ def _damped_sweep(damped: DampedSzlenkMap, cfg: SweepConfig):
     return sup_norm, sup_sr
 
 
-def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float,
-                        cfg: SweepConfig):
+def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float):
     """Max sampled spectral radius of the composed map's Jacobian, where it
     is attained, and the sample count, over the origin and log radii from
     far inside the flat disc to past the profile tail."""
-    radii = _log_radii(flat_radius * 1e-6, cfg.sr_span * tail_radius, cfg.sr_radii)
-    return _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(radii, cfg.sr_angles)),
+    radii = _log_radii(flat_radius * 1e-6, SweepConfig.sr_span * tail_radius,
+                       SweepConfig.sr_radii)
+    return _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles)),
                       lambda p: spectral_radius(m.jacobian(p)))
 
 
-def _build_once(k: float, a: float, eps_init: float, cfg: SweepConfig) -> CounterexampleBundle:
+def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     damped = DampedSzlenkMap(k, a)
-    c_raw, ga_sr = _damped_sweep(damped, cfg)
-    if ga_sr > cfg.ga_sr_cap:
+    c_raw, ga_sr = _damped_sweep(damped)
+    if ga_sr > SweepConfig.ga_sr_cap:
         raise ParameterError(
             f"damping {a!r} pushes the sampled spectral radius of the damped map to "
-            f"{ga_sr!r} > {cfg.ga_sr_cap!r}; pick a smaller damping")
+            f"{ga_sr!r} > {SweepConfig.ga_sr_cap!r}; pick a smaller damping")
     c_used = 1.05 * max(c_raw, 1.0)
     flat_radius = 2.0 / math.sqrt(k - 1.0)
 
     eps = min(eps_init, 0.9 / (8.0 * c_used))
     bundle = None
-    for _ in range(cfg.max_eps_halvings + 1):
+    for _ in range(SweepConfig.max_eps_halvings + 1):
         profile = build_phi(flat_radius, c_used, eps)
         radial = RadialMap(profile)
         comp = compose(radial, damped)
-        sup, worst, _ = _composite_sr_sweep(comp, flat_radius, profile.r_tail, cfg)
-        if sup <= cfg.sr_cap:
+        sup, worst, _ = _composite_sr_sweep(comp, flat_radius, profile.r_tail)
+        if sup <= SweepConfig.sr_cap:
             bundle = CounterexampleBundle(k=k, a=a, profile=profile, damped=damped,
                                           radial=radial, composite=comp,
                                           c_raw=c_raw, c_used=c_used)
@@ -194,12 +184,12 @@ def _build_once(k: float, a: float, eps_init: float, cfg: SweepConfig) -> Counte
     if bundle is None:
         raise ParameterError(
             f"no slope budget under {eps_init!r} brought the sampled spectral radius "
-            f"under {cfg.sr_cap!r} within {cfg.max_eps_halvings} halvings")
+            f"under {SweepConfig.sr_cap!r} within {SweepConfig.max_eps_halvings} halvings")
 
     # the period-4 orbit must exist inside the flat disc; a failed search
     # invalidates this damping value, which the caller then halves
     orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0),
-                          NewtonConfig(tol=cfg.newton_tol, max_steps=cfg.newton_max_steps))
+                          SweepConfig.newton)
     norms = [p.norm() for p in orbit.points]
     if min(norms) <= 1e-6 or max(norms) >= flat_radius:
         raise ConvergenceError(
@@ -209,16 +199,15 @@ def _build_once(k: float, a: float, eps_init: float, cfg: SweepConfig) -> Counte
     return bundle
 
 
-def build_counterexample(k: float, a: float = 0.005, eps_init: float = 0.05,
-                         cfg: SweepConfig | None = None) -> CounterexampleBundle:
+def build_counterexample(k: float, a: float = 0.005,
+                         eps_init: float = 0.05) -> CounterexampleBundle:
     """Build the composed map for the given cubic parameter and damping.
 
-    The damping halves automatically (up to the configured budget) when the
-    period-4 Newton search fails, since only smallness of the damping is
-    required.  Raises ParameterError when k or the damping precondition is
-    out of range or either search is exhausted.
+    The damping halves automatically (up to ``SweepConfig.max_a_halvings``
+    times) when the period-4 Newton search fails, since only smallness of the
+    damping is required.  Raises ParameterError when k or the damping
+    precondition is out of range or either search is exhausted.
     """
-    cfg = cfg or SweepConfig()
     if not (1.0 < k < K_CEIL):
         raise ParameterError(
             f"cubic parameter must satisfy 1 < k < {K_CEIL!r}, got {k!r}")
@@ -228,9 +217,9 @@ def build_counterexample(k: float, a: float = 0.005, eps_init: float = 0.05,
         raise ParameterError(f"slope budget must be positive, got {eps_init!r}")
     cur = a
     last_newton: NewtonError | None = None
-    for _ in range(cfg.max_a_halvings + 1):
+    for _ in range(SweepConfig.max_a_halvings + 1):
         try:
-            return _build_once(k, cur, eps_init, cfg)
+            return _build_once(k, cur, eps_init)
         except NewtonError as exc:
             last_newton = exc
             cur /= 2.0
@@ -247,25 +236,26 @@ def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:
         data={"image": [img.x, img.y]})
 
 
-def _check_sr_bound(bundle: CounterexampleBundle, cfg: SweepConfig) -> CheckRecord:
+def _check_sr_bound(bundle: CounterexampleBundle) -> CheckRecord:
     sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius,
-                                            bundle.profile.r_tail, cfg)
-    bound = cfg.sr_cap + 1e-9
+                                            bundle.profile.r_tail)
+    bound = SweepConfig.sr_cap + 1e-9
     return CheckRecord(
         name="spectral-radius-bound", passed=sup <= bound,
         detail=f"max sampled spectral radius {sup!r} vs cap {bound!r} over {count} samples",
         data={"max": sup, "cap": bound, "samples": count, "worst": [worst.x, worst.y]})
 
 
-def _check_tail_contraction(bundle: CounterexampleBundle, cfg: SweepConfig) -> CheckRecord:
+def _check_tail_contraction(bundle: CounterexampleBundle) -> CheckRecord:
     r_tail = bundle.profile.r_tail
-    if r_tail >= cfg.tail_r_max:
+    cap = SweepConfig.tail_r_max
+    if r_tail >= cap:
         return CheckRecord(
             name="tail-contraction", passed=False,
-            detail=f"profile tail {r_tail!r} is beyond the sampling cap {cfg.tail_r_max!r}",
-            data={"tail_radius": r_tail, "cap": cfg.tail_r_max, "samples": 0})
+            detail=f"profile tail {r_tail!r} is beyond the sampling cap {cap!r}",
+            data={"tail_radius": r_tail, "cap": cap, "samples": 0})
     worst, worst_at, count = _sweep_sup(
-        _ring_points(_log_radii(r_tail, cfg.tail_r_max, cfg.tail_radii), cfg.tail_angles),
+        _ring_points(_log_radii(r_tail, cap, SweepConfig.tail_radii), SweepConfig.tail_angles),
         _growth(bundle.composite.eval), 0.0, Point2(r_tail, 0.0))
     return CheckRecord(
         name="tail-contraction", passed=worst <= 0.5,
@@ -273,35 +263,25 @@ def _check_tail_contraction(bundle: CounterexampleBundle, cfg: SweepConfig) -> C
         data={"max_ratio": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
 
 
-def _check_orientation(bundle: CounterexampleBundle, cfg: SweepConfig) -> CheckRecord:
+def _check_orientation(bundle: CounterexampleBundle) -> CheckRecord:
     """det of the radial map's Jacobian stays positive at every sample."""
-    worst = math.inf
-    worst_at = Point2(0.0, 0.0)
-    count = 1
-    det0 = bundle.radial.jacobian(Point2(0.0, 0.0)).det
-    if det0 < worst:
-        worst = det0
-    hi = min(cfg.tail_r_max, cfg.sr_span * bundle.profile.r_tail)
-    for p in _ring_points(_log_radii(bundle.flat_radius * 1e-6, hi, cfg.orient_radii),
-                          cfg.orient_angles):
-        count += 1
-        det = bundle.radial.jacobian(p).det
-        if det < worst:
-            worst = det
-            worst_at = p
+    hi = min(SweepConfig.tail_r_max, SweepConfig.sr_span * bundle.profile.r_tail)
+    ring = _ring_points(_log_radii(bundle.flat_radius * 1e-6, hi, SweepConfig.orient_radii),
+                        SweepConfig.orient_angles)
+    neg, worst_at, count = _sweep_sup(chain([Point2(0.0, 0.0)], ring),
+                                      lambda p: -bundle.radial.jacobian(p).det)
+    worst = -neg
     return CheckRecord(
         name="radial-orientation", passed=worst > 0.0,
         detail=f"min sampled radial Jacobian det {worst!r} over {count} samples",
         data={"min_det": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
 
 
-def _check_periodic_orbit(bundle: CounterexampleBundle, cfg: SweepConfig) -> CheckRecord:
+def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
     name = "period-4-orbit"
     seed = Point2(bundle.flat_radius / 2.0, 0.0)
     try:
-        orbit = find_periodic(bundle.composite, 4, seed,
-                              NewtonConfig(tol=cfg.newton_tol,
-                                           max_steps=cfg.newton_max_steps))
+        orbit = find_periodic(bundle.composite, 4, seed, SweepConfig.newton)
     except NewtonError as exc:
         return CheckRecord(name=name, passed=False,
                            detail=f"newton search failed: {exc}", data={})
@@ -323,12 +303,13 @@ def _check_periodic_orbit(bundle: CounterexampleBundle, cfg: SweepConfig) -> Che
               "hyperbolic": orbit.hyperbolic})
 
 
-def _check_envelope(bundle: CounterexampleBundle, cfg: SweepConfig) -> CheckRecord:
+def _check_envelope(bundle: CounterexampleBundle) -> CheckRecord:
     prof = bundle.profile
     slope_budget = prof.eps / 8.0
     radii = [0.0, prof.R * 0.5, prof.R]
-    radii += _log_radii(prof.R * 1e-3, cfg.sr_span * prof.r_tail, cfg.phi_samples)
-    radii += [prof.r_tail, prof.r_tail * 10.0, min(cfg.tail_r_max, prof.r_tail * 1e6)]
+    radii += _log_radii(prof.R * 1e-3, SweepConfig.sr_span * prof.r_tail,
+                        SweepConfig.phi_samples)
+    radii += [prof.r_tail, prof.r_tail * 10.0, min(SweepConfig.tail_r_max, prof.r_tail * 1e6)]
     radii = sorted(set(radii))
     range_ok = True
     monotone_ok = True
@@ -371,21 +352,19 @@ def _check_envelope(bundle: CounterexampleBundle, cfg: SweepConfig) -> CheckReco
               "floor_ok": floor_ok, "stretch_ok": stretch_ok})
 
 
-def verify_counterexample(bundle: CounterexampleBundle,
-                          cfg: SweepConfig | None = None) -> VerificationReport:
+def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
     """Re-check the six claims about a built bundle by sampling.
 
     Failures are verdicts in the report, never exceptions, so a deliberately
     broken bundle yields a failing report rather than a crash.
     """
-    cfg = cfg or SweepConfig()
     checks = (
         _check_origin_fixed(bundle),
-        _check_sr_bound(bundle, cfg),
-        _check_tail_contraction(bundle, cfg),
-        _check_orientation(bundle, cfg),
-        _check_periodic_orbit(bundle, cfg),
-        _check_envelope(bundle, cfg),
+        _check_sr_bound(bundle),
+        _check_tail_contraction(bundle),
+        _check_orientation(bundle),
+        _check_periodic_orbit(bundle),
+        _check_envelope(bundle),
     )
     return VerificationReport(
         map_desc=bundle.composite.describe(),

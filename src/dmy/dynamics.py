@@ -27,15 +27,15 @@ import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
 from .planar import PlanarMap, fd_jacobian, step_function
-from .spectral import (EigenPair, _growth, _log_radii, _ring_points, _sweep_sup, eig2,
-                       operator_norm)
+from .spectral import (EigenPair, _growth, _inf_on_overflow, _log_radii, _ring_points,
+                       _sweep_sup, eig2, operator_norm)
 
 
 class OmegaTag(Enum):
@@ -241,19 +241,19 @@ def find_periodic(m: PlanarMap, n: int, seed: Point2,
         last_iterate=x, residual=res)
 
 
+_BALL_SPAN = 1e48     # the ball sweep covers [radius / span, radius]
+_OUTER_SPAN = 100.0   # the outer sweeps end at span * threshold
+
+
 @dataclass(frozen=True, slots=True)
 class DissipativitySampling:
     ball_radii: int = 64
-    ball_span: float = 1e48  # ball sweep covers [radius/span, radius]
     angles: int = 16
     outer_radii: int = 48
-    outer_span: float = 100.0  # contraction sweep covers [s0, span*s0]
 
     def __post_init__(self):
         if self.ball_radii < 1 or self.outer_radii < 2 or self.angles < 1:
             raise ParameterError("sampling resolution too small")
-        if not (self.ball_span > 1.0 and self.outer_span > 1.0):
-            raise ParameterError("sampling spans must exceed 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,7 +267,9 @@ class DissipativityBound:
 
     and the contraction factor is (alpha + 1) / 2.  ``hypothesis_ok`` records
     the sampled check |Df(p) p| < alpha |p| outside the ball; ``contraction_ok``
-    records |f(p)| <= factor * |p| on [threshold, outer_span * threshold].
+    records |f(p)| <= factor * |p| on [threshold, 100 * threshold].  An
+    overflowing sample counts as an infinite norm or ratio, and when the
+    threshold sweep would end beyond the doubles both checks fail unsampled.
     """
 
     ball_radius: float
@@ -297,18 +299,30 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    ball = _log_radii(ball_radius / cfg.ball_span, ball_radius, cfg.ball_radii)
+    ball = _log_radii(ball_radius / _BALL_SPAN, ball_radius, cfg.ball_radii)
     norm_sup, _, n_ball = _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(ball, cfg.angles)),
-                                     lambda p: operator_norm(m.jacobian(p)))
+                                     _inf_on_overflow(lambda p: operator_norm(m.jacobian(p))))
     norm_sup_used = max(norm_sup, 1.0)  # threshold formula needs a bound > alpha
     threshold = 2.0 * (norm_sup_used * ball_radius - alpha * ball_radius) / (1.0 - alpha)
     factor = (alpha + 1.0) / 2.0
 
-    outer = _log_radii(ball_radius, cfg.outer_span * threshold, cfg.outer_radii)
-    hyp_ratio, hyp_at, n_hyp = _sweep_sup(_ring_points(outer, cfg.angles),
-                                          _growth(lambda p: m.jacobian(p).apply(p)), 0.0)
-    far = _log_radii(threshold, cfg.outer_span * threshold, cfg.outer_radii)
-    con_ratio, con_at, n_con = _sweep_sup(_ring_points(far, cfg.angles), _growth(m.eval), 0.0)
+    def hyp_growth(p):
+        # |Df(p) p| from the floats: the product may overflow where Df(p) does not
+        j = m.jacobian(p)
+        return math.hypot(j.a11 * p.x + j.a12 * p.y, j.a21 * p.x + j.a22 * p.y) / p.norm()
+
+    end = _OUTER_SPAN * threshold
+    if math.isfinite(end):
+        outer = _log_radii(ball_radius, end, cfg.outer_radii)
+        hyp_ratio, hyp_at, n_hyp = _sweep_sup(_ring_points(outer, cfg.angles),
+                                              _inf_on_overflow(hyp_growth), 0.0)
+        far = _log_radii(threshold, end, cfg.outer_radii)
+        con_ratio, con_at, n_con = _sweep_sup(_ring_points(far, cfg.angles),
+                                              _growth(m.eval), 0.0)
+    else:
+        hyp_ratio = con_ratio = math.inf
+        hyp_at = con_at = None
+        n_hyp = n_con = 0
     return DissipativityBound(
         ball_radius=ball_radius, alpha=alpha,
         norm_sup=norm_sup, norm_sup_used=norm_sup_used,
@@ -415,16 +429,8 @@ _TAG_CODE = {
 
 # below this many cells the fork+pickle overhead outweighs the row work
 _SERIAL_CELL_LIMIT = 4096
-
-
-@dataclass(frozen=True, slots=True)
-class BasinConfig:
-    omega: OmegaConfig = field(default_factory=OmegaConfig)
-    workers: int | None = None  # None = one per CPU, still capped by DMY_THREADS
-
-    def __post_init__(self):
-        if self.workers is not None and self.workers < 1:
-            raise ParameterError(f"worker count must be >= 1, got {self.workers!r}")
+# the task list and the code buffer grow with the cell count
+_MAX_CELLS = 4096 * 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -487,19 +493,23 @@ def _basin_row(task):
 
 
 def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
-                 cfg: BasinConfig | None = None) -> BasinGrid:
+                 omega: OmegaConfig | None = None, workers: int | None = None) -> BasinGrid:
     """Classify every cell center of a width x height grid over [-L, L]^2.
 
-    Deterministic regardless of worker count: rows are computed independently
-    and joined in row order, and cell centers depend only on the grid shape.
+    ``workers`` None means one per CPU, still capped by DMY_THREADS.  At
+    most 4096 x 4096 cells.  Deterministic regardless of worker count: rows
+    are computed independently and joined in row order, and cell centers
+    depend only on the grid shape.
     """
-    cfg = cfg or BasinConfig()
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ParameterError(f"half-width must be positive and finite, got {half_width!r}")
     if width < 2 or height < 2:
         raise ParameterError(f"raster needs at least 2x2 cells, got {width}x{height}")
-    tasks = [(m, half_width, width, height, cfg.omega, j) for j in range(height)]
-    workers = resolve_workers(cfg.workers)
+    if width * height > _MAX_CELLS:
+        raise ParameterError(
+            f"raster has {width * height} cells, more than the {_MAX_CELLS} (4096x4096) cap")
+    workers = resolve_workers(workers)
+    tasks = [(m, half_width, width, height, omega, j) for j in range(height)]
     if workers == 1 or width * height <= _SERIAL_CELL_LIMIT:
         rows = [_basin_row(t) for t in tasks]
     else:

@@ -86,9 +86,6 @@ class PlanarMap(ABC):
                 f"{self.describe()} Jacobian overflowed at ({p.x!r}, {p.y!r})")
         return Mat2(j11, j12, j21, j22)
 
-    def __call__(self, p: Point2) -> Point2:
-        return self.eval(p)
-
     def _image(self, x: float, y: float) -> tuple[float, float]:
         """``xy(x, y)``, raising NumericOverflowError on a non-finite component."""
         fx, fy = self.xy(x, y)

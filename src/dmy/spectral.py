@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
@@ -160,14 +160,20 @@ def _sweep_sup(points, value, sup: float = -math.inf, at=None):
     return sup, at, count
 
 
-def _growth(f):
-    """The sweep value p -> |f(p)| / |p|, infinite where f overflows."""
-    def ratio(p):
+def _inf_on_overflow(value):
+    """The sweep value ``value``, infinite where it overflows or is NaN."""
+    def guarded(p):
         try:
-            return f(p).norm() / p.norm()
+            v = value(p)
         except NumericOverflowError:
             return math.inf
-    return ratio
+        return math.inf if math.isnan(v) else v
+    return guarded
+
+
+def _growth(f):
+    """The sweep value p -> |f(p)| / |p|, infinite where f overflows."""
+    return _inf_on_overflow(lambda p: f(p).norm() / p.norm())
 
 
 def _sample_points(region: Rect, strategy):
@@ -207,7 +213,6 @@ class Verdict:
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
     map_desc: str
-    region: Rect
     strategy: str
     sample_count: int
     overflow_count: int
@@ -219,10 +224,6 @@ class SpectrumReport:
     max_real: float | None
     max_real_at: Point2 | None
     real_samples: tuple[RealSpectrumSample, ...]
-    checks: tuple[Verdict, ...] = ()
-
-    def with_checks(self, verdicts) -> "SpectrumReport":
-        return replace(self, checks=tuple(verdicts))
 
 
 def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
@@ -262,7 +263,7 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
                 max_real = hi
                 max_real_at = p
     return SpectrumReport(
-        map_desc=m.describe(), region=region, strategy=strategy.describe(),
+        map_desc=m.describe(), strategy=strategy.describe(),
         sample_count=count, overflow_count=overflow,
         max_modulus=max_mod, max_modulus_at=max_mod_at,
         real_count=real_count,
@@ -339,7 +340,4 @@ def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:
     finite norm bound, and callers use this value as an upper estimate.
     """
     points = (Point2(x, y) for x, y in _sample_points(region, strategy))
-    try:
-        return _sweep_sup(points, lambda p: operator_norm(m.jacobian(p)), 0.0)[0]
-    except NumericOverflowError:
-        return math.inf
+    return _sweep_sup(points, _inf_on_overflow(lambda p: operator_norm(m.jacobian(p))), 0.0)[0]

@@ -208,6 +208,14 @@ def test_basin_requires_out(capsys):
     capsys.readouterr()
 
 
+def test_basin_rejects_grid_over_cell_cap(tmp_path, capsys):
+    out = tmp_path / "b.pgm"
+    assert main(["basin", "--map", "szlenk", "--grid", "4097x4096",
+                 "--out", str(out)]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no output, no temporary file
+
+
 def test_basin_pgm_contraction_exact(tmp_path, capsys):
     out = tmp_path / "b.pgm"
     code = main(["basin", "--map", "linear", "--matrix", "0.5,0,0,0.5",
@@ -329,6 +337,29 @@ def test_dissipativity_overflow_writes_strict_json(capsys):
     assert code == 1
     assert obj["hypothesis_ok"] is False
     assert obj["hypothesis_max_ratio"] is None
+
+
+def test_dissipativity_ball_overflow_writes_failing_report(capsys):
+    # the ball sweep meets an overflowing Jacobian, so the threshold is infinite
+    code, obj = run_strict_json(["dissipativity", "--map", "szlenk", "--radius", "1e100"],
+                                capsys)
+    assert code == 1
+    assert obj["norm_sup"] is None and obj["threshold_radius"] is None
+    assert obj["hypothesis_ok"] is False and obj["contraction_ok"] is False
+    assert obj["hypothesis_worst_at"] is None and obj["contraction_worst_at"] is None
+    assert obj["samples"] == 1 + 64 * 16  # the ball sweep only
+    assert obj["passed"] is False
+
+
+def test_dissipativity_product_overflow_writes_failing_report(capsys):
+    # the threshold 4e301 is finite; Df(p) p overflows in the hypothesis sweep
+    code, obj = run_strict_json(["dissipativity", "--map", "linear", "--matrix",
+                                 "1e300,0,0,1", "--radius", "10"], capsys)
+    assert code == 1
+    assert obj["threshold_radius"] == 4e301
+    assert obj["hypothesis_ok"] is False and obj["hypothesis_max_ratio"] is None
+    assert obj["contraction_ok"] is False and obj["contraction_max_ratio"] is None
+    assert obj["passed"] is False
 
 
 def test_dissipativity_tail_needs_counterexample_map(capsys):

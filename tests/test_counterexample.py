@@ -109,6 +109,18 @@ def test_report_dict_layout(bundle):
         assert set(c) >= {"name", "passed", "detail"}
 
 
+def test_verify_sample_counts_and_orientation_witness(bundle):
+    # the fixed sampling plan, seen through the report
+    checks = {c.name: c.data for c in verify_counterexample(bundle).checks}
+    assert checks["spectral-radius-bound"]["samples"] == 1 + 400 * 32
+    assert checks["tail-contraction"]["samples"] == 128 * 16
+    assert checks["radial-orientation"]["samples"] == 1 + 256 * 16
+    assert checks["profile-envelope"]["samples"] == 10_006
+    orient = checks["radial-orientation"]
+    assert orient["worst"] == [1.2179055414480883e+49, 0.0]
+    assert orient["min_det"] == pytest.approx(0.09797422804162682, rel=1e-12)
+
+
 def test_verified_orbit_near_axis_cycle(bundle):
     report = verify_counterexample(bundle)
     orbit = next(c for c in report.checks if c.name == "period-4-orbit")

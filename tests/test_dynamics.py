@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dmy import (BasinConfig, BasinGrid, ConvergenceError, DissipativitySampling,
+from dmy import (BasinGrid, ConvergenceError, DissipativitySampling,
                  LinearMap, Mat2, NewtonConfig, OmegaConfig, OmegaTag,
                  ParameterError, PlanarMap, Point2, SingularSystemError,
                  SzlenkMap, basin_raster, classify_omega, dissipativity_bound,
@@ -235,8 +235,6 @@ def test_dissipativity_validation():
         dissipativity_bound(m, 1.0, 1.0)
     with pytest.raises(ParameterError):
         DissipativitySampling(ball_radii=0)
-    with pytest.raises(ParameterError):
-        DissipativitySampling(outer_span=1.0)
 
 
 # --------------------------------------------------------------------- rays
@@ -298,8 +296,8 @@ def test_basin_cubic_window_frozen_counts():
 
 def test_basin_serial_and_parallel_agree():
     m = LinearMap(Mat2.diagonal(0.5, 0.5))
-    serial = basin_raster(m, 10.0, 80, 80, BasinConfig(workers=1))
-    parallel = basin_raster(m, 10.0, 80, 80, BasinConfig(workers=4))
+    serial = basin_raster(m, 10.0, 80, 80, workers=1)
+    parallel = basin_raster(m, 10.0, 80, 80, workers=4)
     assert serial.codes == parallel.codes
     assert serial.counts() == (6400, 0, 0, 0)
 
@@ -316,7 +314,7 @@ def test_basin_grid_validation():
     with pytest.raises(ParameterError):
         basin_raster(CONTRACT, -1.0, 8, 8)
     with pytest.raises(ParameterError):
-        BasinConfig(workers=0)
+        basin_raster(CONTRACT, 10.0, 8, 8, workers=0)
 
 
 def test_resolve_workers_env(monkeypatch):

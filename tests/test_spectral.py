@@ -212,14 +212,6 @@ def test_overflow_counted_and_fails_checks():
         assert "overflow" in v.detail
 
 
-def test_with_checks_returns_new_report():
-    m = LinearMap(Mat2.diagonal(0.5, 0.5))
-    rep = sample_spectrum(m, Rect(-1.0, 1.0, -1.0, 1.0), GridStrategy(3, 3))
-    rep2 = rep.with_checks([check_ball(rep, 0.6)])
-    assert rep.checks == ()
-    assert len(rep2.checks) == 1 and rep2.checks[0].passed
-
-
 def test_sample_norm_sup_exact_for_uniform_scaling():
     m = LinearMap(Mat2.diagonal(0.6, 0.6))
     sup = sample_norm_sup(m, Rect(-100.0, 100.0, -100.0, 100.0), GridStrategy(11, 11))
