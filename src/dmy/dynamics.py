@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from collections import deque
+from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +45,10 @@ class OmegaTag(Enum):
     UNDECIDED = "undecided"
 
 
+# the cycle index holds one entry per iterate in the window
+_MAX_WINDOW = 4096
+
+
 @dataclass(frozen=True, slots=True)
 class OmegaConfig:
     """Budgets for orbit classification.
@@ -52,7 +56,8 @@ class OmegaConfig:
     An orbit converges when it stays inside the origin ball for ``window``
     consecutive iterates, cycles when it revisits one of the last ``window``
     iterates within relative tolerance, and escapes when its norm passes
-    ``escape_radius`` (non-finite counts as escaped).
+    ``escape_radius`` (non-finite counts as escaped).  The window holds at
+    most 4096 iterates.
     """
 
     max_iter: int = 10_000
@@ -64,8 +69,9 @@ class OmegaConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ParameterError(f"iteration budget must be >= 1, got {self.max_iter!r}")
-        if self.window < 1:
-            raise ParameterError(f"cycle window must be >= 1, got {self.window!r}")
+        if not 1 <= self.window <= _MAX_WINDOW:
+            raise ParameterError(
+                f"cycle window must lie in [1, {_MAX_WINDOW}] (the window cap), got {self.window!r}")
         for name in ("origin_tol", "escape_radius", "cycle_rel_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -92,40 +98,61 @@ class OmegaVerdict:
 def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> OmegaVerdict:
     cfg = cfg or OmegaConfig()
     step = step_function(m)
+    hypot = math.hypot
+    max_iter, window = cfg.max_iter, cfg.window
+    origin_tol, escape_radius, tol = cfg.origin_tol, cfg.escape_radius, cfg.cycle_rel_tol
     x, y = p.x, p.y
-    nn = math.hypot(x, y)
-    if not (nn <= cfg.escape_radius):
+    nn = hypot(x, y)
+    if not (nn <= escape_radius):
         return OmegaVerdict(OmegaTag.ESCAPING, 0, nn)
-    tail = deque(maxlen=cfg.window)  # (x, y, norm) of recent iterates
-    tail.append((x, y, nn))
-    origin_run = 1 if nn <= cfg.origin_tol else 0
-    tol = cfg.cycle_rel_tol
-    for i in range(1, cfg.max_iter + 1):
+    # The last `window` iterates as (norm, index, x, y), sorted by norm.  A
+    # revisit within tol needs | |p|-|q| | <= |p-q| <= tol*max(|p|, |q|), so
+    # only the norm band [nn*(1-2tol), nn/(1-2tol)] can hold one: the factor 2
+    # absorbs rounding, and from tol >= 0.25 the band is open above.  `norms`
+    # rings the norm of each index so the oldest entry can be found again.
+    tail = [(nn, 0, x, y)]
+    norms = [nn] * window
+    lo_f = 1.0 - 2.0 * tol
+    hi_f = 1.0 / lo_f if tol < 0.25 else math.inf
+    origin_run = 1 if nn <= origin_tol else 0
+    for i in range(1, max_iter + 1):
         try:
             x, y = step(x, y)
         except (ArithmeticError, ValueError):
             # raw steps only raise once values leave the doubles entirely
             return OmegaVerdict(OmegaTag.ESCAPING, i, math.inf)
-        nn = math.hypot(x, y)
-        if not (nn <= cfg.escape_radius):  # also catches nan
+        nn = hypot(x, y)
+        if not (nn <= escape_radius):  # also catches nan
             return OmegaVerdict(OmegaTag.ESCAPING, i, nn if math.isfinite(nn) else math.inf)
-        if nn <= cfg.origin_tol:
+        if nn <= origin_tol:
             origin_run += 1
-            if origin_run >= cfg.window:
+            if origin_run >= window:
                 return OmegaVerdict(OmegaTag.CONVERGES_TO_ORIGIN, i, nn)
         else:
             origin_run = 0
-            # smallest matching lag = minimal period; norm gap prefilters the
-            # distance test since | |p|-|q| | <= |p-q|
-            for lag in range(1, len(tail) + 1):
-                bx, by, bn = tail[-lag]
+            # the newest match (largest index) is the smallest lag = minimal period
+            best = -1
+            hi = nn * hi_f
+            k = bisect_left(tail, (nn * lo_f,))
+            end = len(tail)
+            while k < end:
+                bn, j, bx, by = tail[k]
+                if bn > hi:
+                    break
+                k += 1
                 scale = nn if nn >= bn else bn
                 if abs(nn - bn) > tol * scale:
                     continue
-                if math.hypot(x - bx, y - by) <= tol * scale:
-                    return OmegaVerdict(OmegaTag.PERIODIC, i, nn, lag, Point2(x, y))
-        tail.append((x, y, nn))
-    return OmegaVerdict(OmegaTag.UNDECIDED, cfg.max_iter, nn)
+                if hypot(x - bx, y - by) <= tol * scale and j > best:
+                    best = j
+            if best >= 0:
+                return OmegaVerdict(OmegaTag.PERIODIC, i, nn, i - best, Point2(x, y))
+        slot = i % window
+        if i >= window:
+            del tail[bisect_left(tail, (norms[slot], i - window))]
+        norms[slot] = nn
+        insort(tail, (nn, i, x, y))
+    return OmegaVerdict(OmegaTag.UNDECIDED, max_iter, nn)
 
 
 @dataclass(frozen=True, slots=True)

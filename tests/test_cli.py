@@ -216,6 +216,14 @@ def test_basin_rejects_grid_over_cell_cap(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no output, no temporary file
 
 
+def test_basin_rejects_window_over_cap(tmp_path, capsys):
+    out = tmp_path / "b.pgm"
+    assert main(["basin", "--map", "linear", "--matrix", "0,-1,1,0", "--window", "100000000",
+                 "--max-iter", "100000000", "--out", str(out)]) == 2
+    assert "window cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no output, no temporary file
+
+
 def test_basin_pgm_contraction_exact(tmp_path, capsys):
     out = tmp_path / "b.pgm"
     code = main(["basin", "--map", "linear", "--matrix", "0.5,0,0,0.5",

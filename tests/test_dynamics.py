@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from collections import deque
 
 import pytest
 
@@ -8,8 +9,9 @@ from dmy import (BasinGrid, ConvergenceError, DissipativitySampling,
                  LinearMap, Mat2, NewtonConfig, OmegaConfig, OmegaTag,
                  ParameterError, PlanarMap, Point2, SingularSystemError,
                  SzlenkMap, basin_raster, classify_omega, dissipativity_bound,
-                 find_periodic, orbit_multipliers, resolve_workers,
+                 find_periodic, orbit_multipliers, resolve_workers, step_function,
                  verify_invariant_ray)
+from dmy.dynamics import OmegaVerdict
 
 CONTRACT = LinearMap(Mat2.diagonal(0.5, 0.3))
 SZLENK = SzlenkMap(1.01)
@@ -40,6 +42,24 @@ class LyingJacobianMap(PlanarMap):
 
     def describe(self):
         return "lying-half"
+
+
+class ScriptMap(PlanarMap):
+    """Sends each scripted point to the next one and everything else far
+    past the escape radius, so an orbit from the first point is the script."""
+
+    def __init__(self, *xs):
+        pts = [(x, 0.0) for x in xs]
+        self._next = dict(zip(pts, pts[1:]))
+
+    def xy(self, x, y):
+        return self._next.get((x, y), (1e10, 0.0))
+
+    def jac(self, x, y):
+        return 1.0, 0.0, 0.0, 1.0
+
+    def describe(self):
+        return "script"
 
 
 # ---------------------------------------------------------------- classify
@@ -115,6 +135,115 @@ def test_omega_config_validation():
         OmegaConfig(escape_radius=0.0)
     with pytest.raises(ParameterError):
         OmegaConfig(cycle_rel_tol=float("inf"))
+
+
+def test_omega_config_window_cap():
+    assert OmegaConfig(window=4096).window == 4096
+    with pytest.raises(ParameterError, match="cap"):
+        OmegaConfig(window=4097)
+    with pytest.raises(ParameterError, match="cap"):
+        OmegaConfig(window=100_000_000, max_iter=100_000_000)
+
+
+def test_classify_composite_cycle_frozen(bundle):
+    # cell (4, 0) of the L=15 16x16 raster: x = -15 + 9 * 15/16, y = 15 - 15/16
+    v = classify_omega(bundle.composite, Point2(-6.5625, 14.0625))
+    assert v.tag is OmegaTag.PERIODIC
+    assert v.period == 4
+    assert v.iterations == 2249
+    assert v.final_norm == 156.93426788712395
+    assert (v.representative.x, v.representative.y) == (-156.93234445790634, -0.77698147508196)
+
+
+def _classify_by_lag_scan(m, p, cfg):
+    """Reference classifier: tests every lag of the tail, newest first."""
+    step = step_function(m)
+    x, y = p.x, p.y
+    nn = math.hypot(x, y)
+    if not (nn <= cfg.escape_radius):
+        return OmegaVerdict(OmegaTag.ESCAPING, 0, nn)
+    tail = deque(maxlen=cfg.window)
+    tail.append((x, y, nn))
+    origin_run = 1 if nn <= cfg.origin_tol else 0
+    tol = cfg.cycle_rel_tol
+    for i in range(1, cfg.max_iter + 1):
+        try:
+            x, y = step(x, y)
+        except (ArithmeticError, ValueError):
+            return OmegaVerdict(OmegaTag.ESCAPING, i, math.inf)
+        nn = math.hypot(x, y)
+        if not (nn <= cfg.escape_radius):
+            return OmegaVerdict(OmegaTag.ESCAPING, i, nn if math.isfinite(nn) else math.inf)
+        if nn <= cfg.origin_tol:
+            origin_run += 1
+            if origin_run >= cfg.window:
+                return OmegaVerdict(OmegaTag.CONVERGES_TO_ORIGIN, i, nn)
+        else:
+            origin_run = 0
+            for lag in range(1, len(tail) + 1):
+                bx, by, bn = tail[-lag]
+                scale = nn if nn >= bn else bn
+                if abs(nn - bn) > tol * scale:
+                    continue
+                if math.hypot(x - bx, y - by) <= tol * scale:
+                    return OmegaVerdict(OmegaTag.PERIODIC, i, nn, lag, Point2(x, y))
+        tail.append((x, y, nn))
+    return OmegaVerdict(OmegaTag.UNDECIDED, cfg.max_iter, nn)
+
+
+def _verdict_key(v):
+    rep = None if v.representative is None else (v.representative.x, v.representative.y)
+    return v.tag, v.iterations, v.period, v.final_norm, rep
+
+
+def _assert_same_as_lag_scan(m, p, cfg):
+    assert _verdict_key(classify_omega(m, p, cfg)) == _verdict_key(_classify_by_lag_scan(m, p, cfg))
+
+
+@pytest.mark.parametrize("xs", [(10.0, 1.0, 1.19, 1.09), (10.0, 1.19, 1.0, 1.09)])
+def test_classify_smallest_of_two_matching_lags_wins(xs):
+    # 1.09 revisits both 1.0 and 1.19 within 10%, which do not revisit each
+    # other; the newer one is the higher norm in one script, the lower in the other
+    m, cfg = ScriptMap(*xs), OmegaConfig(cycle_rel_tol=0.1)
+    v = classify_omega(m, Point2(xs[0], 0.0), cfg)
+    assert (v.tag, v.iterations, v.period) == (OmegaTag.PERIODIC, 3, 1)
+    _assert_same_as_lag_scan(m, Point2(xs[0], 0.0), cfg)
+
+
+@pytest.mark.parametrize("b, n, tol", [(1.412212029078202, 1.7652650363477527, 0.2),
+                                        (1.8035934850933664, 1.713413810838698, 0.05)])
+def test_classify_revisit_at_rounding_edge_of_norm_band(b, n, tol):
+    # the old norm b lies a hair outside [n * (1 - tol), n * (1 / (1 - tol))],
+    # yet the revisit test passes in floating point, so the band needs its margin
+    assert b < n * (1.0 - tol) or b > n * (1.0 / (1.0 - tol))
+    m, cfg = ScriptMap(b, n), OmegaConfig(cycle_rel_tol=tol)
+    v = classify_omega(m, Point2(b, 0.0), cfg)
+    assert (v.tag, v.iterations, v.period) == (OmegaTag.PERIODIC, 1, 1)
+    _assert_same_as_lag_scan(m, Point2(b, 0.0), cfg)
+
+
+@pytest.mark.parametrize("angle", [math.pi, math.pi / 2, 2 * math.pi / 5, 1.0])
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-7, 1.0 - 1e-7])
+def test_classify_matches_lag_scan_on_rotations(angle, scale):
+    # every tail norm is (nearly) equal, so the whole window lies in the norm band
+    c, s = scale * math.cos(angle), scale * math.sin(angle)
+    m = LinearMap(Mat2(c, -s, s, c))
+    rng = random.Random(f"{angle}:{scale}")
+    for window in (1, 3, 64):
+        for tol in (1e-7, 0.3, 0.6, 0.9, 5.0):
+            p = Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            _assert_same_as_lag_scan(m, p, OmegaConfig(max_iter=300, window=window,
+                                                       cycle_rel_tol=tol))
+
+
+def test_classify_matches_lag_scan_on_random_starts(bundle):
+    rng = random.Random(11)
+    for m, half_width in ((SZLENK, 30.0), (bundle.composite, 15.0)):
+        for cfg in (OmegaConfig(), OmegaConfig(window=3, cycle_rel_tol=0.3)):
+            for _ in range(6):
+                p = Point2(rng.uniform(-half_width, half_width),
+                           rng.uniform(-half_width, half_width))
+                _assert_same_as_lag_scan(m, p, cfg)
 
 
 # ------------------------------------------------------------ find_periodic
