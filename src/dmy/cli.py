@@ -381,7 +381,7 @@ def _run_spectrum_check(report: SpectrumReport, spec: str) -> Verdict:
 def _run_spectrum(sub: str, resolved: dict) -> int:
     m, _ = _make_map(resolved)
     region = _parse_region(resolved["region"])
-    if resolved["random"] > 0:
+    if resolved["random"] != 0:  # RandomStrategy rejects a negative count
         strategy = RandomStrategy(resolved["random"], resolved["rng_seed"])
     else:
         nx, ny = _parse_grid(resolved["grid"])

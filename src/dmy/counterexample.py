@@ -28,8 +28,7 @@ from .geometry import Point2
 from .phi import PhiProfile, build_phi, phi_eval, phi_log_slope
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import (_growth, _lerp, _log_radii, _ring_points, _sweep_sup,
-                       operator_norm, spectral_radius)
+from .spectral import _growth, _lerp, _log_radii, _norm, _radius, _ring_points, _sweep_sup
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -136,15 +135,14 @@ def _damped_sweep(damped: DampedSzlenkMap):
     rings far beyond it."""
     g = SweepConfig.norm_grid
     hw = SweepConfig.norm_half_width
-    grid = (Point2(_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
-            for iy in range(g) for ix in range(g))
+    grid = ((_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g)) for iy in range(g) for ix in range(g))
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
     sup_norm = sup_sr = 0.0
-    for p in chain([Point2(0.0, 0.0)], grid, rings):
-        jac = damped.jacobian(p)
-        sup_norm = max(sup_norm, operator_norm(jac))
-        sup_sr = max(sup_sr, spectral_radius(jac))
+    for x, y in chain([(0.0, 0.0)], grid, rings):
+        j = damped._jac(x, y)
+        sup_norm = max(sup_norm, _norm(*j))
+        sup_sr = max(sup_sr, _radius(*j))
     return sup_norm, sup_sr
 
 
@@ -154,8 +152,9 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float):
     far inside the flat disc to past the profile tail."""
     radii = _log_radii(flat_radius * 1e-6, SweepConfig.sr_span * tail_radius,
                        SweepConfig.sr_radii)
-    return _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles)),
-                      lambda p: spectral_radius(m.jacobian(p)))
+    jac = m._jac
+    return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles)),
+                      lambda x, y: _radius(*jac(x, y)))
 
 
 def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
@@ -172,6 +171,10 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     bundle = None
     for _ in range(SweepConfig.max_eps_halvings + 1):
         profile = build_phi(flat_radius, c_used, eps)
+        if not math.isfinite(SweepConfig.sr_span * profile.r_tail):
+            raise ParameterError(
+                f"profile tail radius {profile.r_tail!r} times the sweep span "
+                f"{SweepConfig.sr_span!r} overflows a double; pick a larger slope budget")
         radial = RadialMap(profile)
         comp = compose(radial, damped)
         sup, worst, _ = _composite_sr_sweep(comp, flat_radius, profile.r_tail)
@@ -256,7 +259,7 @@ def _check_tail_contraction(bundle: CounterexampleBundle) -> CheckRecord:
             data={"tail_radius": r_tail, "cap": cap, "samples": 0})
     worst, worst_at, count = _sweep_sup(
         _ring_points(_log_radii(r_tail, cap, SweepConfig.tail_radii), SweepConfig.tail_angles),
-        _growth(bundle.composite.eval), 0.0, Point2(r_tail, 0.0))
+        _growth(bundle.composite), 0.0, (r_tail, 0.0))
     return CheckRecord(
         name="tail-contraction", passed=worst <= 0.5,
         detail=f"max |f(p)|/|p| = {worst!r} over {count} tail samples (bound 0.5)",
@@ -268,8 +271,11 @@ def _check_orientation(bundle: CounterexampleBundle) -> CheckRecord:
     hi = min(SweepConfig.tail_r_max, SweepConfig.sr_span * bundle.profile.r_tail)
     ring = _ring_points(_log_radii(bundle.flat_radius * 1e-6, hi, SweepConfig.orient_radii),
                         SweepConfig.orient_angles)
-    neg, worst_at, count = _sweep_sup(chain([Point2(0.0, 0.0)], ring),
-                                      lambda p: -bundle.radial.jacobian(p).det)
+    def neg_det(x, y):
+        j11, j12, j21, j22 = bundle.radial._jac(x, y)
+        return -(j11 * j22 - j12 * j21)
+
+    neg, worst_at, count = _sweep_sup(chain([(0.0, 0.0)], ring), neg_det)
     worst = -neg
     return CheckRecord(
         name="radial-orientation", passed=worst > 0.0,

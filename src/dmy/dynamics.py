@@ -34,8 +34,8 @@ from itertools import chain
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
 from .planar import PlanarMap, fd_jacobian, step_function
-from .spectral import (EigenPair, _growth, _inf_on_overflow, _log_radii, _ring_points,
-                       _sweep_sup, eig2, operator_norm)
+from .spectral import (EigenPair, _growth, _inf_on_overflow, _log_radii, _norm, _ring_points,
+                       _sweep_sup, eig2)
 
 
 class OmegaTag(Enum):
@@ -327,16 +327,16 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
 
     ball = _log_radii(ball_radius / _BALL_SPAN, ball_radius, cfg.ball_radii)
-    norm_sup, _, n_ball = _sweep_sup(chain([Point2(0.0, 0.0)], _ring_points(ball, cfg.angles)),
-                                     _inf_on_overflow(lambda p: operator_norm(m.jacobian(p))))
+    norm_sup, _, n_ball = _sweep_sup(chain([(0.0, 0.0)], _ring_points(ball, cfg.angles)),
+                                     _inf_on_overflow(lambda x, y: _norm(*m._jac(x, y))))
     norm_sup_used = max(norm_sup, 1.0)  # threshold formula needs a bound > alpha
     threshold = 2.0 * (norm_sup_used * ball_radius - alpha * ball_radius) / (1.0 - alpha)
     factor = (alpha + 1.0) / 2.0
 
-    def hyp_growth(p):
+    def hyp_growth(x, y):
         # |Df(p) p| from the floats: the product may overflow where Df(p) does not
-        j = m.jacobian(p)
-        return math.hypot(j.a11 * p.x + j.a12 * p.y, j.a21 * p.x + j.a22 * p.y) / p.norm()
+        j11, j12, j21, j22 = m._jac(x, y)
+        return math.hypot(j11 * x + j12 * y, j21 * x + j22 * y) / math.hypot(x, y)
 
     end = _OUTER_SPAN * threshold
     if math.isfinite(end):
@@ -345,7 +345,7 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
                                               _inf_on_overflow(hyp_growth), 0.0)
         far = _log_radii(threshold, end, cfg.outer_radii)
         con_ratio, con_at, n_con = _sweep_sup(_ring_points(far, cfg.angles),
-                                              _growth(m.eval), 0.0)
+                                              _growth(m), 0.0)
     else:
         hyp_ratio = con_ratio = math.inf
         hyp_at = con_at = None

@@ -79,12 +79,7 @@ class PlanarMap(ABC):
 
     def jacobian(self, p: Point2) -> Mat2:
         """Analytic Jacobian at p; raises NumericOverflowError on a non-finite entry."""
-        j11, j12, j21, j22 = self.jac(p.x, p.y)
-        if not (math.isfinite(j11) and math.isfinite(j12)
-                and math.isfinite(j21) and math.isfinite(j22)):
-            raise NumericOverflowError(
-                f"{self.describe()} Jacobian overflowed at ({p.x!r}, {p.y!r})")
-        return Mat2(j11, j12, j21, j22)
+        return Mat2(*self._jac(p.x, p.y))
 
     def _image(self, x: float, y: float) -> tuple[float, float]:
         """``xy(x, y)``, raising NumericOverflowError on a non-finite component."""
@@ -93,6 +88,15 @@ class PlanarMap(ABC):
             raise NumericOverflowError(
                 f"{self.describe()} overflowed evaluating ({x!r}, {y!r})")
         return fx, fy
+
+    def _jac(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """``jac(x, y)``, raising NumericOverflowError on a non-finite entry."""
+        j11, j12, j21, j22 = j = self.jac(x, y)
+        if not (math.isfinite(j11) and math.isfinite(j12)
+                and math.isfinite(j21) and math.isfinite(j22)):
+            raise NumericOverflowError(
+                f"{self.describe()} Jacobian overflowed at ({x!r}, {y!r})")
+        return j
 
 
 # Every variant binds ``eval`` and ``jacobian`` in its own class body, so

@@ -54,9 +54,11 @@ class EigenPair:
         return max(abs(self.l1), abs(self.l2))
 
 
-def eig2(m: Mat2) -> EigenPair:
-    tr = m.trace
-    det = m.det
+def _eig(a11: float, a12: float, a21: float, a22: float):
+    """Eigenvalues of [[a11, a12], [a21, a22]] on floats: ``(True, lo, hi)``
+    for a real pair lo <= hi, ``(False, re, im)`` for the pair re +- i*im."""
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
     disc = tr * tr - 4.0 * det
     # a slightly negative disc is rounding noise only relative to the terms
     # that formed it; an absolute floor would misread tiny-entry matrices
@@ -64,23 +66,41 @@ def eig2(m: Mat2) -> EigenPair:
         s = math.sqrt(disc) if disc > 0.0 else 0.0
         big = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
         if big == 0.0:  # tr == s == 0 forces det == 0: double root at zero
-            return EigenPair(complex(0.0, 0.0), complex(0.0, 0.0))
+            return True, 0.0, 0.0
         other = det / big
-        lo, hi = (other, big) if other <= big else (big, other)
-        return EigenPair(complex(lo, 0.0), complex(hi, 0.0))
-    re = tr / 2.0
-    im = math.sqrt(-disc) / 2.0
-    return EigenPair(complex(re, im), complex(re, -im))
+        return (True, other, big) if other <= big else (True, big, other)
+    return False, tr / 2.0, math.sqrt(-disc) / 2.0
+
+
+def _modulus(is_real: bool, u: float, v: float) -> float:
+    """Largest eigenvalue modulus of an ``_eig`` result, bit-equal to ``EigenPair.max_modulus``
+    (complex ``abs``, not ``math.hypot``, which can differ in the last bit)."""
+    return max(abs(u), abs(v)) if is_real else abs(complex(u, v))
+
+
+def _radius(a11: float, a12: float, a21: float, a22: float) -> float:
+    return _modulus(*_eig(a11, a12, a21, a22))
+
+
+def _norm(a11: float, a12: float, a21: float, a22: float) -> float:
+    h1 = math.hypot(a11 - a22, a12 + a21)
+    h2 = math.hypot(a11 + a22, a12 - a21)
+    return (h1 + h2) / 2.0
+
+
+def eig2(m: Mat2) -> EigenPair:
+    is_real, u, v = _eig(m.a11, m.a12, m.a21, m.a22)
+    if is_real:
+        return EigenPair(complex(u, 0.0), complex(v, 0.0))
+    return EigenPair(complex(u, v), complex(u, -v))
 
 
 def spectral_radius(m: Mat2) -> float:
-    return eig2(m).max_modulus
+    return _radius(m.a11, m.a12, m.a21, m.a22)
 
 
 def operator_norm(m: Mat2) -> float:
-    h1 = math.hypot(m.a11 - m.a22, m.a12 + m.a21)
-    h2 = math.hypot(m.a11 + m.a22, m.a12 - m.a21)
-    return (h1 + h2) / 2.0
+    return _norm(m.a11, m.a12, m.a21, m.a22)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,51 +161,61 @@ def _log_radii(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _ring_points(radii, angles: int):
-    """Points on one circle per radius, at evenly spaced angles from 0."""
+    """(x, y) on one circle per radius, at evenly spaced angles from 0."""
+    circle = [(math.cos(t), math.sin(t))
+              for t in (2.0 * math.pi * j / angles for j in range(angles))]
     for r in radii:
-        for j in range(angles):
-            t = 2.0 * math.pi * j / angles
-            yield Point2(r * math.cos(t), r * math.sin(t))
+        for c, s in circle:
+            yield r * c, r * s
 
 
 def _sweep_sup(points, value, sup: float = -math.inf, at=None):
-    """Largest value(p) over the points, the first point attaining it (``at``
-    if no value beats ``sup``), and the number of points visited."""
+    """Largest value(x, y) over the (x, y) points, the first point attaining it
+    as a Point2 (``at`` if no value beats ``sup``), and the number of points visited."""
     count = 0
     for p in points:
         count += 1
-        v = value(p)
+        v = value(*p)
         if v > sup:
             sup, at = v, p
-    return sup, at, count
+    return sup, None if at is None else Point2(*at), count
 
 
 def _inf_on_overflow(value):
     """The sweep value ``value``, infinite where it overflows or is NaN."""
-    def guarded(p):
+    def guarded(x, y):
         try:
-            v = value(p)
+            v = value(x, y)
         except NumericOverflowError:
             return math.inf
         return math.inf if math.isnan(v) else v
     return guarded
 
 
-def _growth(f):
-    """The sweep value p -> |f(p)| / |p|, infinite where f overflows."""
-    return _inf_on_overflow(lambda p: f(p).norm() / p.norm())
+def _growth(m: PlanarMap):
+    """The sweep value (x, y) -> |m(x, y)| / |(x, y)|, infinite where m overflows."""
+    return _inf_on_overflow(lambda x, y: math.hypot(*m._image(x, y)) / math.hypot(x, y))
 
 
 def _sample_points(region: Rect, strategy):
+    """Sample (x, y) in sweep order; the first one past the doubles raises ParameterError."""
     if isinstance(strategy, GridStrategy):
-        for iy in range(strategy.ny):
-            y = _lerp(region.ymin, region.ymax, iy, strategy.ny)
-            for ix in range(strategy.nx):
-                yield _lerp(region.xmin, region.xmax, ix, strategy.nx), y
+        xs = [_lerp(region.xmin, region.xmax, ix, strategy.nx) for ix in range(strategy.nx)]
+        ys = [_lerp(region.ymin, region.ymax, iy, strategy.ny) for iy in range(strategy.ny)]
+        if not all(map(math.isfinite, xs + ys)):
+            for y in ys:
+                for x in xs:
+                    Point2(x, y)  # raises at the first non-finite sample
+        for y in ys:
+            for x in xs:
+                yield x, y
     elif isinstance(strategy, RandomStrategy):
         rng = random.Random(strategy.seed)
         for _ in range(strategy.count):
-            yield rng.uniform(region.xmin, region.xmax), rng.uniform(region.ymin, region.ymax)
+            x, y = rng.uniform(region.xmin, region.xmax), rng.uniform(region.ymin, region.ymax)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                Point2(x, y)  # raises
+            yield x, y
     else:
         raise ParameterError(f"unknown sampling strategy: {strategy!r}")
 
@@ -235,33 +265,32 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
     min_real = max_real = None
     min_real_at = max_real_at = None
     reals = []
+    jac = m._jac
     for idx, (x, y) in enumerate(_sample_points(region, strategy)):
         count += 1
-        p = Point2(x, y)
         try:
-            jac = m.jacobian(p)
+            j = jac(x, y)
         except NumericOverflowError:
             overflow += 1
             continue
-        pair = eig2(jac)
-        mod = pair.max_modulus
+        is_real, lo, hi = _eig(*j)
+        mod = _modulus(is_real, lo, hi)
         if not math.isfinite(mod):
             # finite entries can still overflow tr^2 - 4 det
             overflow += 1
             continue
         if max_mod is None or mod > max_mod:
             max_mod = mod
-            max_mod_at = p
-        if pair.is_real:
+            max_mod_at = Point2(x, y)
+        if is_real:
             real_count += 1
-            lo, hi = pair.l1.real, pair.l2.real
             reals.append(RealSpectrumSample(lo, hi, x, y, idx))
             if min_real is None or lo < min_real:
                 min_real = lo
-                min_real_at = p
+                min_real_at = Point2(x, y)
             if max_real is None or hi > max_real:
                 max_real = hi
-                max_real_at = p
+                max_real_at = Point2(x, y)
     return SpectrumReport(
         map_desc=m.describe(), strategy=strategy.describe(),
         sample_count=count, overflow_count=overflow,
@@ -339,5 +368,6 @@ def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:
     Returns inf when any sample overflows: an overflowing Jacobian has no
     finite norm bound, and callers use this value as an upper estimate.
     """
-    points = (Point2(x, y) for x, y in _sample_points(region, strategy))
-    return _sweep_sup(points, _inf_on_overflow(lambda p: operator_norm(m.jacobian(p))), 0.0)[0]
+    jac = m._jac
+    return _sweep_sup(_sample_points(region, strategy),
+                      _inf_on_overflow(lambda x, y: _norm(*jac(x, y))), 0.0)[0]

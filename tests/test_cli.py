@@ -140,6 +140,14 @@ def test_spectrum_composite_overflow_is_counted(capsys):
     assert obj["max_modulus"] is None
 
 
+def test_spectrum_negative_random_count_exits_two(capsys):
+    # a negative count is a usage error, not a request for the default grid
+    assert main(["spectrum", "--map", "szlenk", "--random", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dmy spectrum: sample count must be >= 0, got -5\n"
+
+
 def test_spectrum_negative_region_tokens(capsys):
     code, obj = run_json(["spectrum", "--map", "linear", "--matrix", "0.5,0,0,0.5",
                           "--region", "-1:1:-1:1", "--grid", "3x3"], capsys)
@@ -261,6 +269,16 @@ def test_counterexample_report(tmp_path, capsys):
     assert len(obj["checks"]) == 6
     assert obj["k"] == 1.01 and obj["a"] == 0.005
     capsys.readouterr()
+
+
+def test_counterexample_tail_span_overflow_exits_two(capsys):
+    # the tail radius is finite, but the sweeps' end sr_span * r_tail is not
+    assert main(["counterexample", "--eps-init", "0.00778"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy counterexample: profile tail radius 8.820622431328206e+307 times the "
+        "sweep span 10.0 overflows a double; pick a larger slope budget\n")
 
 
 def test_counterexample_config_round_trip(tmp_path, capsys):

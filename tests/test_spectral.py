@@ -1,13 +1,16 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmy import (DampedSzlenkMap, GridStrategy, LinearMap, Mat2, ParameterError,
+from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2, ParameterError,
                  Point2, RandomStrategy, Rect, SzlenkMap, check_ball,
                  check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
+from dmy.spectral import REAL_DISC_TOL, _eig, _norm, _radius
 
 
 def test_eig_diagonal_real_pair_ascending():
@@ -251,3 +254,158 @@ def test_szlenk_spectrum_stays_in_theory_ball():
     f = SzlenkMap(1.05)
     rep = sample_spectrum(f, Rect(-80.0, 80.0, -80.0, 80.0), RandomStrategy(500, 3))
     assert rep.max_modulus < math.sqrt(3.0) * 1.05 / 2.0
+
+
+# ------------------------------------------------- float core vs EigenPair
+
+
+def _eig2_reference(m: Mat2) -> EigenPair:
+    """eig2 as written on Mat2 properties, before the float core."""
+    tr = m.trace
+    det = m.det
+    disc = tr * tr - 4.0 * det
+    if disc >= -REAL_DISC_TOL * max(tr * tr, 4.0 * abs(det)):
+        s = math.sqrt(disc) if disc > 0.0 else 0.0
+        big = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
+        if big == 0.0:
+            return EigenPair(complex(0.0, 0.0), complex(0.0, 0.0))
+        other = det / big
+        lo, hi = (other, big) if other <= big else (big, other)
+        return EigenPair(complex(lo, 0.0), complex(hi, 0.0))
+    re = tr / 2.0
+    im = math.sqrt(-disc) / 2.0
+    return EigenPair(complex(re, im), complex(re, -im))
+
+
+def _bits(*vals):
+    """Bit patterns of floats, NaN of either sign as one value."""
+    return tuple("nan" if math.isnan(v) else struct.pack("<d", v) for v in vals)
+
+
+def _assert_core_matches(entries):
+    m = Mat2(*entries)
+    ref = _eig2_reference(m)
+    pair = eig2(m)
+    assert _bits(pair.l1.real, pair.l1.imag, pair.l2.real, pair.l2.imag) == \
+        _bits(ref.l1.real, ref.l1.imag, ref.l2.real, ref.l2.imag)
+    is_real, u, v = _eig(*entries)
+    assert is_real == ref.is_real
+    if is_real:
+        assert _bits(u, v) == _bits(ref.l1.real, ref.l2.real)
+    else:
+        assert _bits(u, v) == _bits(ref.l1.real, ref.l1.imag)
+    assert _bits(_radius(*entries)) == _bits(ref.max_modulus) == \
+        _bits(pair.max_modulus) == _bits(spectral_radius(m))
+    assert _bits(_norm(*entries)) == _bits(operator_norm(m))
+    return is_real
+
+
+_C, _S = math.cos(1.0), math.sin(1.0)
+CORE_CASES = [
+    (0.5, 0.0, 0.0, 0.3), (-2.0, 0.0, 0.0, 3.0), (1.0, 0.0, 0.0, 1e-18),  # diagonal
+    (0.0, -1.0, 1.0, 0.0), (_C, -_S, _S, _C), (0.5, -0.5, 0.5, 0.5),       # rotation
+    # a scaled rotation where math.hypot(re, im) and abs(complex(re, im))
+    # differ in the last bit, so the modulus must keep complex abs
+    (0.488, -0.422, 0.422, 0.488),
+    (0.0, 0.0, 7.25, 0.0), (0.0, 3.0, 0.0, 0.0), (2.0, -4.0, 1.0, -2.0),   # nilpotent
+    (0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, -0.0),                          # zero
+]
+
+
+@pytest.mark.parametrize("entries", CORE_CASES)
+def test_float_core_is_bit_equal_to_eigen_pair(entries):
+    _assert_core_matches(entries)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_float_core_at_relative_disc_tolerance(scale):
+    # [[1, b], [-f b, 1]] has disc = -4 f b^2 against the threshold
+    # -REAL_DISC_TOL * 4 det, so f just below 1 stays real and just above
+    # turns complex; the scale moves both sides together
+    b = math.sqrt(REAL_DISC_TOL)
+    kinds = set()
+    for f in (0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-6, 2.0):
+        for sign in (1.0, -1.0):
+            entries = (scale, sign * scale * b, -sign * scale * f * b, scale)
+            kinds.add(_assert_core_matches(entries))
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("entries", [
+    (1e308, 0.0, 0.0, 1.0),          # tr^2 - 4 det is inf - inf
+    (1e308, 0.0, 0.0, 1e308),        # the trace itself overflows
+    (1e300, 1e300, -1e300, 1e300),
+    (1e200, 0.0, 0.0, -1e200),
+])
+def test_float_core_when_discriminant_is_not_finite(entries):
+    _assert_core_matches(entries)
+
+
+def test_radius_is_nan_when_discriminant_is_inf_minus_inf():
+    # sample_spectrum counts such a sample as an overflow
+    assert math.isnan(_radius(1e308, 0.0, 0.0, 1.0))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(finite, finite, finite, finite)
+def test_float_core_matches_eigen_pair_on_drawn_matrices(a, b, c, d):
+    _assert_core_matches((a, b, c, d))
+
+
+@pytest.mark.parametrize("m, strategy", [
+    (SzlenkMap(1.01), GridStrategy(41, 41)),
+    (DampedSzlenkMap(1.01, 0.005), RandomStrategy(2000, 5)),
+])
+def test_sample_spectrum_matches_point_loop(m, strategy):
+    region = Rect(-30.0, 30.0, -30.0, 30.0)
+    rep = sample_spectrum(m, region, strategy)
+    if isinstance(strategy, GridStrategy):
+        g = [((40 - i) * -30.0 + i * 30.0) / 40 for i in range(41)]
+        pts = [Point2(x, y) for y in g for x in g]
+    else:
+        rng = random.Random(strategy.seed)
+        pts = [Point2(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0))
+               for _ in range(strategy.count)]
+    best = None
+    reals = []
+    for idx, p in enumerate(pts):
+        pair = eig2(m.jacobian(p))
+        if best is None or pair.max_modulus > best[0]:
+            best = (pair.max_modulus, p)
+        if pair.is_real:
+            reals.append((pair.l1.real, pair.l2.real, p.x, p.y, idx))
+    assert (rep.max_modulus, rep.max_modulus_at) == best
+    assert [(s.lo, s.hi, s.x, s.y, s.index) for s in rep.real_samples] == reals
+    assert rep.real_count == len(reals)
+    if reals:  # the cubic's axes; the damped map has none in this box
+        lo = min(reals, key=lambda r: r[0])
+        hi = max(reals, key=lambda r: r[1])
+        assert (rep.min_real, rep.min_real_at) == (lo[0], Point2(lo[2], lo[3]))
+        assert (rep.max_real, rep.max_real_at) == (hi[1], Point2(hi[2], hi[3]))
+
+
+def test_composite_sweep_near_1e200_counts_every_sample_as_overflow(bundle):
+    # the damped cubic's image overflows, so CompositeMap.jac raises on the
+    # intermediate point before any Jacobian entry exists
+    rep = sample_spectrum(bundle.composite, Rect(1e200, 2e200, 1e200, 2e200),
+                          GridStrategy(3, 3))
+    assert rep.sample_count == 9 and rep.overflow_count == 9
+    assert rep.max_modulus is None and rep.real_count == 0
+
+
+@pytest.mark.parametrize("region, strategy, at", [
+    (Rect(-1e308, 1e308, -1.0, 1.0), GridStrategy(3, 3), "(-inf, -1.0)"),
+    (Rect(-1.0, 1.0, 1e308, 1.5e308), GridStrategy(4, 4), "(-1.0, inf)"),
+    (Rect(0.0, 1.0, -1e308, 1e308), RandomStrategy(5, 0), "inf)"),
+])
+def test_sample_point_past_the_doubles_is_a_usage_error(region, strategy, at):
+    # finite bounds whose lerp or draw overflows: the first such sample
+    # raises, as a Point2 there would
+    f = SzlenkMap(1.01)
+    for sweep in (sample_spectrum, sample_norm_sup):
+        with pytest.raises(ParameterError, match="must be finite") as exc:
+            sweep(f, region, strategy)
+        assert str(exc.value).endswith(at)
