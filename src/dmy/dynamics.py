@@ -3,7 +3,9 @@
 Four questions about a planar map, answered by finite computation:
 
 - where does an orbit go (``classify_omega``: origin, a cycle, infinity, or
-  undecided within budget);
+  undecided within budget; the tail's norms are a sorted float list searched
+  only in the band a revisit can lie in, and not at all when that band
+  misses the tail's norm range);
 - where exactly is a period-n orbit (``find_periodic``: Newton's method on
   f^n(x) - x with the chain-rule Jacobian along the orbit);
 - how strongly does the map pull a large annulus inward
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -105,13 +107,14 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
     nn = hypot(x, y)
     if not (nn <= escape_radius):
         return OmegaVerdict(OmegaTag.ESCAPING, 0, nn)
-    # The last `window` iterates as (norm, index, x, y), sorted by norm.  A
+    # The last `window` iterates, indexed by norm: `sn` holds their norms
+    # sorted, `si` the index of each (equal norms in index order), and the
+    # rings rn/rx/ry the norm and point of index j at slot j % window.  A
     # revisit within tol needs | |p|-|q| | <= |p-q| <= tol*max(|p|, |q|), so
     # only the norm band [nn*(1-2tol), nn/(1-2tol)] can hold one: the factor 2
-    # absorbs rounding, and from tol >= 0.25 the band is open above.  `norms`
-    # rings the norm of each index so the oldest entry can be found again.
-    tail = [(nn, 0, x, y)]
-    norms = [nn] * window
+    # absorbs rounding, and from tol >= 0.25 the band is open above.
+    sn, si = [nn], [0]
+    rn, rx, ry = [nn] * window, [x] * window, [y] * window
     lo_f = 1.0 - 2.0 * tol
     hi_f = 1.0 / lo_f if tol < 0.25 else math.inf
     origin_run = 1 if nn <= origin_tol else 0
@@ -130,28 +133,42 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
                 return OmegaVerdict(OmegaTag.CONVERGES_TO_ORIGIN, i, nn)
         else:
             origin_run = 0
-            # the newest match (largest index) is the smallest lag = minimal period
-            best = -1
-            hi = nn * hi_f
-            k = bisect_left(tail, (nn * lo_f,))
-            end = len(tail)
-            while k < end:
-                bn, j, bx, by = tail[k]
-                if bn > hi:
-                    break
-                k += 1
-                scale = nn if nn >= bn else bn
-                if abs(nn - bn) > tol * scale:
-                    continue
-                if hypot(x - bx, y - by) <= tol * scale and j > best:
-                    best = j
-            if best >= 0:
-                return OmegaVerdict(OmegaTag.PERIODIC, i, nn, i - best, Point2(x, y))
+            lo, hi = nn * lo_f, nn * hi_f
+            # skip the search when the band misses the tail's norm range
+            if lo <= sn[-1] and hi >= sn[0]:
+                # the newest match (largest index) is the smallest lag = minimal period
+                best = -1
+                k = bisect_left(sn, lo)
+                end = len(sn)
+                while k < end:
+                    bn = sn[k]
+                    if bn > hi:
+                        break
+                    j = si[k]
+                    k += 1
+                    scale = nn if nn >= bn else bn
+                    if abs(nn - bn) > tol * scale:
+                        continue
+                    s = j % window
+                    if j > best and hypot(x - rx[s], y - ry[s]) <= tol * scale:
+                        best = j
+                if best >= 0:
+                    return OmegaVerdict(OmegaTag.PERIODIC, i, nn, i - best, Point2(x, y))
+        # insert before evicting, so the index is never empty; the oldest
+        # entry comes first among equal norms
+        if nn >= sn[-1]:
+            sn.append(nn)
+            si.append(i)
+        else:
+            k = bisect_right(sn, nn)
+            sn.insert(k, nn)
+            si.insert(k, i)
         slot = i % window
         if i >= window:
-            del tail[bisect_left(tail, (norms[slot], i - window))]
-        norms[slot] = nn
-        insort(tail, (nn, i, x, y))
+            old = rn[slot]
+            k = 0 if sn[0] == old else bisect_left(sn, old)
+            del sn[k], si[k]
+        rn[slot], rx[slot], ry[slot] = nn, x, y
     return OmegaVerdict(OmegaTag.UNDECIDED, max_iter, nn)
 
 

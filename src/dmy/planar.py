@@ -182,7 +182,11 @@ class RadialMap(PlanarMap):
     profile: PhiProfile
 
     def xy(self, x, y):
-        f = phi_eval(self.profile, math.hypot(x, y))
+        prof = self.profile
+        r = math.hypot(x, y)
+        if r <= prof.R:
+            return x, y  # phi == 1.0 on the flat disc, and 1.0 * x is x
+        f = phi_eval(prof, r)
         return f * x, f * y
 
     def jac(self, x, y):
@@ -263,8 +267,16 @@ def compose(outer: PlanarMap, inner: PlanarMap) -> CompositeMap:
 def step_function(m: PlanarMap):
     """The unchecked image kernel ``m.xy`` for hot loops; callers must treat
     non-finite output, or an ArithmeticError or ValueError raised by a
-    member's kernel on it, as an escape."""
-    return m.xy
+    member's kernel on it, as an escape.  A composite gets a closure over its
+    members' kernels, built per call: maps travel to pool workers by pickle."""
+    if not isinstance(m, CompositeMap):
+        return m.xy
+    step = m.members[-1].xy
+    for outer in reversed(m.members[:-1]):
+        def step(x, y, inner=step, outer=outer.xy):
+            x, y = inner(x, y)
+            return outer(x, y)
+    return step
 
 
 def fd_jacobian(m: PlanarMap, p: Point2, h: float) -> Mat2:

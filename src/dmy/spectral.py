@@ -16,6 +16,8 @@ Region sweeps are deterministic.  Grid strategies enumerate row-major from
 the lower edge, x fastest, using the lerp form ((n-1-i)*lo + i*hi)/(n-1) so
 the endpoints and a symmetric zero land exactly on the axes.  The random
 strategy derives every sample from one explicit seed recorded in the report.
+Where a lerp or draw overflows for finite bounds near the double range, it
+is redone with the bounds scaled down by a power of two and scaled back.
 A sample whose Jacobian or eigenvalue modulus overflows is counted and
 flagged, never raised, and any flagged sample makes every verdict fail: an
 unbounded spectrum cannot certify a spectrum bound.
@@ -149,7 +151,22 @@ class RandomStrategy:
 def _lerp(lo: float, hi: float, i: int, n: int) -> float:
     if n <= 1:
         return lo
-    return ((n - 1 - i) * lo + i * hi) / (n - 1)
+    v = ((n - 1 - i) * lo + i * hi) / (n - 1)
+    if math.isfinite(v):
+        return v
+    # bounds near the double range: redo with the bounds scaled down by a
+    # power of two, which is exact for normal floats, and scale back up
+    s = 2.0 ** ((n - 1).bit_length() + 1)
+    return ((n - 1 - i) * (lo / s) + i * (hi / s)) / (n - 1) * s
+
+
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)``, redone with halved bounds when ``hi - lo`` overflows."""
+    u = rng.random()
+    v = lo + (hi - lo) * u
+    if math.isfinite(v):
+        return v
+    return (0.5 * lo + (0.5 * hi - 0.5 * lo) * u) * 2.0
 
 
 def _log_radii(lo: float, hi: float, n: int) -> list[float]:
@@ -212,7 +229,7 @@ def _sample_points(region: Rect, strategy):
     elif isinstance(strategy, RandomStrategy):
         rng = random.Random(strategy.seed)
         for _ in range(strategy.count):
-            x, y = rng.uniform(region.xmin, region.xmax), rng.uniform(region.ymin, region.ymax)
+            x, y = _uniform(rng, region.xmin, region.xmax), _uniform(rng, region.ymin, region.ymax)
             if not (math.isfinite(x) and math.isfinite(y)):
                 Point2(x, y)  # raises
             yield x, y

@@ -148,6 +148,16 @@ def test_spectrum_negative_random_count_exits_two(capsys):
     assert captured.err == "dmy spectrum: sample count must be >= 0, got -5\n"
 
 
+@pytest.mark.parametrize("sampling, samples, overflows", [(["--grid", "3x3"], 9, 6),
+                                                         (["--random", "3"], 3, 3)])
+def test_spectrum_region_near_the_double_range_runs(capsys, sampling, samples, overflows):
+    # finite bounds whose plain lerp or draw overflows still sample the region
+    code, obj = run_strict_json(["spectrum", "--map", "szlenk",
+                                 "--region", "-1e308:1e308:-1:1", *sampling], capsys)
+    assert code == 0
+    assert obj["samples"] == samples and obj["overflows"] == overflows
+
+
 def test_spectrum_negative_region_tokens(capsys):
     code, obj = run_json(["spectrum", "--map", "linear", "--matrix", "0.5,0,0,0.5",
                           "--region", "-1:1:-1:1", "--grid", "3x3"], capsys)

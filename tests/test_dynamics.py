@@ -236,6 +236,38 @@ def test_classify_matches_lag_scan_on_rotations(angle, scale):
                                                        cycle_rel_tol=tol))
 
 
+@pytest.mark.parametrize("m", [
+    LinearMap(Mat2(1.02 * math.cos(1.0), -1.02 * math.sin(1.0),
+                   1.02 * math.sin(1.0), 1.02 * math.cos(1.0))),
+    LinearMap(Mat2(0.98 * math.cos(1.0), -0.98 * math.sin(1.0),
+                   0.98 * math.sin(1.0), 0.98 * math.cos(1.0))),
+    LinearMap(Mat2.diagonal(1.5, 1.5)),
+], ids=["rotate-grow", "rotate-decay", "diagonal-grow"])
+@pytest.mark.parametrize("window", [1, 2, 4096])
+def test_classify_matches_lag_scan_on_runaway_and_decaying_orbits(m, window):
+    # at small tolerances each new norm leaves the tail's norm range, so the
+    # band search is skipped
+    rng = random.Random(window)
+    for tol in (1e-7, 0.01, 0.3, 0.9):
+        for _ in range(2):
+            p = Point2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            _assert_same_as_lag_scan(m, p, OmegaConfig(max_iter=1500, window=window,
+                                                       cycle_rel_tol=tol))
+
+
+@pytest.mark.parametrize("xs", [(3.0, -3.0, 3.0), (3.0, -3.0, 1.0, 3.0), (3.0, -3.0, 2.0, -3.0),
+                                (5.0, 3.0, -3.0, 1.0, -3.0)])
+@pytest.mark.parametrize("window", [1, 2, 3, 4096])
+def test_classify_matches_lag_scan_on_equal_norms(xs, window):
+    # distinct points with exactly equal norms, some inserted below a larger
+    # norm: evicting the wrong one of a tie either hides a revisit inside the
+    # window or lets one older than the window count as a cycle
+    m = ScriptMap(*xs)
+    for tol in (1e-7, 0.3):
+        _assert_same_as_lag_scan(m, Point2(xs[0], 0.0),
+                                 OmegaConfig(max_iter=40, window=window, cycle_rel_tol=tol))
+
+
 def test_classify_matches_lag_scan_on_random_starts(bundle):
     rng = random.Random(11)
     for m, half_width in ((SZLENK, 30.0), (bundle.composite, 15.0)):
@@ -429,6 +461,18 @@ def test_basin_serial_and_parallel_agree():
     parallel = basin_raster(m, 10.0, 80, 80, workers=4)
     assert serial.codes == parallel.codes
     assert serial.counts() == (6400, 0, 0, 0)
+
+
+def test_basin_serial_and_pooled_composite_agree(bundle, monkeypatch):
+    # more cells than the serial limit, so two workers really fork and each
+    # rebuilds the composite's step closure from the pickled map
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("DMY_THREADS", raising=False)
+    omega = OmegaConfig(max_iter=500)
+    serial = basin_raster(bundle.composite, 15.0, 72, 72, omega, workers=1)
+    pooled = basin_raster(bundle.composite, 15.0, 72, 72, omega, workers=2)
+    assert serial.codes == pooled.codes
+    assert len(set(serial.codes)) > 1
 
 
 def test_basin_grid_validation():

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from dmy import (CompositeMap, DampedSzlenkMap, K_MAX, LinearMap, Mat2,
                  NumericOverflowError, ParameterError, Point2, RadialMap,
                  SzlenkMap, build_phi, compose, fd_jacobian, iterate,
                  step_function)
+from dmy.phi import phi_eval
 
 
 def test_k_max_value():
@@ -161,6 +163,54 @@ def test_step_function_matches_eval(bundle):
         for p in (Point2(1.0, 2.0), Point2(-7.0, 0.1), Point2(30.0, -30.0),
                   Point2(2.0 * r_tail, -r_tail)):
             assert step(p.x, p.y) == tuple(m.eval(p))
+
+
+def _bits(f, x, y):
+    """f(x, y) as raw bytes per component, or the type of the escape it raises."""
+    try:
+        return tuple(struct.pack("<d", v) for v in f(x, y))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def test_radial_kernel_flat_disc_is_bit_equal_to_scaling_by_phi():
+    prof = build_phi(20.0, 2.0, 0.05)
+    h = RadialMap(prof)
+    inside, outside = math.nextafter(20.0, 0.0), math.nextafter(20.0, math.inf)
+    points = [(20.0, 0.0), (-0.0, -20.0), (12.0, 16.0), (-12.0, 16.0),
+              (inside, 0.0), (0.0, -inside), (outside, 0.0), (-outside, -0.0),
+              (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+              (1e-320, -3.0), (40.0, 1.0), (1e55, -1e55)]
+    assert math.hypot(12.0, 16.0) == 20.0
+    for x, y in points:
+        r = math.hypot(x, y)
+        assert _bits(h.xy, x, y) == _bits(lambda x, y: (phi_eval(prof, r) * x,
+                                                        phi_eval(prof, r) * y), x, y)
+
+
+def test_radial_kernel_nan_radius_still_raises():
+    h = RadialMap(build_phi(20.0, 2.0, 0.05))
+    for x, y in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ParameterError):
+            h.xy(x, y)
+
+
+def test_composite_step_closure_is_bit_equal_to_kernel(bundle):
+    radial = RadialMap(build_phi(20.0, 2.0, 0.05))
+    damped = DampedSzlenkMap(1.01, 0.005)
+    turn = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
+    rng = random.Random(3)
+    points = [(0.0, 0.0), (-0.0, 0.0), (10.0, 0.0), (1e200, 1e200), (-1e160, 3.0)]
+    for _ in range(400):
+        mag = 10.0 ** rng.uniform(-3.0, 300.0)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        points.append((mag * math.cos(t), mag * math.sin(t)))
+    for c in (bundle.composite, compose(radial, damped), CompositeMap((radial, damped, turn)),
+              CompositeMap((turn, CompositeMap((radial, damped)))),
+              CompositeMap((turn, SzlenkMap(1.01), LinearMap(Mat2.diagonal(1e200, 1e200))))):
+        step = step_function(c)
+        assert [_bits(step, x, y) for x, y in points] == [_bits(c.xy, x, y) for x, y in points]
+        assert any(_bits(c._image, x, y) is NumericOverflowError for x, y in points)
 
 
 def test_eval_overflow_raises():

@@ -10,7 +10,7 @@ from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2, Para
                  Point2, RandomStrategy, Rect, SzlenkMap, check_ball,
                  check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
-from dmy.spectral import REAL_DISC_TOL, _eig, _norm, _radius
+from dmy.spectral import REAL_DISC_TOL, _eig, _norm, _radius, _sample_points
 
 
 def test_eig_diagonal_real_pair_ascending():
@@ -396,16 +396,40 @@ def test_composite_sweep_near_1e200_counts_every_sample_as_overflow(bundle):
     assert rep.max_modulus is None and rep.real_count == 0
 
 
-@pytest.mark.parametrize("region, strategy, at", [
-    (Rect(-1e308, 1e308, -1.0, 1.0), GridStrategy(3, 3), "(-inf, -1.0)"),
-    (Rect(-1.0, 1.0, 1e308, 1.5e308), GridStrategy(4, 4), "(-1.0, inf)"),
-    (Rect(0.0, 1.0, -1e308, 1e308), RandomStrategy(5, 0), "inf)"),
+@pytest.mark.parametrize("region, strategy", [
+    pytest.param(Rect(-1e308, 1e308, -1.0, 1.0), GridStrategy(3, 3), id="grid-x"),
+    pytest.param(Rect(-1.0, 1.0, 1e308, 1.5e308), GridStrategy(4, 4), id="grid-y"),
+    pytest.param(Rect(0.0, 1.0, -1e308, 1e308), RandomStrategy(5, 0), id="random-y"),
 ])
-def test_sample_point_past_the_doubles_is_a_usage_error(region, strategy, at):
-    # finite bounds whose lerp or draw overflows: the first such sample
-    # raises, as a Point2 there would
+def test_sample_points_near_the_double_range_stay_finite(region, strategy):
+    # finite bounds whose plain lerp or draw overflows: the samples are
+    # redone at a smaller scale, stay in the region, and both sweeps run
+    pts = list(_sample_points(region, strategy))
+    assert len(pts) == (strategy.count if isinstance(strategy, RandomStrategy)
+                        else strategy.nx * strategy.ny)
+    for x, y in pts:
+        assert region.xmin <= x <= region.xmax and region.ymin <= y <= region.ymax
     f = SzlenkMap(1.01)
-    for sweep in (sample_spectrum, sample_norm_sup):
-        with pytest.raises(ParameterError, match="must be finite") as exc:
-            sweep(f, region, strategy)
-        assert str(exc.value).endswith(at)
+    assert sample_spectrum(f, region, strategy).sample_count == len(pts)
+    assert sample_norm_sup(f, region, strategy) == math.inf
+
+
+def test_sample_points_span_the_double_range_exactly():
+    pts = list(_sample_points(Rect(-1.7976931348623157e308, 1.7976931348623157e308, -1.0, 1.0),
+                              GridStrategy(3, 2)))
+    assert pts == [(-1.7976931348623157e308, -1.0), (0.0, -1.0), (1.7976931348623157e308, -1.0),
+                   (-1.7976931348623157e308, 1.0), (0.0, 1.0), (1.7976931348623157e308, 1.0)]
+
+
+def test_sample_points_keep_their_bits_on_ordinary_regions():
+    # pinned bits: ordinary regions never take the overflow fallback
+    grid = list(_sample_points(Rect(-1.1, 2.3, -0.7, 1e-3), GridStrategy(7, 4)))
+    xs = [-1.1, -0.5333333333333333, 0.033333333333333215, 0.5999999999999999,
+          1.1666666666666665, 1.7333333333333334, 2.3]
+    ys = [-0.6999999999999998, -0.4663333333333333, -0.23266666666666666, 0.001]
+    assert grid == [(x, y) for y in ys for x in xs]
+    drawn = list(_sample_points(Rect(-7.5, 2.25, -1e3, 1e-3), RandomStrategy(4, 3)))
+    assert drawn == [(-5.1798448858540596, -455.7702304748228),
+                     (-3.892937126156227, -396.0793574837669),
+                     (-1.399227034946473, -934.4710752313276),
+                     (-7.371612082339977, -162.5300804344579)]
