@@ -11,9 +11,10 @@ global attractor.
 
 ``build_counterexample`` performs the parameter search (slope budget by
 halving against the sampled spectral-radius cap, damping by halving when the
-period-4 Newton search fails).  ``verify_counterexample`` re-derives the six
-claims by sampling and returns a report of per-check verdicts; it never
-raises on a failed claim.
+period-4 Newton search fails) and keeps the orbit it found.
+``verify_counterexample`` re-derives the six claims, checking that orbit rather
+than searching again and sampling spectral radii off the build's sample points,
+and returns a report of per-check verdicts; it never raises on a failed claim.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .dynamics import NewtonConfig, find_periodic
+from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
 from .errors import ConvergenceError, NewtonError, ParameterError
 from .geometry import Point2
 from .phi import PhiProfile, build_phi, phi_eval, phi_log_slope
@@ -78,6 +79,7 @@ class CounterexampleBundle:
     composite: CompositeMap
     c_raw: float   # sampled sup of the damped map's Jacobian norm
     c_used: float  # 1.05 * max(c_raw, 1), the bound the profile is built for
+    orbit: tuple[Point2, ...]  # the build's period-4 orbit of the composite, p0 first
 
     @property
     def flat_radius(self) -> float:
@@ -146,14 +148,16 @@ def _damped_sweep(damped: DampedSzlenkMap):
     return sup_norm, sup_sr
 
 
-def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float):
+def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float, offset=0.0):
     """Max sampled spectral radius of the composed map's Jacobian, where it
-    is attained, and the sample count, over the origin and log radii from
-    far inside the flat disc to past the profile tail."""
-    radii = _log_radii(flat_radius * 1e-6, SweepConfig.sr_span * tail_radius,
-                       SweepConfig.sr_radii)
+    is attained, and the sample count, over the origin and log radii from far
+    inside the flat disc to past the profile tail.  Offset 0.5 samples between
+    those radii and angles: midpoints of a one-point-longer log grid."""
+    n = SweepConfig.sr_radii
+    llo, lhi = math.log(flat_radius * 1e-6), math.log(SweepConfig.sr_span * tail_radius)
+    radii = (math.exp(_lerp(llo, lhi, i + offset, n + 1 if offset else n)) for i in range(n))
     jac = m._jac
-    return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles)),
+    return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset)),
                       lambda x, y: _radius(*jac(x, y)))
 
 
@@ -168,7 +172,6 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     flat_radius = 2.0 / math.sqrt(k - 1.0)
 
     eps = min(eps_init, 0.9 / (8.0 * c_used))
-    bundle = None
     for _ in range(SweepConfig.max_eps_halvings + 1):
         profile = build_phi(flat_radius, c_used, eps)
         if not math.isfinite(SweepConfig.sr_span * profile.r_tail):
@@ -177,29 +180,25 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
                 f"{SweepConfig.sr_span!r} overflows a double; pick a larger slope budget")
         radial = RadialMap(profile)
         comp = compose(radial, damped)
-        sup, worst, _ = _composite_sr_sweep(comp, flat_radius, profile.r_tail)
-        if sup <= SweepConfig.sr_cap:
-            bundle = CounterexampleBundle(k=k, a=a, profile=profile, damped=damped,
-                                          radial=radial, composite=comp,
-                                          c_raw=c_raw, c_used=c_used)
+        if _composite_sr_sweep(comp, flat_radius, profile.r_tail)[0] <= SweepConfig.sr_cap:
             break
         eps /= 2.0
-    if bundle is None:
+    else:
         raise ParameterError(
             f"no slope budget under {eps_init!r} brought the sampled spectral radius "
             f"under {SweepConfig.sr_cap!r} within {SweepConfig.max_eps_halvings} halvings")
 
     # the period-4 orbit must exist inside the flat disc; a failed search
     # invalidates this damping value, which the caller then halves
-    orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0),
-                          SweepConfig.newton)
+    orbit = find_periodic(comp, 4, Point2(flat_radius / 2.0, 0.0), SweepConfig.newton)
     norms = [p.norm() for p in orbit.points]
     if min(norms) <= 1e-6 or max(norms) >= flat_radius:
         raise ConvergenceError(
             f"period-4 search collapsed outside the punctured flat disc "
             f"(orbit radii {min(norms)!r}..{max(norms)!r})",
             last_iterate=orbit.points[0], residual=orbit.residual)
-    return bundle
+    return CounterexampleBundle(k=k, a=a, profile=profile, damped=damped, radial=radial,
+                                composite=comp, c_raw=c_raw, c_used=c_used, orbit=orbit.points)
 
 
 def build_counterexample(k: float, a: float = 0.005,
@@ -241,7 +240,7 @@ def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:
 
 def _check_sr_bound(bundle: CounterexampleBundle) -> CheckRecord:
     sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius,
-                                            bundle.profile.r_tail)
+                                            bundle.profile.r_tail, 0.5)
     bound = SweepConfig.sr_cap + 1e-9
     return CheckRecord(
         name="spectral-radius-bound", passed=sup <= bound,
@@ -285,14 +284,16 @@ def _check_orientation(bundle: CounterexampleBundle) -> CheckRecord:
 
 def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
     name = "period-4-orbit"
-    seed = Point2(bundle.flat_radius / 2.0, 0.0)
+    m, pts = bundle.composite, bundle.orbit
     try:
-        orbit = find_periodic(bundle.composite, 4, seed, SweepConfig.newton)
-    except NewtonError as exc:
+        # largest gap |f(p_i) - p_i+1|: the closing gap on the build's orbit
+        residual = max(m.eval(p).dist(q) for p, q in zip(pts, pts[1:] + pts[:1]))
+        mults = orbit_multipliers(m, pts)
+        orbit = PeriodicOrbit(len(pts), pts, residual, mults)
+        gap = min(abs(abs(mults.l1) - 1.0), abs(abs(mults.l2) - 1.0))
+    except (ArithmeticError, ValueError) as exc:
         return CheckRecord(name=name, passed=False,
-                           detail=f"newton search failed: {exc}", data={})
-    mults = orbit.multipliers
-    gap = min(abs(abs(mults.l1) - 1.0), abs(abs(mults.l2) - 1.0))
+                           detail=f"the stored orbit cannot be checked: {exc}", data={})
     norms = [p.norm() for p in orbit.points]
     in_disc = min(norms) > 0.0 and max(norms) < bundle.flat_radius
     ok = orbit.residual < 1e-10 and gap >= 1e-3 and in_disc
@@ -317,35 +318,22 @@ def _check_envelope(bundle: CounterexampleBundle) -> CheckRecord:
                         SweepConfig.phi_samples)
     radii += [prof.r_tail, prof.r_tail * 10.0, min(SweepConfig.tail_r_max, prof.r_tail * 1e6)]
     radii = sorted(set(radii))
-    range_ok = True
-    monotone_ok = True
-    slope_ok = True
-    flat_ok = True
-    floor_ok = True
-    stretch_ok = True
     max_slope = 0.0
-    prev_val = None
-    prev_stretch = None
+    range_ok = monotone_ok = flat_ok = floor_ok = stretch_ok = True
+    prev_val, prev_stretch = math.inf, None
     for r in radii:
         val = phi_eval(prof, r)
-        if not prof.floor <= val <= 1.0:
-            range_ok = False
-        if prev_val is not None and val > prev_val:
-            monotone_ok = False
-        slope = abs(phi_log_slope(prof, r))
-        max_slope = max(max_slope, slope)
-        if slope > slope_budget:
-            slope_ok = False
-        if r <= prof.R and val != 1.0:
-            flat_ok = False
-        if r >= prof.r_tail and val != prof.floor:
-            floor_ok = False
+        max_slope = max(max_slope, abs(phi_log_slope(prof, r)))
+        range_ok &= prof.floor <= val <= 1.0
+        monotone_ok &= not val > prev_val
+        flat_ok &= not (r <= prof.R and val != 1.0)
+        floor_ok &= not (r >= prof.r_tail and val != prof.floor)
         if r > 0.0:
             stretch = val * r  # the radial map sends radius r to this
-            if prev_stretch is not None and not stretch > prev_stretch:
-                stretch_ok = False
+            stretch_ok &= prev_stretch is None or stretch > prev_stretch
             prev_stretch = stretch
         prev_val = val
+    slope_ok = not max_slope > slope_budget
     ok = range_ok and monotone_ok and slope_ok and flat_ok and floor_ok and stretch_ok
     return CheckRecord(
         name="profile-envelope", passed=ok,
@@ -361,8 +349,10 @@ def _check_envelope(bundle: CounterexampleBundle) -> CheckRecord:
 def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
     """Re-check the six claims about a built bundle by sampling.
 
-    Failures are verdicts in the report, never exceptions, so a deliberately
-    broken bundle yields a failing report rather than a crash.
+    The orbit check recomputes closure, multipliers and hyperbolicity of the
+    build's stored orbit, and the spectral radius is sampled off the build's
+    sample points.  Failures are verdicts in the report, never exceptions, so
+    a deliberately broken bundle yields a failing report rather than a crash.
     """
     checks = (
         _check_origin_fixed(bundle),

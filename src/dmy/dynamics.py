@@ -29,13 +29,13 @@ import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
-from .planar import PlanarMap, fd_jacobian, step_function
+from .planar import PlanarMap, _chain_product, fd_jacobian, step_function
 from .spectral import (EigenPair, _growth, _inf_on_overflow, _log_radii, _norm, _ring_points,
                        _sweep_sup, eig2)
 
@@ -202,7 +202,12 @@ class PeriodicOrbit:
     points: tuple[Point2, ...]
     residual: float
     multipliers: EigenPair
-    hyperbolic: bool
+
+    @property
+    def hyperbolic(self) -> bool:
+        m = self.multipliers
+        return (abs(abs(m.l1) - 1.0) > _UNIT_CIRCLE_TOL
+                and abs(abs(m.l2) - 1.0) > _UNIT_CIRCLE_TOL)
 
 
 def orbit_multipliers(m: PlanarMap, points) -> EigenPair:
@@ -210,35 +215,30 @@ def orbit_multipliers(m: PlanarMap, points) -> EigenPair:
     pts = tuple(points)
     if not pts:
         raise ParameterError("orbit must have at least one point")
-    return eig2(_chain_jacobian(m, pts, True))
+    return eig2(Mat2(*_chain_jacobian(m, pts, True)))
 
 
-def _orbit_segment(m: PlanarMap, p0: Point2, n: int):
-    pts = []
-    cur = p0
-    for _ in range(n):
-        pts.append(cur)
-        cur = m.eval(cur)
-    return pts, cur
+def _chain_jacobian(m: PlanarMap, pts, analytic: bool):
+    """D(f^n) along the orbit as floats, from the identity; NumericOverflowError off the doubles."""
+    factors = (m._jac(p.x, p.y) if analytic else astuple(fd_jacobian(m, p, 1e-6)) for p in pts)
+    j = _chain_product((1.0, 0.0, 0.0, 1.0), factors)
+    if not all(map(math.isfinite, j)):
+        raise NumericOverflowError(f"{m.describe()} Jacobian product along the {len(pts)}-point "
+                                   f"orbit from ({pts[0].x!r}, {pts[0].y!r}) overflowed")
+    return j
 
 
-def _chain_jacobian(m: PlanarMap, pts, analytic: bool) -> Mat2:
-    jac = Mat2.identity()
-    for p in pts:
-        jm = m.jacobian(p) if analytic else fd_jacobian(m, p, 1e-6)
-        jac = jm @ jac
-    return jac
-
-
-def _newton_delta(m: PlanarMap, pts, gx: float, gy: float, analytic: bool):
-    a = _chain_jacobian(m, pts, analytic) - Mat2.identity()
-    det = a.det
-    if abs(det) < 1e-14:
-        kind = "analytic" if analytic else "finite-difference"
-        raise SingularSystemError(
-            f"newton system for {m.describe()} is singular ({kind} chain, |det| = {abs(det)!r})")
-    return ((-gx * a.a22 + gy * a.a12) / det,
-            (-gy * a.a11 + gx * a.a21) / det)
+def _newton_delta(m: PlanarMap, pts, gx: float, gy: float):
+    """Newton step on D(f^n) - I, retried on the finite-difference chain if singular."""
+    for analytic in (True, False):
+        j11, a12, a21, j22 = _chain_jacobian(m, pts, analytic)
+        a11, a22 = j11 - 1.0, j22 - 1.0
+        det = a11 * a22 - a12 * a21
+        if not abs(det) < 1e-14:
+            return ((-gx * a22 + gy * a12) / det,
+                    (-gy * a11 + gx * a21) / det)
+    raise SingularSystemError(f"newton system for {m.describe()} is singular "
+                              f"(finite-difference chain, |det| = {abs(det)!r})")
 
 
 def find_periodic(m: PlanarMap, n: int, seed: Point2,
@@ -255,25 +255,22 @@ def find_periodic(m: PlanarMap, n: int, seed: Point2,
     x = seed
     res = math.inf
     for attempt in range(cfg.max_steps + 1):
+        pts = [x]
         try:
-            pts, end = _orbit_segment(m, x, n)
+            for _ in range(n):
+                pts.append(m.eval(pts[-1]))
         except NumericOverflowError as exc:
             raise ConvergenceError(f"orbit left the doubles during the newton search: {exc}",
                                    last_iterate=x, residual=res) from exc
+        end = pts.pop()
         gx, gy = end.x - x.x, end.y - x.y
         res = math.hypot(gx, gy)
         if res < cfg.tol:
-            mults = orbit_multipliers(m, pts)
-            hyp = (abs(abs(mults.l1) - 1.0) > _UNIT_CIRCLE_TOL
-                   and abs(abs(mults.l2) - 1.0) > _UNIT_CIRCLE_TOL)
             return PeriodicOrbit(period=n, points=tuple(pts), residual=res,
-                                 multipliers=mults, hyperbolic=hyp)
+                                 multipliers=orbit_multipliers(m, pts))
         if attempt == cfg.max_steps:
             break
-        try:
-            dx, dy = _newton_delta(m, pts, gx, gy, analytic=True)
-        except SingularSystemError:
-            dx, dy = _newton_delta(m, pts, gx, gy, analytic=False)
+        dx, dy = _newton_delta(m, pts, gx, gy)
         try:
             x = Point2(x.x + dx, x.y + dy)
         except ParameterError as exc:

@@ -52,6 +52,17 @@ def _szlenk_jac(k, x, y):
     )
 
 
+def _chain_product(start, factors):
+    """F_n ... F_1 start for row-major 4-tuples, each factor put on the left by
+    ``Mat2.__matmul__``'s formulas, which need only + and *.  Starting from the
+    identity instead of F_1 can flip the sign of a zero entry."""
+    b11, b12, b21, b22 = start
+    for a11, a12, a21, a22 in factors:
+        b11, b12, b21, b22 = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                              a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+    return b11, b12, b21, b22
+
+
 class PlanarMap(ABC):
     """A differentiable self-map of the plane, given by two float kernels.
 
@@ -234,19 +245,17 @@ class CompositeMap(PlanarMap):
         return x, y
 
     def jac(self, x, y):
-        # chain rule: ordered product of member Jacobians at the intermediate
-        # points, each new factor on the left with the products of
-        # Mat2.__matmul__; the intermediate points are checked as in eval
+        # chain rule started from the innermost member's factor, not the identity,
+        # which can flip a zero's sign; intermediate points are checked as in eval
         members = self.members
         i = len(members) - 1
-        b11, b12, b21, b22 = members[i].jac(x, y)
+        first = members[i].jac(x, y)
+        later = []
         while i:
             x, y = members[i]._image(x, y)
             i -= 1
-            a11, a12, a21, a22 = members[i].jac(x, y)
-            b11, b12, b21, b22 = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                                  a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-        return b11, b12, b21, b22
+            later.append(members[i].jac(x, y))
+        return _chain_product(first, later)
 
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian

@@ -177,10 +177,11 @@ def _log_radii(lo: float, hi: float, n: int) -> list[float]:
     return [math.exp(_lerp(llo, lhi, i, n)) for i in range(n)]
 
 
-def _ring_points(radii, angles: int):
-    """(x, y) on one circle per radius, at evenly spaced angles from 0."""
+def _ring_points(radii, angles: int, phase: float = 0.0):
+    """(x, y) on one circle per radius, at evenly spaced angles from
+    ``phase`` steps (0.0 starts on the positive x axis)."""
     circle = [(math.cos(t), math.sin(t))
-              for t in (2.0 * math.pi * j / angles for j in range(angles))]
+              for t in (2.0 * math.pi * (j + phase) / angles for j in range(angles))]
     for r in radii:
         for c, s in circle:
             yield r * c, r * s

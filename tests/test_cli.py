@@ -218,6 +218,17 @@ def test_periodic_json(capsys):
     assert abs(x0 - 10.0) < 1e-8 and abs(y0) < 1e-8
 
 
+def test_periodic_multiplier_overflow_exits_one(capsys):
+    # the orbit closes at once, but D(f^2) = diag(1e400, 1e-400) leaves the doubles
+    code = main(["periodic", "--map", "linear", "--matrix", "1e200,0,0,1e-200",
+                 "--period", "2", "--seed", "0,0"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == ("dmy periodic: linear[[1e+200,0.0],[0.0,1e-200]] Jacobian product "
+                   "along the 2-point orbit from (0.0, 0.0) overflowed\n")
+
+
 # -------------------------------------------------------------------- basin
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
                  RadialMap, build_counterexample, basin_raster, compose,
-                 dissipativity_bound, phi_eval, step_function,
-                 verify_counterexample)
+                 dissipativity_bound, dynamics, find_periodic, phi_eval,
+                 step_function, verify_counterexample)
+from dmy import counterexample as ce
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
                    "radial-orientation", "period-4-orbit", "profile-envelope"]
@@ -193,3 +194,91 @@ def test_damped_map_standalone_validation():
         DampedSzlenkMap(1.01, 1.0)
     with pytest.raises(ParameterError):
         DampedSzlenkMap(K_MAX, 0.005)
+
+
+def _orbit_record(bundle):
+    return next(c for c in verify_counterexample(bundle).checks if c.name == "period-4-orbit")
+
+
+def test_build_and_verify_run_one_newton_search(monkeypatch):
+    calls = []
+    search = dynamics.find_periodic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "find_periodic", counting)
+    monkeypatch.setattr(ce, "find_periodic", counting)
+    report = verify_counterexample(build_counterexample(1.01, 0.005, 0.05))
+    assert report.passed
+    assert len(calls) == 1
+
+
+def test_bundle_keeps_the_build_orbit_and_verify_checks_it(bundle):
+    orbit = find_periodic(bundle.composite, 4, Point2(bundle.flat_radius / 2.0, 0.0),
+                          ce.SweepConfig.newton)
+    assert bundle.orbit == orbit.points
+    rec = _orbit_record(bundle)
+    assert rec.passed
+    assert rec.data["points"] == [[p.x, p.y] for p in orbit.points]
+    assert rec.data["residual"] == orbit.residual
+    mults = orbit.multipliers
+    assert rec.data["multipliers"] == [[mults.l1.real, mults.l1.imag],
+                                       [mults.l2.real, mults.l2.imag]]
+    assert rec.data["hyperbolic"] is orbit.hyperbolic is True
+
+
+def test_orbit_shifted_off_the_cycle_fails_its_check(bundle):
+    for dx in (1e-3, 1e-9):
+        shifted = dataclasses.replace(
+            bundle, orbit=tuple(Point2(p.x + dx, p.y) for p in bundle.orbit))
+        rec = _orbit_record(shifted)
+        assert not rec.passed
+        assert rec.data["residual"] > 1e-10
+    # one point off the cycle is enough: every gap around it is checked
+    pts = list(bundle.orbit)
+    pts[2] = Point2(pts[2].x, pts[2].y + 1e-6)
+    assert not _orbit_record(dataclasses.replace(bundle, orbit=tuple(pts))).passed
+
+
+def test_orbit_moved_past_the_doubles_fails_its_check(bundle):
+    for scale in (1e200, 1e300):
+        far = dataclasses.replace(
+            bundle, orbit=tuple(Point2(p.x * scale, p.y * scale) for p in bundle.orbit))
+        report = verify_counterexample(far)
+        rec = next(c for c in report.checks if c.name == "period-4-orbit")
+        assert not report.passed and not rec.passed
+        assert "overflow" in rec.detail
+        assert rec.data == {}
+
+
+class _RecordingMap:
+    """Records every point a spectral-radius sweep asks for."""
+
+    def __init__(self):
+        self.points = []
+
+    def _jac(self, x, y):
+        self.points.append((x, y))
+        return 0.0, 0.0, 0.0, 0.0
+
+
+def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
+    build, verify = _RecordingMap(), _RecordingMap()
+    r_tail = bundle.profile.r_tail
+    ce._composite_sr_sweep(build, bundle.flat_radius, r_tail)
+    ce._composite_sr_sweep(verify, bundle.flat_radius, r_tail, 0.5)
+    assert len(build.points) == len(verify.points) == 1 + 400 * 32
+    assert build.points[0] == verify.points[0] == (0.0, 0.0)
+    assert not set(build.points[1:]) & set(verify.points[1:])
+    assert len(set(verify.points)) == len(verify.points)
+    # the same radius range, without growing it
+    radii = [math.hypot(x, y) for x, y in verify.points[1:]]
+    build_radii = [math.hypot(x, y) for x, y in build.points[1:]]
+    assert min(build_radii) < min(radii) and max(radii) < max(build_radii)
+    # and the check reports a point of its own sample
+    data = next(c for c in verify_counterexample(bundle).checks
+                if c.name == "spectral-radius-bound").data
+    assert tuple(data["worst"]) in set(verify.points)
+    assert data["max"] < 0.95

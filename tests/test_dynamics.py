@@ -1,16 +1,19 @@
 import math
 import os
 import random
+import struct
 from collections import deque
 
 import pytest
 
-from dmy import (BasinGrid, ConvergenceError, DissipativitySampling,
+from dmy import (BasinGrid, ConvergenceError, DampedSzlenkMap, DissipativitySampling,
                  LinearMap, Mat2, NewtonConfig, OmegaConfig, OmegaTag,
                  ParameterError, PlanarMap, Point2, SingularSystemError,
                  SzlenkMap, basin_raster, classify_omega, dissipativity_bound,
                  find_periodic, orbit_multipliers, resolve_workers, step_function,
                  verify_invariant_ray)
+from dmy import dynamics, eig2, fd_jacobian
+from dmy.counterexample import SweepConfig
 from dmy.dynamics import OmegaVerdict
 
 CONTRACT = LinearMap(Mat2.diagonal(0.5, 0.3))
@@ -358,6 +361,112 @@ def test_orbit_multipliers_cyclic_invariance():
 def test_orbit_multipliers_empty():
     with pytest.raises(ParameterError):
         orbit_multipliers(SZLENK, ())
+
+
+def _mat2_chain(m, pts, analytic):
+    """Reference chain-rule product over Mat2 @, from the identity."""
+    jac = Mat2.identity()
+    for p in pts:
+        jm = m.jacobian(p) if analytic else fd_jacobian(m, p, 1e-6)
+        jac = jm @ jac
+    return jac
+
+
+def _mat2_newton_delta(m, pts, gx, gy, analytic):
+    a = _mat2_chain(m, pts, analytic) - Mat2.identity()
+    det = a.det
+    if abs(det) < 1e-14:
+        kind = "analytic" if analytic else "finite-difference"
+        raise SingularSystemError(
+            f"newton system for {m.describe()} is singular ({kind} chain, |det| = {abs(det)!r})")
+    return ((-gx * a.a22 + gy * a.a12) / det,
+            (-gy * a.a11 + gx * a.a21) / det)
+
+
+def _mat2_find_periodic(m, n, seed, cfg=None):
+    """Reference Newton search on Mat2 products, with the finite-difference
+    retry as a second call: (points, residual, multipliers), or it raises."""
+    cfg = cfg or NewtonConfig()
+    x = seed
+    res = math.inf
+    for attempt in range(cfg.max_steps + 1):
+        pts, cur = [], x
+        for _ in range(n):
+            pts.append(cur)
+            cur = m.eval(cur)
+        gx, gy = cur.x - x.x, cur.y - x.y
+        res = math.hypot(gx, gy)
+        if res < cfg.tol:
+            return tuple(pts), res, eig2(_mat2_chain(m, pts, True))
+        if attempt == cfg.max_steps:
+            break
+        try:
+            dx, dy = _mat2_newton_delta(m, pts, gx, gy, True)
+        except SingularSystemError:
+            dx, dy = _mat2_newton_delta(m, pts, gx, gy, False)
+        x = Point2(x.x + dx, x.y + dy)
+    raise ConvergenceError(
+        f"newton did not close a period-{n} orbit of {m.describe()} in "
+        f"{cfg.max_steps} steps (last residual {res!r})",
+        last_iterate=x, residual=res)
+
+
+def _bits(*values):
+    out = []
+    for v in values:
+        for f in ((v.real, v.imag) if isinstance(v, complex) else (v,)):
+            out.append(struct.pack("<d", f))
+    return out
+
+
+def _outcome(search, *args):
+    try:
+        pts, res, mults = search(*args)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        last = getattr(exc, "last_iterate", None)
+        return (type(exc), str(exc), last and _bits(last.x, last.y),
+                _bits(getattr(exc, "residual", None) or 0.0))
+    return (_bits(*(c for p in pts for c in (p.x, p.y))), _bits(res),
+            _bits(mults.l1, mults.l2))
+
+
+def _float_search(*args):
+    orb = find_periodic(*args)
+    return orb.points, orb.residual, orb.multipliers
+
+
+def test_find_periodic_is_bit_identical_to_mat2_newton(bundle, monkeypatch):
+    calls = []
+    fd = dynamics.fd_jacobian
+
+    def counting_fd(*args):
+        calls.append(args)
+        return fd(*args)
+
+    monkeypatch.setattr(dynamics, "fd_jacobian", counting_fd)
+    cases = [(SZLENK, 4, Point2(9.5, 0.1)), (SZLENK, 4, Point2(10.0, 0.0)),
+             (DampedSzlenkMap(1.01, 0.005), 4, Point2(9.5, 0.1)),
+             (bundle.composite, 4, Point2(bundle.flat_radius / 2.0, 0.0), SweepConfig.newton),
+             (LyingJacobianMap(), 1, Point2(1.0, 1.0)),
+             (TranslationMap(), 1, Point2(0.0, 0.0)),
+             (SZLENK, 4, Point2(9.5, 0.1), NewtonConfig(max_steps=1)),
+             (bundle.composite, 4, Point2(3.0, 1.0), NewtonConfig(max_steps=3))]
+    for args in cases:
+        want = _outcome(_mat2_find_periodic, *args)
+        assert _outcome(_float_search, *args) == want, args[0].describe()
+    assert _outcome(_float_search, *cases[5])[0] is SingularSystemError
+    assert _outcome(_float_search, *cases[6])[0] is ConvergenceError
+    # the lying map and the translation reach the finite-difference retry
+    assert calls
+    # the chain itself, from the identity, down to the sign of a zero entry
+    flip = LinearMap(Mat2(-0.0, 1.0, 0.0, -0.0))
+    for m, pts in ((flip, [Point2(1.0, 0.0)]), (flip, [Point2(-0.0, 2.0)] * 3),
+                   (SZLENK, [Point2(10.0, 0.0), Point2(-0.0, 10.0)]),
+                   (bundle.composite, list(bundle.orbit))):
+        for analytic in (True, False):
+            want = _mat2_chain(m, pts, analytic)
+            got = dynamics._chain_jacobian(m, pts, analytic)
+            assert _bits(*got) == _bits(want.a11, want.a12, want.a21, want.a22)
 
 
 # ------------------------------------------------------------ dissipativity

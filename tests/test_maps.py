@@ -11,6 +11,7 @@ from dmy import (CompositeMap, DampedSzlenkMap, K_MAX, LinearMap, Mat2,
                  SzlenkMap, build_phi, compose, fd_jacobian, iterate,
                  step_function)
 from dmy.phi import phi_eval
+from dmy.planar import _chain_product
 
 
 def test_k_max_value():
@@ -279,3 +280,80 @@ def test_jacobian_fd_sweep_all_variants(bundle):
             a = m.jacobian(p)
             fd = fd_jacobian(m, p, 1e-6)
             assert (a - fd).max_abs() <= max(1e-6 * a.max_abs(), 1e-9), m.describe()
+
+
+def _mat2_chain(start, factors):
+    """The ordered product with Mat2.__matmul__, each factor on the left."""
+    acc = Mat2(*start)
+    for f in factors:
+        acc = Mat2(*f) @ acc
+    return acc.a11, acc.a12, acc.a21, acc.a22
+
+
+def _raw(entries):
+    return tuple(struct.pack("<d", v) for v in entries)
+
+
+_SIGNED_ZERO_FACTORS = [(-0.0, 1.0, 0.0, -0.0), (0.0, -0.0, -0.0, 0.0), (-0.0, -0.0, -0.0, -0.0),
+                        (1.0, -0.0, 0.0, -1.0), (-2.0, 0.0, -0.0, 3.0), (0.5, 0.25, -0.0, 0.0)]
+
+
+def test_chain_product_is_bit_equal_to_mat2_chain_on_signed_zeros():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        factors = [rng.choice(_SIGNED_ZERO_FACTORS) for _ in range(n)]
+        assert (_raw(_chain_product((1.0, 0.0, 0.0, 1.0), factors))
+                == _raw(_mat2_chain((1.0, 0.0, 0.0, 1.0), factors)))
+        assert _raw(_chain_product(factors[0], factors[1:])) == _raw(_mat2_chain(factors[0],
+                                                                                 factors[1:]))
+    # the start is part of the contract: the identity start turns F's -0.0 into +0.0
+    f = (-0.0, 1.0, 0.0, -0.0)
+    assert _raw(_chain_product((1.0, 0.0, 0.0, 1.0), [f])) != _raw(_chain_product(f, []))
+
+
+def _mat2_jacobian(m, x, y):
+    """Jacobian entries by Mat2 products, from the innermost member's factor
+    and recursing into nested composites."""
+    if not isinstance(m, CompositeMap):
+        return m.jac(x, y)
+    members = m.members[::-1]
+    acc = Mat2(*_mat2_jacobian(members[0], x, y))
+    for inner, outer in zip(members, members[1:]):
+        x, y = inner.xy(x, y)
+        acc = Mat2(*_mat2_jacobian(outer, x, y)) @ acc
+    return acc.a11, acc.a12, acc.a21, acc.a22
+
+
+def _member_factors(c, x, y):
+    """Each member's Jacobian at its intermediate point, innermost first."""
+    out = []
+    for m in reversed(c.members):
+        out.append(_mat2_jacobian(m, x, y))
+        x, y = m.xy(x, y)
+    return out
+
+
+def test_composite_jacobian_is_bit_equal_to_mat2_chain(bundle):
+    radial = RadialMap(build_phi(20.0, 2.0, 0.05))
+    damped = DampedSzlenkMap(1.01, 0.005)
+    flip = LinearMap(Mat2(-0.0, 1.0, 0.0, -0.0))
+    turn = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
+    composites = [bundle.composite, CompositeMap((flip, damped)),
+                  CompositeMap((radial, damped, flip)), CompositeMap((flip, turn, flip)),
+                  CompositeMap((turn, CompositeMap((radial, damped)))),
+                  CompositeMap((CompositeMap((flip, radial)), CompositeMap((damped, flip))))]
+    rng = random.Random(5)
+    points = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (10.0, -0.0), (-0.0, 30.0)]
+    for _ in range(200):
+        mag = 10.0 ** rng.uniform(-3.0, 40.0)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        points.append((mag * math.cos(t), mag * math.sin(t)))
+    for c in composites:
+        for x, y in points:
+            want_first = _raw(_mat2_jacobian(c, x, y))
+            assert _raw(c.jac(x, y)) == want_first, (c.describe(), x, y)
+            factors = _member_factors(c, x, y)
+            assert _raw(_chain_product(factors[0], factors[1:])) == want_first
+            assert (_raw(_chain_product((1.0, 0.0, 0.0, 1.0), factors))
+                    == _raw(_mat2_chain((1.0, 0.0, 0.0, 1.0), factors)))
