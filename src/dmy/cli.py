@@ -36,6 +36,7 @@ from .dynamics import (BasinGrid, NewtonConfig, OmegaConfig, DissipativitySampli
                        verify_invariant_ray)
 from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
+from .phi import _phi_parts, build_phi
 from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
 from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict,
                        _log_radii, check_ball, check_interval_free, check_real_free,
@@ -462,13 +463,11 @@ def _run_counterexample(sub: str, resolved: dict) -> int:
 
 
 def _run_phi(sub: str, resolved: dict) -> int:
-    from .phi import build_phi, phi_eval, phi_log_slope
-
     profile = build_phi(resolved["R"], resolved["C"], resolved["eps"])
     n = resolved["log_samples"]
     if n < 2:
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
-    rows = [(r, phi_eval(profile, r), phi_log_slope(profile, r))
+    rows = [(r, *_phi_parts(profile, r))
             for r in _log_radii(profile.R / 10.0, 10.0 * profile.r_tail, n)]
     _emit_csv(["r", "phi", "phi_prime_times_r"], rows, resolved["out"])
     return 0

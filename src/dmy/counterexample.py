@@ -26,7 +26,7 @@ from itertools import chain
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
 from .errors import ConvergenceError, NewtonError, ParameterError
 from .geometry import Point2
-from .phi import PhiProfile, build_phi, phi_eval, phi_log_slope
+from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
 from .spectral import _growth, _lerp, _log_radii, _norm, _radius, _ring_points, _sweep_sup
@@ -322,8 +322,8 @@ def _check_envelope(bundle: CounterexampleBundle) -> CheckRecord:
     range_ok = monotone_ok = flat_ok = floor_ok = stretch_ok = True
     prev_val, prev_stretch = math.inf, None
     for r in radii:
-        val = phi_eval(prof, r)
-        max_slope = max(max_slope, abs(phi_log_slope(prof, r)))
+        val, ls = _phi_parts(prof, r)
+        max_slope = max(max_slope, abs(ls))
         range_ok &= prof.floor <= val <= 1.0
         monotone_ok &= not val > prev_val
         flat_ok &= not (r <= prof.R and val != 1.0)

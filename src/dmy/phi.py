@@ -26,6 +26,10 @@ r >= r_tail = R * exp(m_target + 1).  The slope in log-radius is
 phi'(r) * r = -(eps/8) * sigma(u), which never exceeds eps/8 in magnitude
 because sigma stays in [0, 1].
 
+There is one evaluation path: ``_phi_parts`` gives phi(r) and phi'(r) * r
+together from one range check, one log and one walk over the knots, and
+``phi_eval``, ``phi_log_slope`` and ``phi_deriv`` are projections of it.
+
 A knot-by-knot construction of an equivalent envelope would need about
 exp(m_target) knots (around 1e40 at desk parameters), which is why the
 closed form in log-radius is used instead.  The quintic smoothstep makes the
@@ -90,66 +94,53 @@ def _smoothstep_integral(t: float) -> float:
     return t * t * t * t * (t * (t - 3.0) + 2.5)
 
 
-def _slope_factor(profile: PhiProfile, u: float) -> float:
-    """sigma(u): 0 outside the active band, 1 on the plateau, smooth ramps."""
-    w = profile.ramp
-    mt = profile.m_target
-    if u <= 0.0 or u >= mt + w:
-        return 0.0
-    if u < w:
-        return _smoothstep(u / w)
-    if u <= mt:
-        return 1.0
-    return _smoothstep((mt + w - u) / w)
-
-
-def _decay(profile: PhiProfile, u: float) -> float:
-    """m(u): nondecreasing, 0 for u <= 0, exactly m_target for u >= m_target + ramp."""
+def _ramp(profile: PhiProfile, u: float) -> tuple[float, float]:
+    """(m(u), sigma(u)) for u < m_target + ramp, walking the knots 0, ramp and m_target."""
     w = profile.ramp
     mt = profile.m_target
     if u <= 0.0:
-        return 0.0
-    if u >= mt + w:
-        return mt
+        return 0.0, 0.0
     if u < w:
-        return w * _smoothstep_integral(u / w)
+        t = u / w
+        return w * _smoothstep_integral(t), _smoothstep(t)
     if u <= mt:
-        return u - 0.5 * w
-    return mt - w * _smoothstep_integral((mt + w - u) / w)
+        return u - 0.5 * w, 1.0
+    t = (mt + w - u) / w
+    return mt - w * _smoothstep_integral(t), _smoothstep(t)
 
 
-def phi_eval(profile: PhiProfile, r: float) -> float:
-    if not r >= 0.0:
-        raise ParameterError(f"radius must be >= 0, got {r!r}")
-    if r <= profile.R:
-        return 1.0
-    # compare against r_tail directly: log rounding must not push the exact
-    # tail value off the floor branch
-    if r >= profile.r_tail:
-        return profile.floor
-    u = math.log(r / profile.R)
-    if u >= profile.m_target + profile.ramp:
-        return profile.floor
-    val = 1.0 - profile.eps / 8.0 * _decay(profile, u)
-    # rounding may graze the floor just before the tail branch takes over
-    return val if val > profile.floor else profile.floor
+def _phi_parts(profile: PhiProfile, r: float) -> tuple[float, float]:
+    """(phi(r), phi'(r) * r) from one range check, one log and one knot walk.
 
-
-def phi_log_slope(profile: PhiProfile, r: float) -> float:
-    """The product phi'(r) * r in closed form: -(eps/8) * sigma(ln(r/R)).
-
-    Computing the product directly keeps the slope budget exact: sigma lies
-    in [0, 1], and scaling eps/8 by a factor <= 1 cannot round past eps/8.
-    The quotient form phi_deriv(r) * r can, by one ulp.
+    The slope is the product in closed form, -(eps/8) * sigma(ln(r/R)):
+    sigma lies in [0, 1], and scaling eps/8 by a factor <= 1 cannot round
+    past eps/8.  The quotient form phi_deriv(r) * r can, by one ulp.
     """
     if not r >= 0.0:
         raise ParameterError(f"radius must be >= 0, got {r!r}")
-    if r <= profile.R or r >= profile.r_tail:
-        return 0.0
-    s = _slope_factor(profile, math.log(r / profile.R))
-    if s == 0.0:
-        return 0.0
-    return -(profile.eps / 8.0) * s
+    if r <= profile.R:
+        return 1.0, 0.0
+    # compare against r_tail directly: log rounding must not push the exact
+    # tail value off the floor branch
+    if r >= profile.r_tail:
+        return profile.floor, 0.0
+    u = math.log(r / profile.R)
+    if u >= profile.m_target + profile.ramp:
+        return profile.floor, 0.0
+    m, s = _ramp(profile, u)
+    e8 = profile.eps / 8.0
+    val = 1.0 - e8 * m
+    # rounding may graze the floor just before the tail branch takes over
+    return val if val > profile.floor else profile.floor, -e8 * s if s else 0.0
+
+
+def phi_eval(profile: PhiProfile, r: float) -> float:
+    return _phi_parts(profile, r)[0]
+
+
+def phi_log_slope(profile: PhiProfile, r: float) -> float:
+    """The product phi'(r) * r, exact to the slope budget (see ``_phi_parts``)."""
+    return _phi_parts(profile, r)[1]
 
 
 def phi_deriv(profile: PhiProfile, r: float) -> float:

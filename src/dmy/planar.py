@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
-from .phi import PhiProfile, phi_deriv, phi_eval
+from .phi import PhiProfile, _phi_parts, phi_eval
 
 K_MAX = 2.0 / math.sqrt(3.0)  # Szlenk parameter lives in the open interval (1, K_MAX)
 
@@ -201,10 +201,9 @@ class RadialMap(PlanarMap):
         return f * x, f * y
 
     def jac(self, x, y):
-        prof = self.profile
         r = math.hypot(x, y)
-        f = phi_eval(prof, r)
-        fp = phi_deriv(prof, r)
+        f, ls = _phi_parts(self.profile, r)
+        fp = ls / r if ls else 0.0  # phi'(r); a tiny slope far out can underflow
         if fp == 0.0:
             # flat zones, the origin included: exactly f times the identity
             return f, 0.0, 0.0, f

@@ -13,14 +13,15 @@ The operator norm is the exact 2x2 singular-value identity
 which returns exact values on diagonal and shear matrices.
 
 Region sweeps are deterministic.  Grid strategies enumerate row-major from
-the lower edge, x fastest, using the lerp form ((n-1-i)*lo + i*hi)/(n-1) so
-the endpoints and a symmetric zero land exactly on the axes.  The random
-strategy derives every sample from one explicit seed recorded in the report.
-Where a lerp or draw overflows for finite bounds near the double range, it
-is redone with the bounds scaled down by a power of two and scaled back.
-A sample whose Jacobian or eigenvalue modulus overflows is counted and
-flagged, never raised, and any flagged sample makes every verdict fail: an
-unbounded spectrum cannot certify a spectrum bound.
+the lower edge, x fastest.  The first and last samples on each axis are the
+region's bounds themselves, and interior ones use the lerp form
+((n-1-i)*lo + i*hi)/(n-1), so a symmetric zero lands exactly on the axes
+too.  The random strategy derives every sample from one explicit seed
+recorded in the report.  Where a lerp or draw overflows for finite bounds
+near the double range, it is redone with the bounds scaled down by a power
+of two and scaled back.  A sample whose Jacobian or eigenvalue modulus
+overflows is counted and flagged, never raised, and any flagged sample makes
+every verdict fail: an unbounded spectrum cannot certify a spectrum bound.
 """
 
 from __future__ import annotations
@@ -149,8 +150,10 @@ class RandomStrategy:
 
 
 def _lerp(lo: float, hi: float, i: int, n: int) -> float:
-    if n <= 1:
+    if i == 0:
         return lo
+    if i == n - 1:
+        return hi
     v = ((n - 1 - i) * lo + i * hi) / (n - 1)
     if math.isfinite(v):
         return v
@@ -279,9 +282,6 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
     overflow = 0
     max_mod = None
     max_mod_at = None
-    real_count = 0
-    min_real = max_real = None
-    min_real_at = max_real_at = None
     reals = []
     jac = m._jac
     for idx, (x, y) in enumerate(_sample_points(region, strategy)):
@@ -301,28 +301,34 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
             max_mod = mod
             max_mod_at = Point2(x, y)
         if is_real:
-            real_count += 1
             reals.append(RealSpectrumSample(lo, hi, x, y, idx))
-            if min_real is None or lo < min_real:
-                min_real = lo
-                min_real_at = Point2(x, y)
-            if max_real is None or hi > max_real:
-                max_real = hi
-                max_real_at = Point2(x, y)
+    min_real = max_real = min_real_at = max_real_at = None
+    if reals:
+        # min and max keep the first extremum in sample order
+        first_lo = min(reals, key=lambda s: s.lo)
+        first_hi = max(reals, key=lambda s: s.hi)
+        min_real, min_real_at = first_lo.lo, Point2(first_lo.x, first_lo.y)
+        max_real, max_real_at = first_hi.hi, Point2(first_hi.x, first_hi.y)
     return SpectrumReport(
         map_desc=m.describe(), strategy=strategy.describe(),
         sample_count=count, overflow_count=overflow,
         max_modulus=max_mod, max_modulus_at=max_mod_at,
-        real_count=real_count,
+        real_count=len(reals),
         min_real=min_real, min_real_at=min_real_at,
         max_real=max_real, max_real_at=max_real_at,
         real_samples=tuple(reals))
 
 
-def _overflow_verdict(name: str, report: SpectrumReport) -> Verdict:
+def _uncertifiable(name: str, report: SpectrumReport) -> Verdict | None:
+    """The failing verdict of a sweep that overflowed or took no samples, else None."""
+    if report.overflow_count:
+        detail = f"{report.overflow_count} of {report.sample_count} samples overflowed"
+    elif report.sample_count == 0:
+        detail = "no samples"
+    else:
+        return None
     return Verdict(name=name, passed=False,
-                   detail=f"{report.overflow_count} of {report.sample_count} samples overflowed; "
-                          "the sweep cannot certify a spectrum bound")
+                   detail=f"{detail}; the sweep cannot certify a spectrum bound")
 
 
 def check_ball(report: SpectrumReport, radius: float) -> Verdict:
@@ -330,11 +336,8 @@ def check_ball(report: SpectrumReport, radius: float) -> Verdict:
     if not radius > 0.0:
         raise ParameterError(f"ball radius must be positive, got {radius!r}")
     name = f"ball:{radius!r}"
-    if report.overflow_count:
-        return _overflow_verdict(name, report)
-    if report.max_modulus is None:
-        return Verdict(name=name, passed=False,
-                       detail="no samples; the sweep cannot certify a spectrum bound")
+    if failed := _uncertifiable(name, report):
+        return failed
     passed = report.max_modulus < radius
     return Verdict(name=name, passed=passed,
                    detail=f"max sampled |lambda| = {report.max_modulus!r} vs bound {radius!r}",
@@ -346,11 +349,8 @@ def check_interval_free(report: SpectrumReport, lo: float, hi: float) -> Verdict
     if not lo < hi:
         raise ParameterError(f"interval must satisfy lo < hi, got [{lo!r}, {hi!r})")
     name = f"interval-free:[{lo!r},{hi!r})"
-    if report.overflow_count:
-        return _overflow_verdict(name, report)
-    if report.sample_count == 0:
-        return Verdict(name=name, passed=False,
-                       detail="no samples; the sweep cannot certify a spectrum bound")
+    if failed := _uncertifiable(name, report):
+        return failed
     for s in report.real_samples:  # index order: first witness wins
         for v in (s.lo, s.hi):
             if lo <= v < hi:
@@ -365,11 +365,8 @@ def check_interval_free(report: SpectrumReport, lo: float, hi: float) -> Verdict
 def check_real_free(report: SpectrumReport) -> Verdict:
     """No sampled eigenvalue pair was real."""
     name = "real-free"
-    if report.overflow_count:
-        return _overflow_verdict(name, report)
-    if report.sample_count == 0:
-        return Verdict(name=name, passed=False,
-                       detail="no samples; the sweep cannot certify a spectrum bound")
+    if failed := _uncertifiable(name, report):
+        return failed
     if report.real_count:
         s = report.real_samples[0]
         return Verdict(name=name, passed=False,

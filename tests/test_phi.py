@@ -1,9 +1,12 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dmy import ParameterError, PhiProfile, build_phi, phi_deriv, phi_eval, phi_log_slope
+from dmy import (ParameterError, PhiProfile, RadialMap, build_phi, phi_deriv, phi_eval,
+                 phi_log_slope)
+from dmy.phi import _phi_parts
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +137,143 @@ def test_profile_fields_are_validated():
     with pytest.raises(ParameterError):
         PhiProfile(R=-1.0, C=2.0, eps=0.05, floor=0.25, m_target=120.0,
                    r_tail=1e50, ramp=1.0)
+
+
+# Reference: the profile as two separate knot walks, each behind its own
+# validation, range checks and log.  The single-walk evaluation must match it
+# bit for bit.
+
+def _ref_smoothstep(t):
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
+def _ref_smoothstep_integral(t):
+    return t * t * t * t * (t * (t - 3.0) + 2.5)
+
+
+def _ref_slope_factor(profile, u):
+    w = profile.ramp
+    mt = profile.m_target
+    if u <= 0.0 or u >= mt + w:
+        return 0.0
+    if u < w:
+        return _ref_smoothstep(u / w)
+    if u <= mt:
+        return 1.0
+    return _ref_smoothstep((mt + w - u) / w)
+
+
+def _ref_decay(profile, u):
+    w = profile.ramp
+    mt = profile.m_target
+    if u <= 0.0:
+        return 0.0
+    if u >= mt + w:
+        return mt
+    if u < w:
+        return w * _ref_smoothstep_integral(u / w)
+    if u <= mt:
+        return u - 0.5 * w
+    return mt - w * _ref_smoothstep_integral((mt + w - u) / w)
+
+
+def _ref_phi_eval(profile, r):
+    if not r >= 0.0:
+        raise ParameterError(f"radius must be >= 0, got {r!r}")
+    if r <= profile.R:
+        return 1.0
+    if r >= profile.r_tail:
+        return profile.floor
+    u = math.log(r / profile.R)
+    if u >= profile.m_target + profile.ramp:
+        return profile.floor
+    val = 1.0 - profile.eps / 8.0 * _ref_decay(profile, u)
+    return val if val > profile.floor else profile.floor
+
+
+def _ref_phi_log_slope(profile, r):
+    if not r >= 0.0:
+        raise ParameterError(f"radius must be >= 0, got {r!r}")
+    if r <= profile.R or r >= profile.r_tail:
+        return 0.0
+    s = _ref_slope_factor(profile, math.log(r / profile.R))
+    if s == 0.0:
+        return 0.0
+    return -(profile.eps / 8.0) * s
+
+
+def _ref_phi_deriv(profile, r):
+    ls = _ref_phi_log_slope(profile, r)
+    if ls == 0.0:
+        return 0.0
+    return ls / r
+
+
+def _ref_radial_jac(profile, x, y):
+    r = math.hypot(x, y)
+    f = _ref_phi_eval(profile, r)
+    fp = _ref_phi_deriv(profile, r)
+    if fp == 0.0:
+        return f, 0.0, 0.0, f
+    s = fp / r
+    return f + s * x * x, s * x * y, s * x * y, f + s * y * y
+
+
+def _raw(*vals):
+    return struct.pack(f"<{len(vals)}d", *vals)
+
+
+def _knot_radii(prof):
+    """Each knot R, R e^ramp, R e^m_target, R e^(m_target + ramp) and r_tail
+    with its neighbours one and two ulps away, plus a point inside every zone."""
+    w, mt, R = prof.ramp, prof.m_target, prof.R
+    knots = [R, R * math.exp(w), R * math.exp(mt), R * math.exp(mt + w), prof.r_tail]
+    radii = [0.0, 5e-324, 1e-300, 0.5 * R, R * math.exp(0.5 * w),
+             R * math.exp(0.5 * (w + mt)), R * math.exp(mt + 0.5 * w),
+             math.sqrt(R * math.exp(mt + w) * prof.r_tail),  # past the ramp, short of r_tail
+             10.0 * prof.r_tail, 1e300, math.inf]
+    for k in knots:
+        lo = hi = k
+        for _ in range(2):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            radii += [lo, hi]
+        radii.append(k)
+    return sorted(radii)
+
+
+PROFILES = [build_phi(20.0, 2.0, 0.05),
+            build_phi(19.99999999999999, 1.5907629949682967, 0.05),  # the paper's build
+            build_phi(20.0, 0.51, 0.2),                               # m_target < 1
+            build_phi(1e300, 0.6, 0.2)]  # phi' = phi'r / r underflows at the ramp's end
+IDS = ["C2", "paper", "short-ramp", "huge-R"]
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=IDS)
+def test_single_walk_matches_the_two_walks_bit_for_bit(prof):
+    assert PROFILES[2].m_target < 1.0  # so its ramp shrinks to m_target
+    for r in _knot_radii(prof):
+        want = _raw(_ref_phi_eval(prof, r), _ref_phi_log_slope(prof, r))
+        assert _raw(*_phi_parts(prof, r)) == want, r
+        assert _raw(phi_eval(prof, r), phi_log_slope(prof, r)) == want, r
+        assert _raw(phi_deriv(prof, r)) == _raw(_ref_phi_deriv(prof, r)), r
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=IDS)
+def test_radial_jacobian_matches_the_two_walks_bit_for_bit(prof):
+    h = RadialMap(prof)
+    for r in _knot_radii(prof):
+        if not math.isfinite(r):
+            continue
+        for x, y in ((r, 0.0), (-r, 0.0), (0.0, r), (0.6 * r, -0.8 * r), (-0.28 * r, 0.96 * r)):
+            assert _raw(*h.jac(x, y)) == _raw(*_ref_radial_jac(prof, x, y)), (x, y)
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=IDS)
+def test_single_walk_rejects_negative_and_nan_radii(prof):
+    for r in (-1.0, -5e-324, -math.inf, math.nan):
+        for f in (_phi_parts, phi_eval, phi_log_slope, phi_deriv, _ref_phi_eval):
+            with pytest.raises(ParameterError):
+                f(prof, r)
+    for x, y in ((math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ParameterError):
+            RadialMap(prof).jac(x, y)

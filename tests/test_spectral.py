@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2, ParameterError,
                  Point2, RandomStrategy, Rect, SzlenkMap, check_ball,
@@ -154,9 +154,9 @@ def test_empty_report_has_zero_counts():
     assert rep.real_count == 0
     assert rep.max_modulus is None and rep.max_modulus_at is None
     # a sweep with no data cannot certify anything
-    assert not check_ball(rep, 1.0).passed
-    assert not check_real_free(rep).passed
-    assert not check_interval_free(rep, 0.0, 1.0).passed
+    for v in (check_ball(rep, 1.0), check_real_free(rep), check_interval_free(rep, 0.0, 1.0)):
+        assert not v.passed
+        assert v.detail == "no samples; the sweep cannot certify a spectrum bound"
 
 
 def test_check_ball_pass_and_fail():
@@ -212,7 +212,8 @@ def test_overflow_counted_and_fails_checks():
     for v in (check_ball(rep, 1.0), check_real_free(rep),
               check_interval_free(rep, 0.0, 1.0)):
         assert not v.passed
-        assert "overflow" in v.detail
+        assert v.detail == "9 of 9 samples overflowed; the sweep cannot certify a spectrum bound"
+        assert v.witness_value is None and v.witness_at is None
 
 
 def test_sample_norm_sup_exact_for_uniform_scaling():
@@ -426,10 +427,21 @@ def test_sample_points_keep_their_bits_on_ordinary_regions():
     grid = list(_sample_points(Rect(-1.1, 2.3, -0.7, 1e-3), GridStrategy(7, 4)))
     xs = [-1.1, -0.5333333333333333, 0.033333333333333215, 0.5999999999999999,
           1.1666666666666665, 1.7333333333333334, 2.3]
-    ys = [-0.6999999999999998, -0.4663333333333333, -0.23266666666666666, 0.001]
+    ys = [-0.7, -0.4663333333333333, -0.23266666666666666, 0.001]
     assert grid == [(x, y) for y in ys for x in xs]
     drawn = list(_sample_points(Rect(-7.5, 2.25, -1e3, 1e-3), RandomStrategy(4, 3)))
     assert drawn == [(-5.1798448858540596, -455.7702304748228),
                      (-3.892937126156227, -396.0793574837669),
                      (-1.399227034946473, -934.4710752313276),
                      (-7.371612082339977, -162.5300804344579)]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite, st.integers(min_value=2, max_value=64))
+def test_grid_samples_land_exactly_on_the_region_bounds(a, b, n):
+    assume(a != b)
+    lo, hi = sorted((a, b))
+    pts = list(_sample_points(Rect(lo, hi, lo, hi), GridStrategy(n, n)))
+    assert struct.pack("<4d", *pts[0], *pts[-1]) == struct.pack("<4d", lo, lo, hi, hi)
