@@ -7,7 +7,7 @@ classification, dissipativity bounds) that back the package's claims.
 
 from .errors import (ConvergenceError, NewtonError, NumericOverflowError,
                      ParameterError, SingularSystemError)
-from .geometry import ORIGIN, Mat2, Point2
+from .geometry import Mat2, Point2
 from .planar import (K_MAX, CompositeMap, DampedSzlenkMap, LinearMap, Orbit,
                      PlanarMap, RadialMap, SzlenkMap, compose, fd_jacobian,
                      iterate, step_function)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError", "NewtonError", "NumericOverflowError",
     "ParameterError", "SingularSystemError",
-    "ORIGIN", "Mat2", "Point2",
+    "Mat2", "Point2",
     "K_MAX", "CompositeMap", "DampedSzlenkMap", "LinearMap", "Orbit",
     "PlanarMap", "RadialMap", "SzlenkMap", "compose", "fd_jacobian",
     "iterate", "step_function",

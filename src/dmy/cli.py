@@ -105,7 +105,7 @@ _OPTS = {
         ("cycle_tol", "--cycle-tol", "float", 1e-7,
          "relative tolerance for cycle detection (default: 1e-7)"),
         ("workers", "--workers", "int", 0,
-         "row workers; 0 = one per CPU; DMY_THREADS caps it (default: 0)"),
+         "row workers, at most one per CPU; 0 = one per CPU (default: 0)"),
     ] + _IO_OPTS,
     "counterexample": [
         ("k", "--k", "float", 1.01, "cubic map parameter (default: 1.01)"),
@@ -208,7 +208,7 @@ def _merge_config(sub: str, provided: dict) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bytes that are not UTF-8
                 raise ParameterError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ParameterError(f"config {path} must hold a JSON object")
@@ -217,7 +217,7 @@ def _merge_config(sub: str, provided: dict) -> dict:
             raise ParameterError(
                 f"config {path} is for subcommand {cfg_sub!r}, not {sub!r}")
         known = {dest for dest, *_ in opts}
-        unknown = sorted(set(raw) - known - {"subcommand", "config"})
+        unknown = sorted(set(raw) - known - {"subcommand"})
         if unknown:
             raise ParameterError(f"config {path} has unknown keys: {', '.join(unknown)}")
         file_values = raw
@@ -319,12 +319,15 @@ def _finite_or_null(v):
     return v
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n"
+def _emit_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         _write_atomic(out, text.encode("utf-8"))
+
+
+def _emit_json(obj: dict, out: str | None) -> None:
+    _emit_text(json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n", out)
 
 
 def _fmt(v: float) -> str:
@@ -335,11 +338,7 @@ def _emit_csv(header: list[str], rows, out: str | None) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(out, text.encode("utf-8"))
+    _emit_text("\n".join(lines) + "\n", out)
 
 
 _PGM_SHADES = b"\xff\xaa\x55\x00"  # codes 0..3, white to black

@@ -18,8 +18,7 @@ Four questions about a planar map, answered by finite computation:
 ``basin_raster`` runs the classifier over a pixel grid and is the one
 parallel entry point: rows go to a process pool and are reassembled in row
 order, so the raster is a deterministic function of its inputs no matter the
-worker count (never more than one per CPU; ``DMY_THREADS`` caps it further,
-0 or unset meaning no further cap).
+worker count (the ``workers`` argument, never more than one per CPU).
 """
 
 from __future__ import annotations
@@ -503,24 +502,12 @@ class BasinGrid:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count for parallel sweeps: explicit request or one per CPU,
-    never more than the CPU count, then capped by the DMY_THREADS
-    environment variable (0 or unset = no cap)."""
+    never more than the CPU count."""
     cpus = os.cpu_count() or 1
     chosen = requested if requested is not None else cpus
     if chosen < 1:
         raise ParameterError(f"worker count must be >= 1, got {requested!r}")
-    chosen = min(chosen, cpus)
-    raw = os.environ.get("DMY_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ParameterError(f"DMY_THREADS must be an integer, got {raw!r}") from None
-        if cap < 0:
-            raise ParameterError(f"DMY_THREADS must be >= 0, got {cap!r}")
-        if cap > 0:
-            chosen = min(chosen, cap)
-    return chosen
+    return min(chosen, cpus)
 
 
 def _basin_row(task):
@@ -537,10 +524,10 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
                  omega: OmegaConfig | None = None, workers: int | None = None) -> BasinGrid:
     """Classify every cell center of a width x height grid over [-L, L]^2.
 
-    ``workers`` None means one per CPU, still capped by DMY_THREADS.  At
-    most 4096 x 4096 cells.  Deterministic regardless of worker count: rows
-    are computed independently and joined in row order, and cell centers
-    depend only on the grid shape.
+    ``workers`` None means one per CPU, and any count is clamped to the
+    CPU count.  At most 4096 x 4096 cells.  Deterministic regardless of
+    worker count: rows are computed independently and joined in row order,
+    and cell centers depend only on the grid shape.
     """
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ParameterError(f"half-width must be positive and finite, got {half_width!r}")

@@ -28,23 +28,9 @@ class Point2:
     def dist(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Point2":
-        return Point2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
     def __iter__(self):
         yield self.x
         yield self.y
-
-
-ORIGIN = Point2(0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -133,14 +133,18 @@ class LinearMap(PlanarMap):
         return f"linear[[{m.a11!r},{m.a12!r}],[{m.a21!r},{m.a22!r}]]"
 
 
+def _check_k(k: float) -> None:
+    if not (1.0 < k < K_MAX):
+        raise ParameterError(
+            f"szlenk parameter must satisfy 1 < k < 2/sqrt(3) ~= {K_MAX:.10f}, got {k!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SzlenkMap(PlanarMap):
     k: float
 
     def __post_init__(self):
-        if not (1.0 < self.k < K_MAX):
-            raise ParameterError(
-                f"szlenk parameter must satisfy 1 < k < 2/sqrt(3) ~= {K_MAX:.10f}, got {self.k!r}")
+        _check_k(self.k)
 
     def xy(self, x, y):
         return _szlenk_xy(self.k, x, y)
@@ -163,9 +167,7 @@ class DampedSzlenkMap(PlanarMap):
     a: float
 
     def __post_init__(self):
-        if not (1.0 < self.k < K_MAX):
-            raise ParameterError(
-                f"szlenk parameter must satisfy 1 < k < 2/sqrt(3) ~= {K_MAX:.10f}, got {self.k!r}")
+        _check_k(self.k)
         if not (0.0 < self.a < 1.0):
             raise ParameterError(f"damping must satisfy 0 < a < 1, got {self.a!r}")
 

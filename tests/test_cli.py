@@ -425,6 +425,12 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert code == 0
     assert len(lines) == 5  # header, start, three steps
 
+    no_sub = tmp_path / "no_sub.json"  # "subcommand" is optional
+    no_sub.write_text(json.dumps({"R": 20, "log_samples": 3}))
+    code, lines = run_csv(["phi", "--config", str(no_sub)], capsys)
+    assert code == 0
+    assert len(lines) == 4
+
 
 def test_config_flags_beat_file(tmp_path, capsys):
     cfg = tmp_path / "c.json"
@@ -459,6 +465,14 @@ def test_config_rejections(tmp_path, capsys):
     assert main(["orbit", "--map", "szlenk",
                  "--config", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
+
+
+def test_config_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["phi", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"config {bad} is not valid JSON: 'utf-8' codec can't decode byte 0xff" in err
 
 
 def test_config_type_errors(tmp_path, capsys):

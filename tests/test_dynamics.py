@@ -576,7 +576,6 @@ def test_basin_serial_and_pooled_composite_agree(bundle, monkeypatch):
     # more cells than the serial limit, so two workers really fork and each
     # rebuilds the composite's step closure from the pickled map
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("DMY_THREADS", raising=False)
     omega = OmegaConfig(max_iter=500)
     serial = basin_raster(bundle.composite, 15.0, 72, 72, omega, workers=1)
     pooled = basin_raster(bundle.composite, 15.0, 72, 72, omega, workers=2)
@@ -601,35 +600,20 @@ def test_basin_grid_validation():
 
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    monkeypatch.delenv("DMY_THREADS", raising=False)
     assert resolve_workers(3) == 3
     assert resolve_workers() >= 1
-    monkeypatch.setenv("DMY_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("DMY_THREADS", "0")
-    assert resolve_workers(8) == 8  # zero means uncapped
-    monkeypatch.setenv("DMY_THREADS", "junk")
-    with pytest.raises(ParameterError):
-        resolve_workers(2)
-    monkeypatch.setenv("DMY_THREADS", "-1")
-    with pytest.raises(ParameterError):
-        resolve_workers(2)
-    monkeypatch.delenv("DMY_THREADS", raising=False)
     with pytest.raises(ParameterError):
         resolve_workers(0)
+    # the request alone sizes the pool: the environment is not read
+    for raw in ("junk", "1"):
+        monkeypatch.setenv("DMY_THREADS", raw)
+        assert resolve_workers(2) == 2
 
 
 def test_resolve_workers_clamps_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("DMY_THREADS", raising=False)
     assert resolve_workers(64) == 4
     assert resolve_workers() == 4
     assert resolve_workers(3) == 3
-    monkeypatch.setenv("DMY_THREADS", "2")
-    assert resolve_workers(64) == 2
-    monkeypatch.setenv("DMY_THREADS", "8")
-    assert resolve_workers(64) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown counts as one
-    monkeypatch.delenv("DMY_THREADS", raising=False)
     assert resolve_workers(64) == 1

@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from dmy import Mat2, ORIGIN, ParameterError, Point2
+from dmy import Mat2, ParameterError, Point2
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -14,15 +14,6 @@ def test_point_basics():
     assert p.norm() == 5.0
     assert p.dist(Point2(0.0, 0.0)) == 5.0
     assert tuple(p) == (3.0, 4.0)
-    assert ORIGIN.norm() == 0.0
-
-
-def test_point_algebra():
-    p = Point2(1.0, 2.0)
-    q = Point2(0.5, -1.0)
-    assert p + q == Point2(1.5, 1.0)
-    assert p - q == Point2(0.5, 3.0)
-    assert p * 2.0 == Point2(2.0, 4.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -43,7 +34,7 @@ def test_point_is_frozen_and_picklable():
 @given(finite, finite, finite, finite)
 def test_norm_triangle_inequality(x1, y1, x2, y2):
     p, q = Point2(x1, y1), Point2(x2, y2)
-    assert (p + q).norm() <= p.norm() + q.norm() + 1e-9
+    assert Point2(x1 + x2, y1 + y2).norm() <= p.norm() + q.norm() + 1e-9
 
 
 def test_mat_basics():
