@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
 from .errors import ConvergenceError, NewtonError, ParameterError
@@ -137,7 +137,11 @@ def _damped_sweep(damped: DampedSzlenkMap):
     rings far beyond it."""
     g = SweepConfig.norm_grid
     hw = SweepConfig.norm_half_width
-    grid = ((_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g)) for iy in range(g) for ix in range(g))
+    # _lerp(-hw, hw, i, g) is exactly minus _lerp(-hw, hw, g-1-i, g) and the
+    # damped Jacobian is exactly even, so grid points up to the center see
+    # every value the mirrored half would
+    grid = islice(((_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
+                   for iy in range(g) for ix in range(g)), g * g // 2 + 1)
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
     sup_norm = sup_sr = 0.0

@@ -16,9 +16,13 @@ Four questions about a planar map, answered by finite computation:
   image points to the sampled curve).
 
 ``basin_raster`` runs the classifier over a pixel grid and is the one
-parallel entry point: rows go to a process pool and are reassembled in row
-order, so the raster is a deterministic function of its inputs no matter the
-worker count (the ``workers`` argument, never more than one per CPU).
+parallel entry point.  Each task is a row and its mirror row: every map in
+``dmy.planar`` is odd (``PlanarMap.odd``), so a cell whose center is exactly
+minus a classified cell's center takes that cell's code, and a window with
+antisymmetric centers classifies each antipodal pair of cells once.  Tasks
+go to a process pool and the rows are reassembled in row order, so the
+raster is a deterministic function of its inputs no matter the worker count
+(the ``workers`` argument, never more than one per CPU).
 """
 
 from __future__ import annotations
@@ -510,24 +514,62 @@ def resolve_workers(requested: int | None = None) -> int:
     return min(chosen, cpus)
 
 
-def _basin_row(task):
-    m, half_width, width, height, omega_cfg, row = task
-    y = half_width - (2 * row + 1) * half_width / height
-    out = bytearray(width)
-    for i in range(width):
-        x = -half_width + (2 * i + 1) * half_width / width
-        out[i] = _TAG_CODE[classify_omega(m, Point2(x, y), omega_cfg).tag]
-    return bytes(out)
+def _center(start: float, step: float, i: int, n: int) -> float:
+    """start + (2i + 1) * step / n, the center of cell i of n, with start and
+    step +-L.  A window near the double range overflows (2i + 1) * L although
+    every center is finite: that center is redone with L scaled down by a
+    power of two, exact for normal floats, and scaled back up."""
+    c = start + (2 * i + 1) * step / n
+    if math.isfinite(c):
+        return c
+    s = 2.0 ** (2 * n).bit_length()
+    return (start / s + (2 * i + 1) * (step / s) / n) * s
+
+
+def _basin_rows(task):
+    """Codes of the row at height y and of its mirror row at y2, top first;
+    y2 None makes the row its own mirror (the middle row of an odd height).
+
+    When the map is odd, a cell of the mirror row whose center is exactly
+    minus the center of a cell already classified takes that cell's code:
+    its orbit is that orbit negated, norm for norm.  The test is made per
+    cell, so a window whose centers are not exactly antisymmetric still
+    classifies every cell it cannot copy."""
+    m, xs, y, y2, omega = task
+    width = len(xs)
+    top = bytearray(width)
+    if y2 is None:
+        y2, bottom = y, top
+    else:
+        bottom = bytearray(width)
+        for i, x in enumerate(xs):
+            top[i] = _TAG_CODE[classify_omega(m, Point2(x, y), omega).tag]
+    mirrored = m.odd and y == -y2
+    for i, x in enumerate(xs):
+        j = width - 1 - i
+        # cell j must be classified already: in the other row, or left of
+        # cell i in a row that is its own mirror
+        if mirrored and (bottom is not top or j < i) and xs[j] == -x:
+            bottom[i] = top[j]
+        else:
+            bottom[i] = _TAG_CODE[classify_omega(m, Point2(x, y2), omega).tag]
+    return (bytes(top),) if bottom is top else (bytes(top), bytes(bottom))
 
 
 def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
                  omega: OmegaConfig | None = None, workers: int | None = None) -> BasinGrid:
     """Classify every cell center of a width x height grid over [-L, L]^2.
 
+    Cell (i, r) has center (-L + (2i+1) L / width, L - (2r+1) L / height).
+    Row r and its mirror row height-1-r form one task; for an odd map
+    (``m.odd``) a cell whose center is exactly minus an already classified
+    center copies that cell's code instead of being classified again, which
+    halves the work on windows whose centers are antisymmetric.
+
     ``workers`` None means one per CPU, and any count is clamped to the
     CPU count.  At most 4096 x 4096 cells.  Deterministic regardless of
-    worker count: rows are computed independently and joined in row order,
-    and cell centers depend only on the grid shape.
+    worker count: row pairs are computed independently and joined in row
+    order, and cell centers depend only on the grid shape.
     """
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ParameterError(f"half-width must be positive and finite, got {half_width!r}")
@@ -537,15 +579,21 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
         raise ParameterError(
             f"raster has {width * height} cells, more than the {_MAX_CELLS} (4096x4096) cap")
     workers = resolve_workers(workers)
-    tasks = [(m, half_width, width, height, omega, j) for j in range(height)]
+    xs = [_center(-half_width, half_width, i, width) for i in range(width)]
+    ys = [_center(half_width, -half_width, r, height) for r in range(height)]
+    pairs = [(r, height - 1 - r) for r in range((height + 1) // 2)]
+    tasks = [(m, xs, ys[r], ys[r2] if r2 != r else None, omega) for r, r2 in pairs]
     if workers == 1 or width * height <= _SERIAL_CELL_LIMIT:
-        rows = [_basin_row(t) for t in tasks]
+        done = [_basin_rows(t) for t in tasks]
     else:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=min(workers, height), mp_context=ctx) as pool:
-            rows = list(pool.map(_basin_row, tasks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
+            done = list(pool.map(_basin_rows, tasks))
+    rows = [b""] * height
+    for (r, r2), codes in zip(pairs, done):
+        rows[r], rows[r2] = codes[0], codes[-1]
     return BasinGrid(half_width=half_width, width=width, height=height,
                      codes=b"".join(rows))

@@ -29,6 +29,8 @@ because sigma stays in [0, 1].
 There is one evaluation path: ``_phi_parts`` gives phi(r) and phi'(r) * r
 together from one range check, one log and one walk over the knots, and
 ``phi_eval``, ``phi_log_slope`` and ``phi_deriv`` are projections of it.
+``phi_eval``, which ``RadialMap.xy`` calls on every step outside the flat
+disc, takes the walk's value-only path and skips the slope.
 
 A knot-by-knot construction of an equivalent envelope would need about
 exp(m_target) knots (around 1e40 at desk parameters), which is why the
@@ -109,8 +111,9 @@ def _ramp(profile: PhiProfile, u: float) -> tuple[float, float]:
     return mt - w * _smoothstep_integral(t), _smoothstep(t)
 
 
-def _phi_parts(profile: PhiProfile, r: float) -> tuple[float, float]:
-    """(phi(r), phi'(r) * r) from one range check, one log and one knot walk.
+def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
+    """(phi(r), phi'(r) * r) from one range check, one log and one knot walk,
+    or phi(r) alone when ``slope`` is false.
 
     The slope is the product in closed form, -(eps/8) * sigma(ln(r/R)):
     sigma lies in [0, 1], and scaling eps/8 by a factor <= 1 cannot round
@@ -118,24 +121,27 @@ def _phi_parts(profile: PhiProfile, r: float) -> tuple[float, float]:
     """
     if not r >= 0.0:
         raise ParameterError(f"radius must be >= 0, got {r!r}")
+    e8 = profile.eps / 8.0
     if r <= profile.R:
-        return 1.0, 0.0
+        val, s = 1.0, 0.0
     # compare against r_tail directly: log rounding must not push the exact
     # tail value off the floor branch
-    if r >= profile.r_tail:
-        return profile.floor, 0.0
-    u = math.log(r / profile.R)
-    if u >= profile.m_target + profile.ramp:
-        return profile.floor, 0.0
-    m, s = _ramp(profile, u)
-    e8 = profile.eps / 8.0
-    val = 1.0 - e8 * m
-    # rounding may graze the floor just before the tail branch takes over
-    return val if val > profile.floor else profile.floor, -e8 * s if s else 0.0
+    elif (r >= profile.r_tail
+          or (u := math.log(r / profile.R)) >= profile.m_target + profile.ramp):
+        val, s = profile.floor, 0.0
+    else:
+        m, s = _ramp(profile, u)
+        val = 1.0 - e8 * m
+        # rounding may graze the floor just before the tail branch takes over
+        if not val > profile.floor:
+            val = profile.floor
+    if not slope:
+        return val
+    return val, -e8 * s if s else 0.0
 
 
 def phi_eval(profile: PhiProfile, r: float) -> float:
-    return _phi_parts(profile, r)[0]
+    return _phi_parts(profile, r, False)
 
 
 def phi_log_slope(profile: PhiProfile, r: float) -> float:

@@ -16,6 +16,19 @@ arguments, so instances can be shared freely across threads or processes.
 The damped variant reuses the plain Szlenk arithmetic verbatim and then
 subtracts a*(x, y) term by term, so its image and Jacobian are exactly the
 undamped ones shifted: same intermediate roundings, then one subtraction.
+
+Every variant is odd, f(-p) = -f(p), and its ``xy`` kernel keeps that
+exactly: products, quotients by the even denominator 1 + x^2 + y^2, sums
+(round-to-nearest rounds a + b and (-a) + (-b) alike) and ``hypot`` are
+symmetric in sign, so ``xy(-x, -y) == (-fx, -fy)``.  Only the sign of a
+zero can differ (an exact cancellation gives +0.0 either way), and no
+kernel reads the sign of a zero, so an orbit from -p is, norm for norm, the
+negated orbit from p.  The class constant ``odd`` states this promise, and
+``basin_raster`` relies on it to classify each antipodal pair of cells
+once.  It is False on ``PlanarMap``, True on the four leaf variants and,
+on a composite, True when every member is odd.  A subclass that overrides
+``xy`` must set ``odd`` again, because it is inherited with the kernel it
+describes.
 """
 
 from __future__ import annotations
@@ -69,7 +82,11 @@ class PlanarMap(ABC):
     The kernels return their result unchecked: a non-finite component means
     the evaluation left the doubles, and callers of the raw kernels must
     treat it as an escape.  ``eval`` and ``jacobian`` are the checked forms.
+    ``odd`` is True only when ``xy(-x, -y) == (-fx, -fy)`` everywhere and
+    the sign of a zero input changes at most the signs of zeros in the image.
     """
+
+    odd = False
 
     @abstractmethod
     def xy(self, x: float, y: float) -> tuple[float, float]:
@@ -125,6 +142,7 @@ class LinearMap(PlanarMap):
         m = self.matrix
         return m.a11, m.a12, m.a21, m.a22
 
+    odd = True
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian
 
@@ -152,6 +170,7 @@ class SzlenkMap(PlanarMap):
     def jac(self, x, y):
         return _szlenk_jac(self.k, x, y)
 
+    odd = True
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian
 
@@ -181,6 +200,7 @@ class DampedSzlenkMap(PlanarMap):
         j11, j12, j21, j22 = _szlenk_jac(self.k, x, y)
         return j11 - a, j12, j21, j22 - a
 
+    odd = True
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian
 
@@ -212,6 +232,7 @@ class RadialMap(PlanarMap):
         s = fp / r
         return f + s * x * x, s * x * y, s * x * y, f + s * y * y
 
+    odd = True
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian
 
@@ -257,6 +278,10 @@ class CompositeMap(PlanarMap):
             i -= 1
             later.append(members[i].jac(x, y))
         return _chain_product(first, later)
+
+    @property
+    def odd(self):
+        return all(m.odd for m in self.members)
 
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian

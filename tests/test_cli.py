@@ -492,3 +492,12 @@ def test_installed_entry_point_smoke():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("r,phi,phi_prime_times_r\n")
+
+
+def test_basin_window_near_the_double_range(tmp_path, capsys):
+    # (2i + 1) * L overflows at L = 1e308 although every cell center is finite
+    out = tmp_path / "b.pgm"
+    assert main(["basin", "--map", "linear", "--matrix", "0.5,0,0,0.5", "--L", "1e308",
+                 "--grid", "4x4", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"P5\n4 4\n255\n" + b"\x55" * 16
+    assert capsys.readouterr().err == ""

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import struct
 
 import pytest
 
@@ -8,6 +10,7 @@ from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
                  dissipativity_bound, dynamics, find_periodic, phi_eval,
                  step_function, verify_counterexample)
 from dmy import counterexample as ce
+from dmy.spectral import _lerp, _log_radii, _norm, _radius, _ring_points
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
                    "radial-orientation", "period-4-orbit", "profile-envelope"]
@@ -282,3 +285,27 @@ def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
                 if c.name == "spectral-radius-bound").data
     assert tuple(data["worst"]) in set(verify.points)
     assert data["max"] < 0.95
+
+
+def test_damped_jacobian_is_exactly_even():
+    rng = random.Random(11)
+    points = [(0.0, 0.0), (0.0, 1.0), (-0.0, 3.0), (2.5, 0.0), (50.0, -50.0), (1e-320, 7.0)]
+    points += [(rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)) for _ in range(2000)]
+    for m in (DampedSzlenkMap(1.01, 0.005), DampedSzlenkMap(1.15, 0.3)):
+        for x, y in points:
+            assert (struct.pack("<4d", *m.jac(-x, -y))
+                    == struct.pack("<4d", *m.jac(x, y))), (x, y)
+
+
+def test_damped_sweep_half_grid_sees_the_whole_grid():
+    cfg = ce.SweepConfig
+    g, hw = cfg.norm_grid, cfg.norm_half_width
+    assert g * g // 2 + 1 == 3281
+    for k, a in ((1.01, 0.005), (1.15, 0.3), (1.004, 0.02)):
+        damped = DampedSzlenkMap(k, a)
+        full = [damped._jac(_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
+                for iy in range(g) for ix in range(g)]
+        rings = _ring_points(_log_radii(1e-2, cfg.norm_r_max, cfg.norm_radii), cfg.norm_angles)
+        full += [damped._jac(x, y) for x, y in rings]
+        want = (max(0.0, *(_norm(*j) for j in full)), max(0.0, *(_radius(*j) for j in full)))
+        assert ce._damped_sweep(damped) == want

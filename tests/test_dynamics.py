@@ -617,3 +617,143 @@ def test_resolve_workers_clamps_to_cpu_count(monkeypatch):
     assert resolve_workers(3) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown counts as one
     assert resolve_workers(64) == 1
+
+
+# ------------------------------------------------------ antipodal basin cells
+
+
+_CODE = {OmegaTag.CONVERGES_TO_ORIGIN: 0, OmegaTag.PERIODIC: 1,
+         OmegaTag.ESCAPING: 2, OmegaTag.UNDECIDED: 3}
+
+
+def _classify_every_cell(m, L, width, height, omega=None):
+    """The raster by definition: every cell center classified on its own."""
+    out = bytearray()
+    for r in range(height):
+        y = L - (2 * r + 1) * L / height
+        for i in range(width):
+            x = -L + (2 * i + 1) * L / width
+            out.append(_CODE[classify_omega(m, Point2(x, y), omega).tag])
+    return bytes(out)
+
+
+def test_classify_at_minus_p_mirrors_classify_at_p(bundle):
+    rotation = LinearMap(Mat2(0.0, -1.0, 1.0, 0.0))
+    cases = [(bundle.composite, (9.0, 1.5)), (bundle.composite, (-14.0, 13.0)),
+             (SZLENK, (10.0, 0.0)), (SZLENK, (3.0, -4.0)), (SZLENK, (25.0, 25.0)),
+             (DampedSzlenkMap(1.01, 0.005), (7.5, 2.0)), (CONTRACT, (7.0, -3.0)),
+             (rotation, (1.0, 2.0)), (rotation, (0.0, 3.0)), (SZLENK, (0.0, 0.0)),
+             (LinearMap(Mat2(1.5, 1.0, -0.0, 0.5)), (1.0, -1.0)), (SZLENK, (1e200, -1e200))]
+    omega = OmegaConfig(max_iter=3000)
+    tags = set()
+    for m, (x, y) in cases:
+        assert m.odd
+        v = classify_omega(m, Point2(x, y), omega)
+        w = classify_omega(m, Point2(-x, -y), omega)
+        tags.add(v.tag)
+        assert (w.tag, w.iterations, w.period) == (v.tag, v.iterations, v.period)
+        assert struct.pack("<d", w.final_norm) == struct.pack("<d", v.final_norm)
+        if v.representative is None:
+            assert w.representative is None
+        else:
+            assert (w.representative.x, w.representative.y) == (-v.representative.x,
+                                                                -v.representative.y)
+    assert tags == {OmegaTag.CONVERGES_TO_ORIGIN, OmegaTag.PERIODIC, OmegaTag.ESCAPING}
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (17, 15), (9, 2), (2, 9)])
+@pytest.mark.parametrize("L", [30.0, 29.7, 30.0 * 1.0037])
+def test_basin_raster_equals_classifying_every_cell(shape, L):
+    width, height = shape
+    omega = OmegaConfig(max_iter=300)
+    assert basin_raster(SZLENK, L, width, height, omega).codes == _classify_every_cell(
+        SZLENK, L, width, height, omega)
+
+
+def test_basin_raster_of_composite_equals_classifying_every_cell(bundle):
+    omega = OmegaConfig(max_iter=500)
+    for L, width, height in ((15.0, 16, 16), (15.0 * 0.9953, 16, 16), (15.0, 13, 11)):
+        codes = basin_raster(bundle.composite, L, width, height, omega).codes
+        assert codes == _classify_every_cell(bundle.composite, L, width, height, omega)
+        assert len(set(codes)) > 1
+
+
+def test_basin_raster_center_at_exact_zero():
+    # 510 / 17 == 30.0, so the middle column and the middle row sit at 0.0
+    assert -30.0 + 17 * 30.0 / 17 == 0.0 and 30.0 - 15 * 30.0 / 15 == 0.0
+    for m in (SZLENK, LinearMap(Mat2(0.0, -1.2, 0.9, 0.0)), LinearMap(Mat2(1.5, 0.0, 0.0, 0.5))):
+        omega = OmegaConfig(max_iter=500)
+        assert basin_raster(m, 30.0, 17, 15, omega).codes == _classify_every_cell(
+            m, 30.0, 17, 15, omega)
+
+
+def test_basin_raster_of_maps_that_are_not_odd():
+    # both rasters are lopsided, so copying a mirror cell's code would show
+    shift = TranslationMap()
+    omega = OmegaConfig(max_iter=5, escape_radius=12.0)
+    assert not shift.odd
+    codes = basin_raster(shift, 10.0, 10, 10, omega).codes
+    assert codes == _classify_every_cell(shift, 10.0, 10, 10, omega)
+    assert codes != codes[::-1]
+    # a scripted 2-cycle through the cell center (2, 0); every other cell escapes
+    script = ScriptMap(2.0, 1.0, 2.0)
+    codes = basin_raster(script, 3.0, 3, 3).codes
+    assert codes == _classify_every_cell(script, 3.0, 3, 3)
+    assert codes == bytes([2, 2, 2, 2, 2, 1, 2, 2, 2])
+
+
+def test_basin_raster_pooled_equals_classifying_every_cell(monkeypatch):
+    # more cells than the serial limit, an odd height for a self-paired
+    # middle row, and a window whose centers mirror only in part
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    saddle = LinearMap(Mat2(1.5, 0.0, 0.0, 0.5))
+    omega = OmegaConfig(max_iter=200)
+    for m, L in ((saddle, 10.0), (saddle, 9.93), (TranslationMap(), 10.0)):
+        cfg = OmegaConfig(max_iter=5, escape_radius=12.0) if not m.odd else omega
+        want = _classify_every_cell(m, L, 65, 67, cfg)
+        assert len(set(want)) > 1
+        for workers in (1, 2):
+            assert basin_raster(m, L, 65, 67, cfg, workers=workers).codes == want
+
+
+def test_basin_raster_classifies_each_antipodal_pair_once(monkeypatch):
+    calls = []
+
+    def counting(m, p, cfg=None):
+        calls.append((p.x, p.y))
+        return classify_omega(m, p, cfg)
+
+    monkeypatch.setattr(dynamics, "classify_omega", counting)
+    g = basin_raster(SZLENK, 30.0, 16, 16)
+    assert len(calls) == 128 and len(set(calls)) == 128
+    assert g.counts() == (80, 0, 176, 0)
+    calls.clear()
+    basin_raster(TranslationMap(), 30.0, 16, 16, OmegaConfig(max_iter=3))
+    assert len(calls) == 256
+    # jittered windows: a cell goes unclassified only when its center's exact
+    # negation was classified, and some mirror rows keep cells to classify
+    for L, width, height in ((29.7, 17, 15), (30.0 * 1.0037, 16, 16), (9.93, 12, 16)):
+        calls.clear()
+        basin_raster(SZLENK, L, width, height, OmegaConfig(max_iter=200))
+        done = set(calls)
+        centers = [(-L + (2 * i + 1) * L / width, L - (2 * r + 1) * L / height)
+                   for r in range(height) for i in range(width)]
+        skipped = [(x, y) for x, y in centers if (x, y) not in done]
+        assert skipped and all((-x, -y) in done for x, y in skipped)
+        assert width * (height // 2) < len(calls) < width * height
+
+
+def test_cell_centers_near_the_double_range():
+    # (2i + 1) * L overflows; the centers are redone at a power-of-two scale
+    assert [dynamics._center(-1e308, 1e308, i, 4) for i in range(4)] == [
+        -7.5e307, -2.5e307, 2.5e307, 7.5e307]
+    assert [dynamics._center(1e308, -1e308, r, 4) for r in range(4)] == [
+        7.5e307, 2.5e307, -2.5e307, -7.5e307]
+    big = 1.7976931348623157e308
+    xs = [dynamics._center(-big, big, i, 4096) for i in range(4096)]
+    assert all(map(math.isfinite, xs)) and xs == sorted(xs) and -big < xs[0] and xs[-1] < big
+    # ordinary windows keep the plain formula's bits
+    for L, n in ((30.0, 17), (29.7, 16), (1e300, 7)):
+        assert [dynamics._center(-L, L, i, n) for i in range(n)] == [
+            -L + (2 * i + 1) * L / n for i in range(n)]
+    assert basin_raster(CONTRACT, 1e308, 4, 4).counts() == (0, 0, 16, 0)

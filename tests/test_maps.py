@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmy import (CompositeMap, DampedSzlenkMap, K_MAX, LinearMap, Mat2,
-                 NumericOverflowError, ParameterError, Point2, RadialMap,
+                 NumericOverflowError, ParameterError, PlanarMap, Point2, RadialMap,
                  SzlenkMap, build_phi, compose, fd_jacobian, iterate,
                  step_function)
 from dmy.phi import phi_eval
@@ -357,3 +357,76 @@ def test_composite_jacobian_is_bit_equal_to_mat2_chain(bundle):
             assert _raw(_chain_product(factors[0], factors[1:])) == want_first
             assert (_raw(_chain_product((1.0, 0.0, 0.0, 1.0), factors))
                     == _raw(_mat2_chain((1.0, 0.0, 0.0, 1.0), factors)))
+
+
+# ------------------------------------------------------------------ oddness
+
+
+class _ShiftMap(PlanarMap):
+    """p + (1, 0): inherits odd = False from PlanarMap."""
+
+    def xy(self, x, y):
+        return x + 1.0, y
+
+    def jac(self, x, y):
+        return 1.0, 0.0, 0.0, 1.0
+
+    def describe(self):
+        return "shift"
+
+
+_RADIAL = RadialMap(build_phi(20.0, 2.0, 0.05))
+_PAPER_RADIAL = RadialMap(build_phi(19.99999999999999, 1.5907629949682967, 0.05))
+_DAMPED = DampedSzlenkMap(1.01, 0.005)
+_ODD_MAPS = [LinearMap(Mat2(0.5, 1.0, 0.0, 0.5)), LinearMap(Mat2(1.0, 1.0, -1.0, 1.0)),
+             LinearMap(Mat2(-0.0, -1.2, 0.9, 0.0)), SzlenkMap(1.01), SzlenkMap(1.15),
+             _DAMPED, DampedSzlenkMap(1.05, 0.2), _RADIAL, _PAPER_RADIAL,
+             compose(_PAPER_RADIAL, _DAMPED),
+             CompositeMap((CompositeMap((_RADIAL, _DAMPED)), LinearMap(Mat2(0.6, -0.8, 0.8, 0.6)))),
+             CompositeMap((SzlenkMap(1.01), CompositeMap((_RADIAL, CompositeMap((_DAMPED,))))))]
+
+
+def _image_or_escape(m, x, y):
+    try:
+        return m.xy(x, y)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _same_float(a, b):
+    # a zero may come back with either sign: an exact cancellation rounds to
+    # +0.0 at p and at -p alike
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_odd_flags():
+    assert PlanarMap.odd is False and _ShiftMap().odd is False
+    assert all(m.odd for m in _ODD_MAPS)
+    assert not CompositeMap((_RADIAL, _ShiftMap())).odd
+    assert not CompositeMap((CompositeMap((_ShiftMap(),)), _DAMPED)).odd
+    assert compose(_RADIAL, _DAMPED).odd
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.floats(), st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_every_kernel_is_exactly_odd(x, y, entries):
+    for m in _ODD_MAPS + [LinearMap(Mat2(*entries))]:
+        f, g = _image_or_escape(m, x, y), _image_or_escape(m, -x, -y)
+        if isinstance(f, type):
+            assert g is f, m.describe()
+            continue
+        assert _same_float(g[0], -f[0]) and _same_float(g[1], -f[1]), (m.describe(), f, g)
+        if f[0] and f[1] and not (math.isnan(f[0]) or math.isnan(f[1])):
+            assert _bits(m.xy, -x, -y) == _bits(lambda x, y: (-f[0], -f[1]), x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_kernels_do_not_read_the_sign_of_a_zero(t):
+    for m in _ODD_MAPS:
+        for a, b in (((0.0, t), (-0.0, t)), ((t, 0.0), (t, -0.0))):
+            f, g = _image_or_escape(m, *a), _image_or_escape(m, *b)
+            if isinstance(f, type):
+                assert g is f
+            else:
+                assert all(map(_same_float, f, g)), (m.describe(), a, f, g)

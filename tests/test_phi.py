@@ -277,3 +277,25 @@ def test_single_walk_rejects_negative_and_nan_radii(prof):
     for x, y in ((math.nan, 0.0), (0.0, math.nan)):
         with pytest.raises(ParameterError):
             RadialMap(prof).jac(x, y)
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=IDS)
+def test_value_only_walk_matches_the_two_walks_bit_for_bit(prof):
+    for r in _knot_radii(prof):
+        want = _raw(_ref_phi_eval(prof, r))
+        assert _raw(_phi_parts(prof, r, False)) == want, r
+        assert _raw(phi_eval(prof, r)) == want, r
+    h = RadialMap(prof)
+    for r in _knot_radii(prof):
+        if not math.isfinite(r):
+            continue
+        for x, y in ((r, 0.0), (-r, -0.0), (0.6 * r, -0.8 * r)):
+            f = _ref_phi_eval(prof, math.hypot(x, y))
+            assert _raw(*h.xy(x, y)) == _raw(f * x, f * y), (x, y)
+
+
+@pytest.mark.parametrize("prof", PROFILES, ids=IDS)
+def test_value_only_walk_rejects_negative_and_nan_radii(prof):
+    for r in (-1.0, -5e-324, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            _phi_parts(prof, r, False)
