@@ -31,8 +31,8 @@ import sys
 import tempfile
 
 from .counterexample import build_counterexample, verify_counterexample
-from .dynamics import (BasinGrid, NewtonConfig, OmegaConfig, DissipativitySampling,
-                       basin_raster, dissipativity_bound, find_periodic,
+from .dynamics import (_MAX_CELLS, BasinGrid, NewtonConfig, OmegaConfig,
+                       DissipativitySampling, basin_raster, dissipativity_bound, find_periodic,
                        verify_invariant_ray)
 from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
@@ -270,7 +270,24 @@ def _parse_grid(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise ParameterError(f"grid must be NxM, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    try:
+        nx, ny = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ParameterError(f"--grid has an axis too long to read; "
+                             f"the cap is {_MAX_CELLS} (4096x4096) cells") from None
+    if nx * ny > _MAX_CELLS:
+        raise ParameterError(
+            f"--grid {text} has {nx * ny} cells, more than the {_MAX_CELLS} (4096x4096) cap")
+    return nx, ny
+
+
+def _capped(resolved: dict, dest: str) -> int:
+    """The count flag ``dest``, rejected above the 4096x4096 cell cap before it sizes a list."""
+    n = resolved[dest]
+    if n > _MAX_CELLS:
+        raise ParameterError(f"--{dest.replace('_', '-')} must be at most {_MAX_CELLS} "
+                             f"(the 4096x4096 cell cap), got {n!r}")
+    return n
 
 
 def _make_map(resolved: dict):
@@ -381,7 +398,7 @@ def _run_spectrum_check(report: SpectrumReport, spec: str) -> Verdict:
 def _run_spectrum(sub: str, resolved: dict) -> int:
     m, _ = _make_map(resolved)
     region = _parse_region(resolved["region"])
-    if resolved["random"] != 0:  # RandomStrategy rejects a negative count
+    if _capped(resolved, "random") != 0:  # RandomStrategy rejects a negative count
         strategy = RandomStrategy(resolved["random"], resolved["rng_seed"])
     else:
         nx, ny = _parse_grid(resolved["grid"])
@@ -411,9 +428,10 @@ def _run_spectrum(sub: str, resolved: dict) -> int:
 def _run_orbit(sub: str, resolved: dict) -> int:
     m, _ = _make_map(resolved)
     start = _parse_point(resolved["start"], "--start")
-    if resolved["steps"] < 0:
-        raise ParameterError(f"--steps must be >= 0, got {resolved['steps']!r}")
-    orbit = iterate(m, start, resolved["steps"], resolved["escape_radius"])
+    steps = _capped(resolved, "steps")
+    if steps < 0:
+        raise ParameterError(f"--steps must be >= 0, got {steps!r}")
+    orbit = iterate(m, start, steps, resolved["escape_radius"])
     rows = ((i, p.x, p.y, p.norm()) for i, p in enumerate(orbit.points))
     _emit_csv(["step", "x", "y", "norm"], rows, resolved["out"])
     return 0
@@ -421,7 +439,8 @@ def _run_orbit(sub: str, resolved: dict) -> int:
 
 def _run_periodic(sub: str, resolved: dict) -> int:
     m, _ = _make_map(resolved)
-    orbit = find_periodic(m, resolved["period"], _parse_point(resolved["seed"], "--seed"),
+    period = _capped(resolved, "period")
+    orbit = find_periodic(m, period, _parse_point(resolved["seed"], "--seed"),
                           NewtonConfig(tol=resolved["tol"], max_steps=resolved["max_steps"]))
     mults = orbit.multipliers
     obj = {
@@ -463,7 +482,7 @@ def _run_counterexample(sub: str, resolved: dict) -> int:
 
 def _run_phi(sub: str, resolved: dict) -> int:
     profile = build_phi(resolved["R"], resolved["C"], resolved["eps"])
-    n = resolved["log_samples"]
+    n = _capped(resolved, "log_samples")
     if n < 2:
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
     rows = [(r, *_phi_parts(profile, r))
@@ -474,7 +493,7 @@ def _run_phi(sub: str, resolved: dict) -> int:
 
 def _run_ray(sub: str, resolved: dict) -> int:
     m, _ = _make_map(resolved)
-    n = resolved["samples"]
+    n = _capped(resolved, "samples")
     if n < 2:
         raise ParameterError(f"--samples must be >= 2, got {n!r}")
     if not resolved["radius"] > 0.0:
@@ -510,9 +529,9 @@ def _run_dissipativity(sub: str, resolved: dict) -> int:
             radius = float(raw)
         except ValueError:
             raise ParameterError(f"--radius must be a number or 'tail', got {raw!r}") from None
-    sampling = DissipativitySampling(ball_radii=resolved["ball_radii"],
-                                     angles=resolved["angles"],
-                                     outer_radii=resolved["outer_radii"])
+    sampling = DissipativitySampling(ball_radii=_capped(resolved, "ball_radii"),
+                                     angles=_capped(resolved, "angles"),
+                                     outer_radii=_capped(resolved, "outer_radii"))
     bound = dissipativity_bound(m, radius, resolved["alpha"], sampling)
     obj = {
         "config": _embedded_config(sub, resolved),

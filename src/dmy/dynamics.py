@@ -19,19 +19,21 @@ Four questions about a planar map, answered by finite computation:
 parallel entry point.  Each task is a row and its mirror row: every map in
 ``dmy.planar`` is odd (``PlanarMap.odd``), so a cell whose center is exactly
 minus a classified cell's center takes that cell's code, and a window with
-antisymmetric centers classifies each antipodal pair of cells once.  Tasks
-go to a process pool and the rows are reassembled in row order, so the
-raster is a deterministic function of its inputs no matter the worker count
-(the ``workers`` argument, never more than one per CPU).
+antisymmetric centers classifies each antipodal pair of cells once.  A
+raster of more than 4096 cells with more than one worker sends its tasks to
+a process pool, and only then are ``multiprocessing`` and
+``concurrent.futures`` imported; smaller rasters and one worker run the
+tasks in process.  The rows are reassembled in row order, so the raster is
+a deterministic function of its inputs no matter the worker count (the
+``workers`` argument, never more than one per CPU the process may run on:
+its affinity set where the platform reports one, else ``os.cpu_count()``).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from enum import Enum
 from itertools import chain
@@ -473,7 +475,8 @@ _TAG_CODE = {
 
 # below this many cells the fork+pickle overhead outweighs the row work
 _SERIAL_CELL_LIMIT = 4096
-# the task list and the code buffer grow with the cell count
+# the task list and the code buffer grow with the cell count; the CLI caps
+# every count that sizes a list at the same value
 _MAX_CELLS = 4096 * 4096
 
 
@@ -504,10 +507,19 @@ class BasinGrid:
                 self.codes.count(2), self.codes.count(3))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else ``os.cpu_count()``, and one when that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count for parallel sweeps: explicit request or one per CPU,
-    never more than the CPU count."""
-    cpus = os.cpu_count() or 1
+    never more than the CPUs the process may run on."""
+    cpus = _cpu_count()
     chosen = requested if requested is not None else cpus
     if chosen < 1:
         raise ParameterError(f"worker count must be >= 1, got {requested!r}")
@@ -567,9 +579,11 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
     halves the work on windows whose centers are antisymmetric.
 
     ``workers`` None means one per CPU, and any count is clamped to the
-    CPU count.  At most 4096 x 4096 cells.  Deterministic regardless of
-    worker count: row pairs are computed independently and joined in row
-    order, and cell centers depend only on the grid shape.
+    CPUs the process may run on; the pool forks only for more than 4096
+    cells and more than one worker.  At most 4096 x 4096 cells.
+    Deterministic regardless of worker count: row pairs are computed
+    independently and joined in row order, and cell centers depend only on
+    the grid shape.
     """
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ParameterError(f"half-width must be positive and finite, got {half_width!r}")
@@ -586,6 +600,10 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
     if workers == 1 or width * height <= _SERIAL_CELL_LIMIT:
         done = [_basin_rows(t) for t in tasks]
     else:
+        # imported here so that serial rasters and every other command never
+        # load the pool's modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -334,6 +336,31 @@ def test_phi_rejects_tiny_sample_count(capsys):
     capsys.readouterr()
 
 
+_CAP = 4096 * 4096
+_OVER = str(_CAP + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--log-samples", _OVER],
+    ["ray", "--map", "szlenk", "--samples", _OVER],
+    ["dissipativity", "--map", "szlenk", "--ball-radii", _OVER],
+    ["dissipativity", "--map", "szlenk", "--outer-radii", _OVER],
+    ["dissipativity", "--map", "szlenk", "--angles", _OVER],
+    ["spectrum", "--map", "szlenk", "--random", _OVER],
+    ["spectrum", "--map", "szlenk", "--grid", "4097x4096"],
+    ["spectrum", "--map", "szlenk", "--grid", "1" * 5000 + "x1"],
+    ["orbit", "--map", "szlenk", "--steps", _OVER],
+    ["periodic", "--map", "szlenk", "--period", _OVER],
+])
+def test_count_flags_are_capped(argv, capsys):
+    # every count that sizes a list is rejected above the basin's cell cap
+    flag = next(a for a in argv if a.startswith("--") and a != "--map")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and str(_CAP) in captured.err
+
+
 # ---------------------------------------------------------------------- ray
 
 
@@ -483,6 +510,25 @@ def test_config_type_errors(tmp_path, capsys):
 
 
 # -------------------------------------------------------------- entry point
+
+
+def test_serial_raster_loads_no_pool_modules():
+    # the pool's modules load only when a raster forks; the check compares
+    # against a snapshot because site hooks vary
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import dmy, dmy.cli",
+        "dmy.basin_raster(dmy.SzlenkMap(1.01), 30.0, 8, 8)",
+        "added = set(sys.modules) - before",
+        "assert 'dmy.dynamics' in added",
+        "print(sorted(n for n in added if n.startswith(('multiprocessing', 'concurrent'))))",
+    ])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_installed_entry_point_smoke():

@@ -575,7 +575,7 @@ def test_basin_serial_and_parallel_agree():
 def test_basin_serial_and_pooled_composite_agree(bundle, monkeypatch):
     # more cells than the serial limit, so two workers really fork and each
     # rebuilds the composite's step closure from the pickled map
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
     omega = OmegaConfig(max_iter=500)
     serial = basin_raster(bundle.composite, 15.0, 72, 72, omega, workers=1)
     pooled = basin_raster(bundle.composite, 15.0, 72, 72, omega, workers=2)
@@ -599,7 +599,7 @@ def test_basin_grid_validation():
 
 
 def test_resolve_workers_env(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 16)
     assert resolve_workers(3) == 3
     assert resolve_workers() >= 1
     with pytest.raises(ParameterError):
@@ -611,11 +611,21 @@ def test_resolve_workers_env(monkeypatch):
 
 
 def test_resolve_workers_clamps_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 4)
     assert resolve_workers(64) == 4
     assert resolve_workers() == 4
     assert resolve_workers(3) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown counts as one
+
+
+def test_cpu_count_is_the_affinity_set(monkeypatch):
+    # pinned to one CPU of two: one worker, whatever was asked
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers() == 1 and resolve_workers(8) == 1
+    # without an affinity call the CPU count decides, and unknown counts as one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers(8) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_workers(64) == 1
 
 
@@ -705,7 +715,7 @@ def test_basin_raster_of_maps_that_are_not_odd():
 def test_basin_raster_pooled_equals_classifying_every_cell(monkeypatch):
     # more cells than the serial limit, an odd height for a self-paired
     # middle row, and a window whose centers mirror only in part
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
     saddle = LinearMap(Mat2(1.5, 0.0, 0.0, 0.5))
     omega = OmegaConfig(max_iter=200)
     for m, L in ((saddle, 10.0), (saddle, 9.93), (TranslationMap(), 10.0)):
