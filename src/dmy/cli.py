@@ -491,17 +491,31 @@ def _run_phi(sub: str, resolved: dict) -> int:
     return 0
 
 
+def _sample_radius(radius: float, i: int, n: int) -> float:
+    """i * radius / (n - 1).  Near the double range i * radius overflows
+    although the quotient is finite: that radius is redone with radius scaled
+    down by a power of two, exact for normal floats, and scaled back up."""
+    r = i * radius / (n - 1)
+    if math.isfinite(r):
+        return r
+    s = 2.0 ** (n - 1).bit_length()
+    return i * (radius / s) / (n - 1) * s
+
+
 def _run_ray(sub: str, resolved: dict) -> int:
     m, _ = _make_map(resolved)
     n = _capped(resolved, "samples")
     if n < 2:
         raise ParameterError(f"--samples must be >= 2, got {n!r}")
-    if not resolved["radius"] > 0.0:
-        raise ParameterError(f"--radius must be positive, got {resolved['radius']!r}")
-    t = math.radians(resolved["angle"])
+    radius, angle = resolved["radius"], resolved["angle"]
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ParameterError(f"--radius must be positive and finite, got {radius!r}")
+    if not math.isfinite(angle):
+        raise ParameterError(f"--angle must be finite, got {angle!r}")
+    t = math.radians(angle)
     cx, cy = math.cos(t), math.sin(t)
-    pts = [Point2(cx * (i * resolved["radius"] / (n - 1)),
-                  cy * (i * resolved["radius"] / (n - 1))) for i in range(n)]
+    radii = [_sample_radius(radius, i, n) for i in range(n)]
+    pts = [Point2(cx * r, cy * r) for r in radii]
     verdict = verify_invariant_ray(m, pts, resolved["tol"])
     obj = {
         "config": _embedded_config(sub, resolved),

@@ -5,7 +5,10 @@ Four questions about a planar map, answered by finite computation:
 - where does an orbit go (``classify_omega``: origin, a cycle, infinity, or
   undecided within budget; the tail's norms are a sorted float list searched
   only in the band a revisit can lie in, and not at all when that band
-  misses the tail's norm range);
+  misses the tail's norm range.  On a monotone run, where each norm lies
+  band-above or band-below the previous one, that miss is decided from the
+  previous norm and the sorted list is not kept; it is rebuilt from the
+  tail when the run breaks, so verdicts and rasters do not depend on it);
 - where exactly is a period-n orbit (``find_periodic``: Newton's method on
   f^n(x) - x with the chain-rule Jacobian along the orbit);
 - how strongly does the map pull a large annulus inward
@@ -112,17 +115,29 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
     nn = hypot(x, y)
     if not (nn <= escape_radius):
         return OmegaVerdict(OmegaTag.ESCAPING, 0, nn)
-    # The last `window` iterates, indexed by norm: `sn` holds their norms
-    # sorted, `si` the index of each (equal norms in index order), and the
-    # rings rn/rx/ry the norm and point of index j at slot j % window.  A
-    # revisit within tol needs | |p|-|q| | <= |p-q| <= tol*max(|p|, |q|), so
-    # only the norm band [nn*(1-2tol), nn/(1-2tol)] can hold one: the factor 2
-    # absorbs rounding, and from tol >= 0.25 the band is open above.
-    sn, si = [nn], [0]
+    # The rings rn/rx/ry hold the norm and point of index j at slot
+    # j % window for the last `window` iterates.  A revisit within tol needs
+    # | |p|-|q| | <= |p-q| <= tol*max(|p|, |q|), so only the norm band
+    # [nn*(1-2tol), nn/(1-2tol)] can hold one: the factor 2 absorbs rounding,
+    # and from tol >= 0.25 the band is open above.
     rn, rx, ry = [nn] * window, [x] * window, [y] * window
     lo_f = 1.0 - 2.0 * tol
     hi_f = 1.0 / lo_f if tol < 0.25 else math.inf
     origin_run = 1 if nn <= origin_tol else 0
+    # A step rises (d = 1) when its band lies wholly above the previous norm
+    # `prev` and falls (d = -1) when it lies wholly below.  After window - 1
+    # steps of one direction (or one direction since index 0) the window is
+    # strictly monotone, so the band of a further step that way misses every
+    # norm in it: on such a monotone run the skip is decided from `prev` alone
+    # and a step writes only the rings.  Off runs, `sn` holds the window's
+    # norms sorted and `si` the index of each (equal norms in index order).
+    # The step that breaks a run rebuilds them from the rings in index order,
+    # reversed for a falling run: the list the index would have kept, since
+    # a strict run has no equal norms.  Verdicts do not depend on the mode.
+    sn, si = [nn], [0]
+    # `streak` counts the latest steps of direction `streak_d`; `run_dir` is
+    # the direction of the run in progress, None off runs
+    prev, streak, streak_d, run_dir = nn, 0, 0, None
     for i in range(1, max_iter + 1):
         try:
             x, y = step(x, y)
@@ -138,41 +153,58 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
                 return OmegaVerdict(OmegaTag.CONVERGES_TO_ORIGIN, i, nn)
         else:
             origin_run = 0
-            lo, hi = nn * lo_f, nn * hi_f
-            # skip the search when the band misses the tail's norm range
-            if lo <= sn[-1] and hi >= sn[0]:
-                # the newest match (largest index) is the smallest lag = minimal period
-                best = -1
-                k = bisect_left(sn, lo)
-                end = len(sn)
-                while k < end:
-                    bn = sn[k]
-                    if bn > hi:
-                        break
-                    j = si[k]
-                    k += 1
-                    scale = nn if nn >= bn else bn
-                    if abs(nn - bn) > tol * scale:
-                        continue
-                    s = j % window
-                    if j > best and hypot(x - rx[s], y - ry[s]) <= tol * scale:
-                        best = j
-                if best >= 0:
-                    return OmegaVerdict(OmegaTag.PERIODIC, i, nn, i - best, Point2(x, y))
-        # insert before evicting, so the index is never empty; the oldest
-        # entry comes first among equal norms
-        if nn >= sn[-1]:
-            sn.append(nn)
-            si.append(i)
-        else:
-            k = bisect_right(sn, nn)
-            sn.insert(k, nn)
-            si.insert(k, i)
+        lo, hi = nn * lo_f, nn * hi_f
+        d = 1 if lo > prev else -1 if hi < prev else 0
+        prev = nn
         slot = i % window
-        if i >= window:
-            old = rn[slot]
-            k = 0 if sn[0] == old else bisect_left(sn, old)
-            del sn[k], si[k]
+        if d == run_dir:
+            rn[slot], rx[slot], ry[slot] = nn, x, y
+            continue
+        if run_dir is not None:
+            si = list(range(max(0, i - window), i))
+            if run_dir < 0:
+                si.reverse()
+            sn = [rn[j % window] for j in si]
+            run_dir = None
+        # no search near the origin, nor when the band misses the tail's norm range
+        if not origin_run and lo <= sn[-1] and hi >= sn[0]:
+            # the newest match (largest index) is the smallest lag = minimal period
+            best = -1
+            k = bisect_left(sn, lo)
+            end = len(sn)
+            while k < end:
+                bn = sn[k]
+                if bn > hi:
+                    break
+                j = si[k]
+                k += 1
+                scale = nn if nn >= bn else bn
+                if abs(nn - bn) > tol * scale:
+                    continue
+                s = j % window
+                if j > best and hypot(x - rx[s], y - ry[s]) <= tol * scale:
+                    best = j
+            if best >= 0:
+                return OmegaVerdict(OmegaTag.PERIODIC, i, nn, i - best, Point2(x, y))
+        streak = streak + 1 if d == streak_d else 1
+        streak_d = d
+        if d and (streak >= window - 1 or streak == i):
+            # the window is now strictly monotone: the index is not kept
+            run_dir = d
+        else:
+            # insert before evicting, so the index is never empty; the oldest
+            # entry comes first among equal norms
+            if nn >= sn[-1]:
+                sn.append(nn)
+                si.append(i)
+            else:
+                k = bisect_right(sn, nn)
+                sn.insert(k, nn)
+                si.insert(k, i)
+            if i >= window:
+                old = rn[slot]
+                k = 0 if sn[0] == old else bisect_left(sn, old)
+                del sn[k], si[k]
         rn[slot], rx[slot], ry[slot] = nn, x, y
     return OmegaVerdict(OmegaTag.UNDECIDED, max_iter, nn)
 

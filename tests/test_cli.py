@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -278,6 +280,25 @@ def test_basin_runs_are_bitwise_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, sha, counts", [
+    (["--map", "szlenk", "--L", "30.17", "--max-iter", "1780"],
+     "9969ace8c6d8b28024ffc44465f41eee397dfbb82cb9200dbbdff1b9cb4a3380", (80, 0, 48, 128)),
+    (["--map", "counterexample", "--L", "15.09", "--max-iter", "2250"],
+     "900e17e53b9c6955ad84efe9398a677a5e8b19817f55c54b9f660538a42807b3", (188, 48, 0, 20)),
+], ids=["szlenk", "counterexample"])
+def test_basin_bytes_at_windows_that_mirror_little(argv, sha, counts, tmp_path, capsys):
+    # these centers are antisymmetric for few cells (32 and 50 of 256 are
+    # copied), so nearly every cell is classified; the budgets cut through
+    # the escape and cycle times, which pins iteration counts as well as tags
+    out = tmp_path / "b.pgm"
+    assert main(["basin", *argv, "--grid", "16x16", "--workers", "1", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha
+    body = data[len(b"P5\n16 16\n255\n"):]
+    assert tuple(body.count(bytes([shade])) for shade in (0xFF, 0xAA, 0x55, 0x00)) == counts
+    capsys.readouterr()
+
+
 # ----------------------------------------------------------- counterexample
 
 
@@ -382,6 +403,42 @@ def test_ray_counterexample_axis_not_invariant(capsys):
                           "--samples", "101"], capsys)
     assert code == 1
     assert obj["max_deviation"] == pytest.approx(15.083151069264147, rel=1e-9)
+
+
+@pytest.mark.parametrize("flag, value", [("--angle", "inf"), ("--angle", "-inf"),
+                                         ("--angle", "nan"), ("--radius", "inf"),
+                                         ("--radius", "-inf"), ("--radius", "nan")])
+def test_ray_rejects_non_finite_flags(flag, value, capsys):
+    assert main(["ray", "--map", "szlenk", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "finite" in captured.err
+
+
+@pytest.mark.parametrize("radius", ["1e308", "1.7976931348623157e308"])
+def test_ray_radius_near_the_double_range(radius, capsys):
+    # i * radius overflows although every sample radius i * radius / (n - 1) is finite
+    code, obj = run_strict_json(["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5",
+                                 "--radius", radius, "--samples", "11"], capsys)
+    assert code in (0, 1)
+    last = math.ldexp(10 * math.ldexp(float(radius), -64) / 10, 64)
+    assert obj["max_sample_radius"] == last <= float(radius)
+    assert obj["max_image_radius"] == 0.5 * last
+
+
+def test_ray_sample_radii_match_the_unscaled_formula():
+    # where i * radius / (n - 1) is finite it is the sample radius; near the
+    # double range the scaled fallback gives what an unbounded exponent would
+    from dmy.cli import _sample_radius
+    for radius in (0.1, 15.0, 100.0, 3e307, 1e308, 1.7976931348623157e308):
+        for n in (2, 3, 7, 101):
+            for i in range(n):
+                got = _sample_radius(radius, i, n)
+                plain = i * radius / (n - 1)
+                if math.isfinite(plain):
+                    assert got == plain
+                else:
+                    assert got == math.ldexp(i * math.ldexp(radius, -64) / (n - 1), 64)
 
 
 # ------------------------------------------------------------ dissipativity

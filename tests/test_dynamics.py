@@ -281,6 +281,60 @@ def test_classify_matches_lag_scan_on_random_starts(bundle):
                 _assert_same_as_lag_scan(m, p, cfg)
 
 
+def _script(start, *legs):
+    """Points on the x-axis from `start`, each leg (factors, steps) taking
+    `steps` steps that multiply by the factors in turn."""
+    xs = [start]
+    for factors, steps in legs:
+        for k in range(steps):
+            xs.append(xs[-1] * factors[k % len(factors)])
+    return xs
+
+
+def _assert_window_edge(xs, window):
+    # revisiting the point `window` iterates back is a cycle of that period;
+    # one iterate further back it has left the window
+    cfg = OmegaConfig(max_iter=3 * len(xs), window=window)
+    p = Point2(xs[0], 0.0)
+    inside = ScriptMap(*xs, xs[-window])
+    v = classify_omega(inside, p, cfg)
+    assert (v.tag, v.iterations, v.period) == (OmegaTag.PERIODIC, len(xs), window)
+    _assert_same_as_lag_scan(inside, p, cfg)
+    outside = ScriptMap(*xs, xs[-window - 1])
+    assert classify_omega(outside, p, cfg).tag is not OmegaTag.PERIODIC
+    _assert_same_as_lag_scan(outside, p, cfg)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 64])
+@pytest.mark.parametrize("start, factor", [(1.0, 1.25), (100.0, 0.8)], ids=["rising", "falling"])
+def test_classify_revisit_at_the_window_edge_after_a_monotone_run(window, start, factor):
+    # each norm lies band-above (band-below) the last for longer than the window
+    _assert_window_edge(_script(start, ((factor,), window + 5)), window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 64])
+def test_classify_revisit_after_leaving_and_reentering_runs(window):
+    # a rising run, a zigzag that breaks it, a rising run again, a falling run
+    # mirrored through the origin (its norms retrace the rising ones, so the
+    # band search finds candidates that are not revisits), and a last zigzag
+    n = window + 3
+    xs = _script(1.0, ((1.1,), n), ((1.5, 0.7), 5), ((1.1,), n), ((-0.9,), 1),
+                 ((0.9,), n), ((1.5, 0.7), 4))
+    assert len(set(xs)) == len(xs)
+    _assert_window_edge(xs, window)
+
+
+@pytest.mark.parametrize("p", [(200.0, 0.0), (0.0, -300.0), (-250.0, 170.0), (1000.0, -20.0)])
+def test_classify_composite_orbits_falling_onto_the_cycle(bundle, p):
+    # starts beyond the attracting cycle at radius 156.93 fall onto it
+    m = bundle.composite
+    v = classify_omega(m, Point2(*p))
+    assert (v.tag, v.period) == (OmegaTag.PERIODIC, 4)
+    assert v.final_norm == pytest.approx(156.935, abs=2e-3)
+    for cfg in (OmegaConfig(), OmegaConfig(window=3, cycle_rel_tol=0.3)):
+        _assert_same_as_lag_scan(m, Point2(*p), cfg)
+
+
 # ------------------------------------------------------------ find_periodic
 
 
