@@ -18,6 +18,12 @@ A ``--config file.json`` supplies defaults for any flag of the subcommand
 (keys are flag names with underscores); flags given on the command line win.
 Every JSON report embeds the fully resolved configuration under ``config``,
 and feeding that object back via ``--config`` reproduces the report.
+
+Each subcommand is declared once, in ``_COMMANDS``: its run function, help
+line and flags.  A run function maps the resolved flags to its output (a
+JSON report as a dict, CSV text or PGM bytes) and an exit code; ``main``
+alone heads a report with ``config``, writes the output to stdout or ``--out``
+and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -66,90 +72,8 @@ _IO_OPTS = [
      "JSON file with defaults for this subcommand's flags; flags win"),
 ]
 
-_OPTS = {
-    "spectrum": _MAP_OPTS + [
-        ("region", "--region", "str", "-30:30:-30:30",
-         "sample region xmin:xmax:ymin:ymax (default: -30:30:-30:30)"),
-        ("grid", "--grid", "str", "201x201",
-         "grid resolution NxM (default: 201x201)"),
-        ("random", "--random", "int", 0,
-         "sample this many random points instead of the grid (default: 0 = grid)"),
-        ("rng_seed", "--rng-seed", "int", 0,
-         "seed for --random sampling (default: 0)"),
-        ("check", "--check", "multi", [],
-         "spectrum verdict, repeatable: ball:RADIUS | interval-free:LO:HI | real-free"),
-    ] + _IO_OPTS,
-    "orbit": _MAP_OPTS + [
-        ("start", "--start", "str", "10,0", "starting point x,y (default: 10,0)"),
-        ("steps", "--steps", "int", 100, "iterations to record (default: 100)"),
-        ("escape_radius", "--escape-radius", "float", 1e9,
-         "stop once the orbit norm passes this (default: 1e9)"),
-    ] + _IO_OPTS,
-    "periodic": _MAP_OPTS + [
-        ("seed", "--seed", "str", "10,0", "newton starting point x,y (default: 10,0)"),
-        ("period", "--period", "int", 4, "orbit period to search for (default: 4)"),
-        ("tol", "--tol", "float", 1e-12, "closure residual target (default: 1e-12)"),
-        ("max_steps", "--max-steps", "int", 50, "newton step budget (default: 50)"),
-    ] + _IO_OPTS,
-    "basin": _MAP_OPTS + [
-        ("L", "--L", "float", 30.0, "window half-width, cells cover [-L,L]^2 (default: 30)"),
-        ("grid", "--grid", "str", "256x256", "raster resolution WxH (default: 256x256)"),
-        ("max_iter", "--max-iter", "int", 10_000,
-         "classification budget per cell (default: 10000)"),
-        ("origin_tol", "--origin-tol", "float", 1e-9,
-         "origin-ball radius for convergence (default: 1e-9)"),
-        ("escape_radius", "--escape-radius", "float", 1e9,
-         "norm beyond which a cell escapes (default: 1e9)"),
-        ("window", "--window", "int", 64,
-         "tail length for cycle detection (default: 64)"),
-        ("cycle_tol", "--cycle-tol", "float", 1e-7,
-         "relative tolerance for cycle detection (default: 1e-7)"),
-        ("workers", "--workers", "int", 0,
-         "row workers, at most one per CPU; 0 = one per CPU (default: 0)"),
-    ] + _IO_OPTS,
-    "counterexample": [
-        ("k", "--k", "float", 1.01, "cubic map parameter (default: 1.01)"),
-        ("a", "--a", "float", 0.005, "damping (default: 0.005)"),
-        ("eps_init", "--eps-init", "float", 0.05,
-         "starting slope budget for the profile search (default: 0.05)"),
-    ] + _IO_OPTS,
-    "phi": [
-        ("R", "--R", "float", 20.0, "inner flat radius (default: 20)"),
-        ("C", "--C", "float", 2.0, "Jacobian norm bound; tail value is 1/(2C) (default: 2)"),
-        ("eps", "--eps", "float", 0.05, "slope budget, in (0, 1/(8C)) (default: 0.05)"),
-        ("log_samples", "--log-samples", "int", 50,
-         "data rows, log-spaced from R/10 to 10*r_tail (default: 50)"),
-    ] + _IO_OPTS,
-    "ray": _MAP_OPTS + [
-        ("angle", "--angle", "float", 0.0, "ray direction in degrees (default: 0)"),
-        ("radius", "--radius", "float", 100.0, "outer sample radius (default: 100)"),
-        ("samples", "--samples", "int", 101, "ray sample count (default: 101)"),
-        ("tol", "--tol", "float", 1e-9,
-         "max allowed image distance to the ray (default: 1e-9)"),
-    ] + _IO_OPTS,
-    "dissipativity": _MAP_OPTS + [
-        ("radius", "--radius", "str", "20",
-         "ball radius for the norm bound; 'tail' uses the built profile's tail "
-         "radius (counterexample map only) (default: 20)"),
-        ("alpha", "--alpha", "float", 0.5, "hypothesis constant, in (0,1) (default: 0.5)"),
-        ("ball_radii", "--ball-radii", "int", 64,
-         "radial samples inside the ball (default: 64)"),
-        ("angles", "--angles", "int", 16, "angular samples per ring (default: 16)"),
-        ("outer_radii", "--outer-radii", "int", 48,
-         "radial samples outside the ball (default: 48)"),
-    ] + _IO_OPTS,
-}
-
-_SUB_HELP = {
-    "spectrum": "sweep Jacobian eigenvalues over a region and test bounds",
-    "orbit": "iterate a map and write the orbit as CSV",
-    "periodic": "newton search for a period-n orbit",
-    "basin": "rasterize omega-limit classes over a window into a PGM image",
-    "counterexample": "build the squashed damped cubic map and verify its claims",
-    "phi": "tabulate a radial squashing profile as CSV",
-    "ray": "check that a map sends a sampled ray into itself",
-    "dissipativity": "sampled eventual-contraction certificate on large norms",
-}
+# argparse type of each flag kind; a "multi" flag is a repeatable string
+_KIND_TYPES = {"int": int, "float": float, "str": str, "multi": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,23 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False)
     parser._negative_number_matcher = _NEG_VALUE
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    for name, opts in _OPTS.items():
-        sp = subs.add_parser(name, help=_SUB_HELP[name], description=_SUB_HELP[name],
-                             allow_abbrev=False)
+    for name, (_run, hlp, opts) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=hlp, description=hlp, allow_abbrev=False)
         sp._negative_number_matcher = _NEG_VALUE
-        for dest, flag, kind, _default, hlp in opts:
-            if kind == "multi":
-                sp.add_argument(flag, dest=dest, action="append",
-                                default=argparse.SUPPRESS, metavar="SPEC", help=hlp)
-            elif kind == "int":
-                sp.add_argument(flag, dest=dest, type=int,
-                                default=argparse.SUPPRESS, help=hlp)
-            elif kind == "float":
-                sp.add_argument(flag, dest=dest, type=float,
-                                default=argparse.SUPPRESS, help=hlp)
-            else:
-                sp.add_argument(flag, dest=dest, type=str,
-                                default=argparse.SUPPRESS, help=hlp)
+        for dest, flag, kind, _default, flag_hlp in opts:
+            multi = {"action": "append", "metavar": "SPEC"} if kind == "multi" else {}
+            sp.add_argument(flag, dest=dest, type=_KIND_TYPES[kind],
+                            default=argparse.SUPPRESS, help=flag_hlp, **multi)
     return parser
 
 
@@ -201,7 +115,7 @@ def _coerce(dest: str, kind: str, value):
 
 
 def _merge_config(sub: str, provided: dict) -> dict:
-    opts = _OPTS[sub]
+    opts = _COMMANDS[sub][2]
     file_values: dict = {}
     path = provided.get("config")
     if path is not None:
@@ -230,14 +144,6 @@ def _merge_config(sub: str, provided: dict) -> dict:
         else:
             resolved[dest] = default
     return resolved
-
-
-def _embedded_config(sub: str, resolved: dict) -> dict:
-    out = {"subcommand": sub}
-    for dest, *_ in _OPTS[sub]:
-        if dest not in ("out", "config"):
-            out[dest] = resolved[dest]
-    return out
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -336,26 +242,15 @@ def _finite_or_null(v):
     return v
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(out, text.encode("utf-8"))
-
-
-def _emit_json(obj: dict, out: str | None) -> None:
-    _emit_text(json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n", out)
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _emit_csv(header: list[str], rows, out: str | None) -> None:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _emit_text("\n".join(lines) + "\n", out)
+    return "\n".join(lines) + "\n"
 
 
 _PGM_SHADES = b"\xff\xaa\x55\x00"  # codes 0..3, white to black
@@ -395,7 +290,7 @@ def _run_spectrum_check(report: SpectrumReport, spec: str) -> Verdict:
         f"unknown check {spec!r}; use ball:RADIUS, interval-free:LO:HI, or real-free")
 
 
-def _run_spectrum(sub: str, resolved: dict) -> int:
+def _run_spectrum(resolved: dict):
     m, _ = _make_map(resolved)
     region = _parse_region(resolved["region"])
     if _capped(resolved, "random") != 0:  # RandomStrategy rejects a negative count
@@ -405,8 +300,8 @@ def _run_spectrum(sub: str, resolved: dict) -> int:
         strategy = GridStrategy(nx, ny)
     report = sample_spectrum(m, region, strategy)
     verdicts = [_run_spectrum_check(report, spec) for spec in resolved["check"]]
-    obj = {
-        "config": _embedded_config(sub, resolved),
+    passed = all(v.passed for v in verdicts)
+    return {
         "map": report.map_desc,
         "strategy": report.strategy,
         "samples": report.sample_count,
@@ -419,13 +314,11 @@ def _run_spectrum(sub: str, resolved: dict) -> int:
         "max_real": report.max_real,
         "max_real_at": _point_or_none(report.max_real_at),
         "checks": [_verdict_dict(v) for v in verdicts],
-        "passed": all(v.passed for v in verdicts),
-    }
-    _emit_json(obj, resolved["out"])
-    return 0 if obj["passed"] else 1
+        "passed": passed,
+    }, 0 if passed else 1
 
 
-def _run_orbit(sub: str, resolved: dict) -> int:
+def _run_orbit(resolved: dict):
     m, _ = _make_map(resolved)
     start = _parse_point(resolved["start"], "--start")
     steps = _capped(resolved, "steps")
@@ -433,30 +326,26 @@ def _run_orbit(sub: str, resolved: dict) -> int:
         raise ParameterError(f"--steps must be >= 0, got {steps!r}")
     orbit = iterate(m, start, steps, resolved["escape_radius"])
     rows = ((i, p.x, p.y, p.norm()) for i, p in enumerate(orbit.points))
-    _emit_csv(["step", "x", "y", "norm"], rows, resolved["out"])
-    return 0
+    return _csv(["step", "x", "y", "norm"], rows), 0
 
 
-def _run_periodic(sub: str, resolved: dict) -> int:
+def _run_periodic(resolved: dict):
     m, _ = _make_map(resolved)
     period = _capped(resolved, "period")
     orbit = find_periodic(m, period, _parse_point(resolved["seed"], "--seed"),
                           NewtonConfig(tol=resolved["tol"], max_steps=resolved["max_steps"]))
     mults = orbit.multipliers
-    obj = {
-        "config": _embedded_config(sub, resolved),
+    return {
         "map": m.describe(),
         "period": orbit.period,
         "points": [[p.x, p.y] for p in orbit.points],
         "residual": orbit.residual,
         "multipliers": [[mults.l1.real, mults.l1.imag], [mults.l2.real, mults.l2.imag]],
         "hyperbolic": orbit.hyperbolic,
-    }
-    _emit_json(obj, resolved["out"])
-    return 0
+    }, 0
 
 
-def _run_basin(sub: str, resolved: dict) -> int:
+def _run_basin(resolved: dict):
     m, _ = _make_map(resolved)
     if resolved["out"] is None:
         raise ParameterError("basin writes a binary PGM image; --out is required")
@@ -467,28 +356,23 @@ def _run_basin(sub: str, resolved: dict) -> int:
     workers = resolved["workers"]
     grid = basin_raster(m, resolved["L"], width, height, omega,
                         None if workers == 0 else workers)
-    _write_atomic(resolved["out"], render_pgm(grid))
-    return 0
+    return render_pgm(grid), 0
 
 
-def _run_counterexample(sub: str, resolved: dict) -> int:
+def _run_counterexample(resolved: dict):
     bundle = build_counterexample(resolved["k"], resolved["a"], resolved["eps_init"])
     report = verify_counterexample(bundle)
-    obj = {"config": _embedded_config(sub, resolved)}
-    obj.update(report.to_dict())
-    _emit_json(obj, resolved["out"])
-    return 0 if report.passed else 1
+    return report.to_dict(), 0 if report.passed else 1
 
 
-def _run_phi(sub: str, resolved: dict) -> int:
+def _run_phi(resolved: dict):
     profile = build_phi(resolved["R"], resolved["C"], resolved["eps"])
     n = _capped(resolved, "log_samples")
     if n < 2:
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
     rows = [(r, *_phi_parts(profile, r))
             for r in _log_radii(profile.R / 10.0, 10.0 * profile.r_tail, n)]
-    _emit_csv(["r", "phi", "phi_prime_times_r"], rows, resolved["out"])
-    return 0
+    return _csv(["r", "phi", "phi_prime_times_r"], rows), 0
 
 
 def _sample_radius(radius: float, i: int, n: int) -> float:
@@ -502,7 +386,7 @@ def _sample_radius(radius: float, i: int, n: int) -> float:
     return i * (radius / s) / (n - 1) * s
 
 
-def _run_ray(sub: str, resolved: dict) -> int:
+def _run_ray(resolved: dict):
     m, _ = _make_map(resolved)
     n = _capped(resolved, "samples")
     if n < 2:
@@ -517,8 +401,7 @@ def _run_ray(sub: str, resolved: dict) -> int:
     radii = [_sample_radius(radius, i, n) for i in range(n)]
     pts = [Point2(cx * r, cy * r) for r in radii]
     verdict = verify_invariant_ray(m, pts, resolved["tol"])
-    obj = {
-        "config": _embedded_config(sub, resolved),
+    return {
         "map": m.describe(),
         "passed": verdict.passed,
         "max_deviation": verdict.max_deviation,
@@ -526,12 +409,10 @@ def _run_ray(sub: str, resolved: dict) -> int:
         "radius_ok": verdict.radius_ok,
         "max_image_radius": verdict.max_image_radius,
         "max_sample_radius": verdict.max_sample_radius,
-    }
-    _emit_json(obj, resolved["out"])
-    return 0 if verdict.passed else 1
+    }, 0 if verdict.passed else 1
 
 
-def _run_dissipativity(sub: str, resolved: dict) -> int:
+def _run_dissipativity(resolved: dict):
     m, bundle = _make_map(resolved)
     raw = resolved["radius"]
     if raw == "tail":
@@ -547,8 +428,7 @@ def _run_dissipativity(sub: str, resolved: dict) -> int:
                                      angles=_capped(resolved, "angles"),
                                      outer_radii=_capped(resolved, "outer_radii"))
     bound = dissipativity_bound(m, radius, resolved["alpha"], sampling)
-    obj = {
-        "config": _embedded_config(sub, resolved),
+    return {
         "map": m.describe(),
         "ball_radius": bound.ball_radius,
         "alpha": bound.alpha,
@@ -564,21 +444,88 @@ def _run_dissipativity(sub: str, resolved: dict) -> int:
         "contraction_worst_at": _point_or_none(bound.contraction_worst_at),
         "samples": bound.sample_count,
         "passed": bound.passed,
-    }
-    _emit_json(obj, resolved["out"])
-    return 0 if bound.passed else 1
+    }, 0 if bound.passed else 1
 
 
-_DISPATCH = {
-    "spectrum": _run_spectrum,
-    "orbit": _run_orbit,
-    "periodic": _run_periodic,
-    "basin": _run_basin,
-    "counterexample": _run_counterexample,
-    "phi": _run_phi,
-    "ray": _run_ray,
-    "dissipativity": _run_dissipativity,
-}
+# name -> (run function, help line, flags); every subcommand also takes the
+# --out and --config flags, appended here
+_COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
+    ("spectrum", _run_spectrum, "sweep Jacobian eigenvalues over a region and test bounds",
+     _MAP_OPTS + [
+         ("region", "--region", "str", "-30:30:-30:30",
+          "sample region xmin:xmax:ymin:ymax (default: -30:30:-30:30)"),
+         ("grid", "--grid", "str", "201x201",
+          "grid resolution NxM (default: 201x201)"),
+         ("random", "--random", "int", 0,
+          "sample this many random points instead of the grid (default: 0 = grid)"),
+         ("rng_seed", "--rng-seed", "int", 0,
+          "seed for --random sampling (default: 0)"),
+         ("check", "--check", "multi", [],
+          "spectrum verdict, repeatable: ball:RADIUS | interval-free:LO:HI | real-free"),
+     ]),
+    ("orbit", _run_orbit, "iterate a map and write the orbit as CSV", _MAP_OPTS + [
+        ("start", "--start", "str", "10,0", "starting point x,y (default: 10,0)"),
+        ("steps", "--steps", "int", 100, "iterations to record (default: 100)"),
+        ("escape_radius", "--escape-radius", "float", 1e9,
+         "stop once the orbit norm passes this (default: 1e9)"),
+    ]),
+    ("periodic", _run_periodic, "newton search for a period-n orbit", _MAP_OPTS + [
+        ("seed", "--seed", "str", "10,0", "newton starting point x,y (default: 10,0)"),
+        ("period", "--period", "int", 4, "orbit period to search for (default: 4)"),
+        ("tol", "--tol", "float", 1e-12, "closure residual target (default: 1e-12)"),
+        ("max_steps", "--max-steps", "int", 50, "newton step budget (default: 50)"),
+    ]),
+    ("basin", _run_basin, "rasterize omega-limit classes over a window into a PGM image",
+     _MAP_OPTS + [
+         ("L", "--L", "float", 30.0, "window half-width, cells cover [-L,L]^2 (default: 30)"),
+         ("grid", "--grid", "str", "256x256", "raster resolution WxH (default: 256x256)"),
+         ("max_iter", "--max-iter", "int", 10_000,
+          "classification budget per cell (default: 10000)"),
+         ("origin_tol", "--origin-tol", "float", 1e-9,
+          "origin-ball radius for convergence (default: 1e-9)"),
+         ("escape_radius", "--escape-radius", "float", 1e9,
+          "norm beyond which a cell escapes (default: 1e9)"),
+         ("window", "--window", "int", 64,
+          "tail length for cycle detection (default: 64)"),
+         ("cycle_tol", "--cycle-tol", "float", 1e-7,
+          "relative tolerance for cycle detection (default: 1e-7)"),
+         ("workers", "--workers", "int", 0,
+          "row workers, at most one per CPU; 0 = one per CPU (default: 0)"),
+     ]),
+    ("counterexample", _run_counterexample,
+     "build the squashed damped cubic map and verify its claims", [
+         ("k", "--k", "float", 1.01, "cubic map parameter (default: 1.01)"),
+         ("a", "--a", "float", 0.005, "damping (default: 0.005)"),
+         ("eps_init", "--eps-init", "float", 0.05,
+          "starting slope budget for the profile search (default: 0.05)"),
+     ]),
+    ("phi", _run_phi, "tabulate a radial squashing profile as CSV", [
+        ("R", "--R", "float", 20.0, "inner flat radius (default: 20)"),
+        ("C", "--C", "float", 2.0, "Jacobian norm bound; tail value is 1/(2C) (default: 2)"),
+        ("eps", "--eps", "float", 0.05, "slope budget, in (0, 1/(8C)) (default: 0.05)"),
+        ("log_samples", "--log-samples", "int", 50,
+         "data rows, log-spaced from R/10 to 10*r_tail (default: 50)"),
+    ]),
+    ("ray", _run_ray, "check that a map sends a sampled ray into itself", _MAP_OPTS + [
+        ("angle", "--angle", "float", 0.0, "ray direction in degrees (default: 0)"),
+        ("radius", "--radius", "float", 100.0, "outer sample radius (default: 100)"),
+        ("samples", "--samples", "int", 101, "ray sample count (default: 101)"),
+        ("tol", "--tol", "float", 1e-9,
+         "max allowed image distance to the ray (default: 1e-9)"),
+    ]),
+    ("dissipativity", _run_dissipativity,
+     "sampled eventual-contraction certificate on large norms", _MAP_OPTS + [
+         ("radius", "--radius", "str", "20",
+          "ball radius for the norm bound; 'tail' uses the built profile's tail "
+          "radius (counterexample map only) (default: 20)"),
+         ("alpha", "--alpha", "float", 0.5, "hypothesis constant, in (0,1) (default: 0.5)"),
+         ("ball_radii", "--ball-radii", "int", 64,
+          "radial samples inside the ball (default: 64)"),
+         ("angles", "--angles", "int", 16, "angular samples per ring (default: 16)"),
+         ("outer_radii", "--outer-radii", "int", 48,
+          "radial samples outside the ball (default: 48)"),
+     ]),
+]}
 
 
 def main(argv=None) -> int:
@@ -593,7 +540,19 @@ def main(argv=None) -> int:
     provided = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     try:
         resolved = _merge_config(sub, provided)
-        return _DISPATCH[sub](sub, resolved)
+        output, code = _COMMANDS[sub][0](resolved)
+        if isinstance(output, dict):
+            # a report is headed by the resolved flags, which replay it via --config
+            config = {"subcommand": sub}
+            config.update((k, v) for k, v in resolved.items() if k not in ("out", "config"))
+            output = json.dumps(_finite_or_null({"config": config, **output}),
+                                indent=2, allow_nan=False) + "\n"
+        if resolved["out"] is None:
+            sys.stdout.write(output)
+        else:
+            _write_atomic(resolved["out"],
+                          output if isinstance(output, bytes) else output.encode("utf-8"))
+        return code
     except ParameterError as exc:
         print(f"dmy {sub}: {exc}", file=sys.stderr)
         return 2

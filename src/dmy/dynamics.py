@@ -376,6 +376,9 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
         raise ParameterError(f"ball radius must be positive and finite, got {ball_radius!r}")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if ball_radius / _BALL_SPAN == 0.0:
+        raise ParameterError(f"ball radius {ball_radius!r} is too small: the ball sweep "
+                             f"starts at radius / {_BALL_SPAN:g}, which underflows to 0")
 
     ball = _log_radii(ball_radius / _BALL_SPAN, ball_radius, cfg.ball_radii)
     norm_sup, _, n_ball = _sweep_sup(chain([(0.0, 0.0)], _ring_points(ball, cfg.angles)),
@@ -430,12 +433,20 @@ class RayVerdict:
 
 
 def _segment_dist(qx, qy, ax, ay, bx, by):
+    """Distance from the finite point q to the segment [a, b]."""
     vx, vy = bx - ax, by - ay
     wx, wy = qx - ax, qy - ay
     vv = vx * vx + vy * vy
+    wv = wx * vx + wy * vy
+    if not (math.isfinite(vv) and math.isfinite(wv)):
+        # the distance is homogeneous: redo it with every coordinate scaled by
+        # 2**-520, exact for normal floats, to below 2**504, where no square or
+        # product overflows, and scale back up
+        s = 2.0 ** -520
+        return _segment_dist(qx * s, qy * s, ax * s, ay * s, bx * s, by * s) / s
     if vv <= 0.0:
         return math.hypot(wx, wy)
-    t = (wx * vx + wy * vy) / vv
+    t = wv / vv
     if t <= 0.0:
         return math.hypot(wx, wy)
     if t >= 1.0:
@@ -571,33 +582,25 @@ def _center(start: float, step: float, i: int, n: int) -> float:
 
 
 def _basin_rows(task):
-    """Codes of the row at height y and of its mirror row at y2, top first;
-    y2 None makes the row its own mirror (the middle row of an odd height).
+    """Codes of the rows at the task's heights, in order.
 
-    When the map is odd, a cell of the mirror row whose center is exactly
-    minus the center of a cell already classified takes that cell's code:
-    its orbit is that orbit negated, norm for norm.  The test is made per
-    cell, so a window whose centers are not exactly antisymmetric still
-    classifies every cell it cannot copy."""
-    m, xs, y, y2, omega = task
-    width = len(xs)
-    top = bytearray(width)
-    if y2 is None:
-        y2, bottom = y, top
-    else:
-        bottom = bytearray(width)
+    When the map is odd, a cell whose center is exactly minus the center of
+    a cell the task has already done takes that cell's code: its orbit is
+    that orbit negated, norm for norm.  The test is made per cell, so a
+    window whose centers are not exactly antisymmetric still classifies
+    every cell it cannot copy."""
+    m, xs, heights, omega = task
+    seen = {}  # cell center -> code; 0.0 and -0.0 are one key, as they are equal
+    rows = []
+    for y in heights:
+        row = bytearray(len(xs))
         for i, x in enumerate(xs):
-            top[i] = _TAG_CODE[classify_omega(m, Point2(x, y), omega).tag]
-    mirrored = m.odd and y == -y2
-    for i, x in enumerate(xs):
-        j = width - 1 - i
-        # cell j must be classified already: in the other row, or left of
-        # cell i in a row that is its own mirror
-        if mirrored and (bottom is not top or j < i) and xs[j] == -x:
-            bottom[i] = top[j]
-        else:
-            bottom[i] = _TAG_CODE[classify_omega(m, Point2(x, y2), omega).tag]
-    return (bytes(top),) if bottom is top else (bytes(top), bytes(bottom))
+            code = seen.get((-x, -y)) if m.odd else None
+            if code is None:
+                code = _TAG_CODE[classify_omega(m, Point2(x, y), omega).tag]
+            seen[(x, y)] = row[i] = code
+        rows.append(bytes(row))
+    return rows
 
 
 def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
@@ -627,8 +630,9 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
     workers = resolve_workers(workers)
     xs = [_center(-half_width, half_width, i, width) for i in range(width)]
     ys = [_center(half_width, -half_width, r, height) for r in range(height)]
-    pairs = [(r, height - 1 - r) for r in range((height + 1) // 2)]
-    tasks = [(m, xs, ys[r], ys[r2] if r2 != r else None, omega) for r, r2 in pairs]
+    # row r and its mirror row, or the middle row of an odd height alone
+    pairs = [sorted({r, height - 1 - r}) for r in range((height + 1) // 2)]
+    tasks = [(m, xs, [ys[r] for r in pair], omega) for pair in pairs]
     if workers == 1 or width * height <= _SERIAL_CELL_LIMIT:
         done = [_basin_rows(t) for t in tasks]
     else:
@@ -643,7 +647,8 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
             done = list(pool.map(_basin_rows, tasks))
     rows = [b""] * height
-    for (r, r2), codes in zip(pairs, done):
-        rows[r], rows[r2] = codes[0], codes[-1]
+    for pair, codes in zip(pairs, done):
+        for r, row in zip(pair, codes):
+            rows[r] = row
     return BasinGrid(half_width=half_width, width=width, height=height,
                      codes=b"".join(rows))

@@ -337,6 +337,27 @@ def test_counterexample_config_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--map", "szlenk", "--grid", "11x11", "--check", "ball:0.9",
+     "--check", "real-free"],
+    ["periodic", "--map", "szlenk", "--seed", "9.5,0.1"],
+    ["ray", "--map", "ga", "--angle", "30", "--samples", "21"],
+    ["dissipativity", "--map", "linear", "--matrix", "2,0,0,2", "--radius", "5"],
+])
+def test_report_config_round_trip(argv, tmp_path, capsys):
+    direct = tmp_path / "direct.json"
+    code = main([*argv, "--out", str(direct)])
+    obj = json.loads(direct.read_bytes())
+    assert next(iter(obj)) == "config"
+    assert obj["config"]["subcommand"] == argv[0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj["config"]))
+    replay = tmp_path / "replay.json"
+    assert main([argv[0], "--config", str(cfg_path), "--out", str(replay)]) == code
+    assert replay.read_bytes() == direct.read_bytes()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------- phi
 
 
@@ -426,6 +447,20 @@ def test_ray_radius_near_the_double_range(radius, capsys):
     assert obj["max_image_radius"] == 0.5 * last
 
 
+@pytest.mark.parametrize("radius", [1e160, 1e300])
+def test_ray_past_the_squared_range(radius, capsys):
+    # the segment vectors' squares overflow above about 1.3e154; the distances
+    # are those of the same ray scaled down by 2**520, scaled back up
+    argv = ["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5", "--samples", "11"]
+    code, obj = run_strict_json([*argv, "--radius", repr(radius)], capsys)
+    _, small = run_strict_json([*argv, "--radius", repr(math.ldexp(radius, -520))], capsys)
+    assert obj["max_deviation"] == math.ldexp(small["max_deviation"], 520)
+    assert obj["worst_index"] == small["worst_index"]
+    assert obj["radius_ok"] is True
+    if radius == 1e300:
+        assert code == 0 and obj["passed"] is True and obj["max_deviation"] == 0.0
+
+
 def test_ray_sample_radii_match_the_unscaled_formula():
     # where i * radius / (n - 1) is finite it is the sample radius; near the
     # double range the scaled fallback gives what an unbounded exponent would
@@ -491,6 +526,19 @@ def test_dissipativity_product_overflow_writes_failing_report(capsys):
     assert obj["hypothesis_ok"] is False and obj["hypothesis_max_ratio"] is None
     assert obj["contraction_ok"] is False and obj["contraction_max_ratio"] is None
     assert obj["passed"] is False
+
+
+def test_dissipativity_ball_sweep_start_underflow(capsys):
+    # the ball sweep starts at radius / 1e48: 4e-276 / 1e48 is a subnormal
+    # double, 1e-300 / 1e48 is 0 and has no logarithm
+    argv = ["dissipativity", "--map", "linear", "--matrix", "0.5,0,0,0.5"]
+    code, obj = run_strict_json([*argv, "--radius", "4e-276"], capsys)
+    assert code == 1
+    assert obj["ball_radius"] == 4e-276 and obj["norm_sup"] == 0.5
+    assert main([*argv, "--radius", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dmy dissipativity: ball radius 1e-300 is too small")
 
 
 def test_dissipativity_tail_needs_counterexample_map(capsys):

@@ -591,6 +591,19 @@ def test_ray_not_invariant_for_counterexample(bundle):
     assert v.max_deviation == pytest.approx(15.083151069264147, rel=1e-9)
 
 
+def test_segment_distance_where_the_squares_overflow():
+    # vv = 2**1200 overflows while the dot product 2**900 does not: dividing by
+    # vv = inf would give t = 0 and the distance to a, 2**300, not 3
+    assert dynamics._segment_dist(2.0 ** 300, 3.0, 0.0, 0.0, 2.0 ** 600, 0.0) == 3.0
+    # the distance is homogeneous, and the overflow path scales by a power of two
+    rng = random.Random(5)
+    for _ in range(500):
+        c = [rng.uniform(-1e3, 1e3) for _ in range(6)]
+        d = dynamics._segment_dist(*c)
+        for k in (600, 1010):
+            assert dynamics._segment_dist(*(math.ldexp(v, k) for v in c)) == math.ldexp(d, k)
+
+
 def test_ray_validation():
     m = LinearMap(Mat2.diagonal(0.5, 0.5))
     with pytest.raises(ParameterError):
