@@ -11,10 +11,13 @@ global attractor.
 
 ``build_counterexample`` performs the parameter search (slope budget by
 halving against the sampled spectral-radius cap, damping by halving when the
-period-4 Newton search fails) and keeps the orbit it found.
+period-4 Newton search fails) and keeps the orbit it found.  The bundle stores
+each fact once (damped map, profile, c_raw, orbit) and composes its own map.
 ``verify_counterexample`` re-derives the six claims, checking that orbit rather
 than searching again and sampling spectral radii off the build's sample points,
-and returns a report of per-check verdicts; it never raises on a failed claim.
+and returns a report of per-check verdicts whose header is read off the same
+bundle; it never raises on a failed claim, and a sample where the Jacobian
+overflows counts as spectral radius infinity.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .geometry import Point2
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import _growth, _lerp, _log_radii, _norm, _radius, _ring_points, _sweep_sup
+from .spectral import (_growth, _inf_on_overflow, _lerp, _log_radii, _norm, _radius,
+                       _ring_points, _sweep_sup)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -69,21 +73,29 @@ class SweepConfig:
 
 @dataclass(frozen=True, slots=True)
 class CounterexampleBundle:
-    """One constructed map with everything needed to verify it."""
+    """One constructed map with everything needed to verify it.
 
-    k: float
-    a: float
-    profile: PhiProfile
+    Only the damped map, the profile, c_raw and the orbit are set; the radial
+    map and the composite radial o damped are composed from them, and k, a,
+    c_used and flat_radius are read off them, so the verifier always checks
+    the map the report names."""
+
     damped: DampedSzlenkMap
-    radial: RadialMap
-    composite: CompositeMap
+    profile: PhiProfile  # built for the norm bound c_used = 1.05 * max(c_raw, 1)
     c_raw: float   # sampled sup of the damped map's Jacobian norm
-    c_used: float  # 1.05 * max(c_raw, 1), the bound the profile is built for
     orbit: tuple[Point2, ...]  # the build's period-4 orbit of the composite, p0 first
+    radial: RadialMap = field(init=False)
+    composite: CompositeMap = field(init=False)
 
-    @property
-    def flat_radius(self) -> float:
-        return self.profile.R
+    def __post_init__(self):
+        radial = RadialMap(self.profile)
+        object.__setattr__(self, "radial", radial)
+        object.__setattr__(self, "composite", compose(radial, self.damped))
+
+    k = property(lambda self: self.damped.k)
+    a = property(lambda self: self.damped.a)
+    c_used = property(lambda self: self.profile.C)
+    flat_radius = property(lambda self: self.profile.R)
 
 
 @dataclass(frozen=True)
@@ -100,15 +112,9 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    map_desc: str
-    k: float
-    a: float
-    c_raw: float
-    c_used: float
-    eps: float
-    floor: float
-    flat_radius: float
-    tail_radius: float
+    """The verdicts on one bundle; the report header is read off the bundle."""
+
+    bundle: CounterexampleBundle
     checks: tuple[CheckRecord, ...]
 
     @property
@@ -116,16 +122,17 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        b = self.bundle
         return {
-            "map": self.map_desc,
-            "k": self.k,
-            "a": self.a,
-            "c_raw": self.c_raw,
-            "c_used": self.c_used,
-            "eps": self.eps,
-            "floor": self.floor,
-            "flat_radius": self.flat_radius,
-            "tail_radius": self.tail_radius,
+            "map": b.composite.describe(),
+            "k": b.k,
+            "a": b.a,
+            "c_raw": b.c_raw,
+            "c_used": b.c_used,
+            "eps": b.profile.eps,
+            "floor": b.profile.floor,
+            "flat_radius": b.flat_radius,
+            "tail_radius": b.profile.r_tail,
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -162,7 +169,7 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float, of
     radii = (math.exp(_lerp(llo, lhi, i + offset, n + 1 if offset else n)) for i in range(n))
     jac = m._jac
     return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset)),
-                      lambda x, y: _radius(*jac(x, y)))
+                      _inf_on_overflow(lambda x, y: _radius(*jac(x, y))))
 
 
 def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
@@ -182,8 +189,7 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
             raise ParameterError(
                 f"profile tail radius {profile.r_tail!r} times the sweep span "
                 f"{SweepConfig.sr_span!r} overflows a double; pick a larger slope budget")
-        radial = RadialMap(profile)
-        comp = compose(radial, damped)
+        comp = compose(RadialMap(profile), damped)
         if _composite_sr_sweep(comp, flat_radius, profile.r_tail)[0] <= SweepConfig.sr_cap:
             break
         eps /= 2.0
@@ -201,8 +207,7 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
             f"period-4 search collapsed outside the punctured flat disc "
             f"(orbit radii {min(norms)!r}..{max(norms)!r})",
             last_iterate=orbit.points[0], residual=orbit.residual)
-    return CounterexampleBundle(k=k, a=a, profile=profile, damped=damped, radial=radial,
-                                composite=comp, c_raw=c_raw, c_used=c_used, orbit=orbit.points)
+    return CounterexampleBundle(damped, profile, c_raw, orbit.points)
 
 
 def build_counterexample(k: float, a: float = 0.005,
@@ -356,7 +361,8 @@ def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
     The orbit check recomputes closure, multipliers and hyperbolicity of the
     build's stored orbit, and the spectral radius is sampled off the build's
     sample points.  Failures are verdicts in the report, never exceptions, so
-    a deliberately broken bundle yields a failing report rather than a crash.
+    a deliberately broken bundle, or one whose spectral sweep overflows, yields
+    a failing report rather than a crash.
     """
     checks = (
         _check_origin_fixed(bundle),
@@ -366,9 +372,4 @@ def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
         _check_periodic_orbit(bundle),
         _check_envelope(bundle),
     )
-    return VerificationReport(
-        map_desc=bundle.composite.describe(),
-        k=bundle.k, a=bundle.a, c_raw=bundle.c_raw, c_used=bundle.c_used,
-        eps=bundle.profile.eps, floor=bundle.profile.floor,
-        flat_radius=bundle.flat_radius, tail_radius=bundle.profile.r_tail,
-        checks=checks)
+    return VerificationReport(bundle, checks)

@@ -1,6 +1,7 @@
 """Radial squashing profile.
 
-``build_phi(R, C, eps)`` constructs a C^2 function phi on [0, inf) with
+``PhiProfile(R, C, eps)``, which ``build_phi(R, C, eps)`` returns, is a C^2
+function phi on [0, inf) with
 
     phi(r) = 1         for r <= R,
     phi(r) = 1/(2C)    for r >= r_tail,
@@ -42,22 +43,23 @@ derivative of the Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
 
 @dataclass(frozen=True, slots=True)
 class PhiProfile:
-    """Parameters and derived constants of one squashing profile."""
+    """One squashing profile: set by R, C and eps, which are validated first;
+    the other four constants are derived from them and cannot be set."""
 
     R: float         # inner flat radius: phi == 1 on [0, R]
     C: float         # Jacobian norm bound being squashed; tail value is 1/(2C)
     eps: float       # slope budget; must satisfy 0 < eps < 1/(8C)
-    floor: float     # 1/(2C)
-    m_target: float  # total decay needed, in log-radius units
-    r_tail: float    # phi == floor for all r >= r_tail
-    ramp: float      # smoothstep width in log-radius (1 unless m_target < 1)
+    floor: float = field(init=False)     # 1/(2C)
+    m_target: float = field(init=False)  # total decay needed, in log-radius units
+    r_tail: float = field(init=False)    # phi == floor for all r >= r_tail
+    ramp: float = field(init=False)      # smoothstep width in log-radius (1 unless m_target < 1)
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 0.0):
@@ -68,22 +70,23 @@ class PhiProfile:
         if not (0.0 < self.eps < 1.0 / (8.0 * self.C)):
             raise ParameterError(
                 f"slope budget must lie in (0, 1/(8C)) = (0, {1.0 / (8.0 * self.C)!r}), got {self.eps!r}")
-        if not math.isfinite(self.r_tail):
+        floor = 1.0 / (2.0 * self.C)
+        m_target = 8.0 * (1.0 - floor) / self.eps
+        try:
+            r_tail = self.R * math.exp(m_target + 1.0)
+        except OverflowError:
+            r_tail = math.inf
+        if not math.isfinite(r_tail):
             raise ParameterError(
                 "slope budget is so small that the tail radius overflows a double")
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "m_target", m_target)
+        object.__setattr__(self, "r_tail", r_tail)
+        object.__setattr__(self, "ramp", min(1.0, m_target))
 
 
 def build_phi(R: float, C: float, eps: float) -> PhiProfile:
-    # degenerate inputs must reach the profile's validation, not divide by zero
-    floor = 1.0 / (2.0 * C) if C > 0.0 else math.inf
-    m_target = 8.0 * (1.0 - floor) / eps if eps > 0.0 else math.inf
-    ramp = min(1.0, m_target)
-    try:
-        r_tail = R * math.exp(m_target + 1.0)
-    except OverflowError:
-        r_tail = math.inf
-    return PhiProfile(R=R, C=C, eps=eps, floor=floor, m_target=m_target,
-                      r_tail=r_tail, ramp=ramp)
+    return PhiProfile(R, C, eps)
 
 
 def _smoothstep(t: float) -> float:

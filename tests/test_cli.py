@@ -325,6 +325,17 @@ def test_counterexample_tail_span_overflow_exits_two(capsys):
         "sweep span 10.0 overflows a double; pick a larger slope budget\n")
 
 
+def test_counterexample_sweep_overflow_exits_two(capsys):
+    # the spectral-radius sweep overflows the cubic Jacobian at every budget
+    # the search tries, so it halves eps until the tail radius overflows
+    assert main(["counterexample", "--eps-init", "0.02"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy counterexample: slope budget is so small that the tail radius "
+        "overflows a double\n")
+
+
 def test_counterexample_config_round_trip(tmp_path, capsys):
     direct = tmp_path / "direct.json"
     assert main(["counterexample", "--out", str(direct)]) == 0

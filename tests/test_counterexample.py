@@ -6,10 +6,11 @@ import struct
 import pytest
 
 from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
-                 RadialMap, build_counterexample, basin_raster, compose,
+                 RadialMap, build_counterexample, basin_raster, build_phi, compose,
                  dissipativity_bound, dynamics, find_periodic, phi_eval,
                  step_function, verify_counterexample)
 from dmy import counterexample as ce
+from dmy.cli import _finite_or_null
 from dmy.spectral import _lerp, _log_radii, _norm, _radius, _ring_points
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
@@ -140,15 +141,68 @@ def test_tampered_profile_fails_verification(bundle):
     # force an illegally steep decay profile past the constructor checks
     bad_profile = dataclasses.replace(bundle.profile)
     object.__setattr__(bad_profile, "eps", 3.0)
-    bad_radial = RadialMap(bad_profile)
-    tampered = dataclasses.replace(
-        bundle, profile=bad_profile, radial=bad_radial,
-        composite=compose(bad_radial, bundle.damped))
+    tampered = dataclasses.replace(bundle, profile=bad_profile)
     report = verify_counterexample(tampered)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert failing
     assert any(c.detail for c in failing)
+
+
+def _eps_forced(profile, eps):
+    # a profile whose eps no longer matches its derived constants
+    bad = dataclasses.replace(profile)
+    object.__setattr__(bad, "eps", eps)
+    return bad
+
+
+def test_bundle_composes_its_own_map(bundle):
+    # neither map can be handed in apart from the profile and damped map
+    # they are composed from
+    bad_radial = RadialMap(_eps_forced(bundle.profile, 3.0))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(bundle, composite=compose(bad_radial, bundle.damped))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(bundle, radial=bad_radial)
+    with pytest.raises(TypeError):
+        ce.CounterexampleBundle(bundle.damped, bundle.profile, bundle.c_raw, bundle.orbit,
+                                composite=bundle.composite)
+
+
+def test_tampered_profile_reports_the_map_it_verifies(bundle):
+    tampered = dataclasses.replace(bundle, profile=_eps_forced(bundle.profile, 3.0))
+    assert tampered.composite.members == (RadialMap(tampered.profile), bundle.damped)
+    report = verify_counterexample(tampered)
+    failing = {c.name for c in report.checks if not c.passed}
+    assert {"radial-orientation", "profile-envelope"} <= failing
+    d = report.to_dict()
+    assert d["eps"] == 3.0
+    assert d["map"] == tampered.composite.describe()
+    assert "eps=3.0)" in d["map"]
+
+
+def test_bundle_reads_its_header_off_its_parts(bundle):
+    assert bundle.c_used == bundle.profile.C
+    assert bundle.flat_radius == bundle.profile.R
+    other = dataclasses.replace(bundle, damped=DampedSzlenkMap(1.005, 0.01),
+                                profile=build_phi(bundle.flat_radius, 2.0, 0.05))
+    assert (other.k, other.a, other.c_used, other.c_raw) == (1.005, 0.01, 2.0, bundle.c_raw)
+    d = verify_counterexample(other).to_dict()
+    assert (d["k"], d["a"], d["c_used"]) == (1.005, 0.01, 2.0)
+    assert d["map"] == other.composite.describe()
+
+
+def test_spectral_sweep_overflow_is_a_failed_check(bundle):
+    # at eps 0.02 the sweep reaches 10 * r_tail, past where the cubic
+    # Jacobian's d*d overflows: a verdict, not an exception
+    steep = dataclasses.replace(
+        bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.02))
+    report = verify_counterexample(steep)
+    rec = next(c for c in report.checks if c.name == "spectral-radius-bound")
+    assert not report.passed and not rec.passed
+    assert rec.data["max"] == math.inf
+    assert rec.data["samples"] == 1 + 400 * 32
+    assert _finite_or_null(report.to_dict())["checks"][1]["data"]["max"] is None
 
 
 def test_far_tail_contracts_strongly(bundle):

@@ -135,8 +135,70 @@ def test_small_budget_shrinks_ramp():
 
 def test_profile_fields_are_validated():
     with pytest.raises(ParameterError):
-        PhiProfile(R=-1.0, C=2.0, eps=0.05, floor=0.25, m_target=120.0,
-                   r_tail=1e50, ramp=1.0)
+        PhiProfile(R=-1.0, C=2.0, eps=0.05)
+
+
+def _ref_build(R, C, eps):
+    """Reference for the derived constants: the closed forms, guarded against
+    degenerate inputs, then the validation in its order.  The profile must
+    match it bit for bit and error for error."""
+    floor = 1.0 / (2.0 * C) if C > 0.0 else math.inf
+    m_target = 8.0 * (1.0 - floor) / eps if eps > 0.0 else math.inf
+    ramp = min(1.0, m_target)
+    try:
+        r_tail = R * math.exp(m_target + 1.0)
+    except OverflowError:
+        r_tail = math.inf
+    if not (math.isfinite(R) and R > 0.0):
+        raise ParameterError(f"flat radius must be positive and finite, got {R!r}")
+    if not (math.isfinite(C) and C > 0.5):
+        raise ParameterError(
+            f"norm bound must exceed 1/2 so the floor 1/(2C) stays below 1, got {C!r}")
+    if not (0.0 < eps < 1.0 / (8.0 * C)):
+        raise ParameterError(
+            f"slope budget must lie in (0, 1/(8C)) = (0, {1.0 / (8.0 * C)!r}), got {eps!r}")
+    if not math.isfinite(r_tail):
+        raise ParameterError("slope budget is so small that the tail radius overflows a double")
+    return floor, m_target, r_tail, ramp
+
+
+def test_derived_fields_match_the_reference_bit_for_bit():
+    cases = [(R, C, eps)
+             for R in (1e-300, 1.0, 19.99999999999999, 20.0, 1e200)
+             for C in (0.51, 0.6, 1.5907629949682967, 2.0, 37.0)
+             for eps in (1e-3, 0.01, 0.05, 0.2, 0.24)
+             if eps < 1.0 / (8.0 * C)]
+    cases.append((20.0, 0.50000001, 0.2499999))  # m_target near 0
+    ramps = []
+    for R, C, eps in cases:
+        try:
+            want = _ref_build(R, C, eps)
+        except ParameterError:
+            continue  # an overflowing tail; the errors are compared below
+        prof = PhiProfile(R, C, eps)
+        got = (prof.floor, prof.m_target, prof.r_tail, prof.ramp)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert build_phi(R, C, eps) == prof
+        ramps.append(prof.ramp)
+    assert len(ramps) > 50
+    assert min(ramps) < 1.0 == max(ramps)
+
+
+@pytest.mark.parametrize("R, C, eps", [
+    (math.nan, 2.0, 0.05), (20.0, math.nan, 0.05), (20.0, 2.0, math.nan),
+    (0.0, 2.0, 0.05), (-1.0, 2.0, 0.05), (-math.inf, 2.0, 0.05), (math.inf, 2.0, 0.05),
+    (20.0, 0.0, 0.05), (20.0, -2.0, 0.05), (20.0, 0.5, 0.05),
+    (20.0, 2.0, 0.0), (20.0, 2.0, -0.05), (20.0, 2.0, 1.0 / 16.0),
+    (-1.0, -2.0, -0.05), (20.0, 0.0, 0.0),
+    (20.0, 2.0, 1e-300), (20.0, 2.0, 0.0085), (1e300, 2.0, 0.1),
+])
+def test_profile_errors_match_the_reference(R, C, eps):
+    with pytest.raises(ParameterError) as want:
+        _ref_build(R, C, eps)
+    with pytest.raises(ParameterError) as got:
+        PhiProfile(R, C, eps)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # Reference: the profile as two separate knot walks, each behind its own
