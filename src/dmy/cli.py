@@ -7,7 +7,8 @@ One executable, eight subcommands:
 Maps are selected with ``--map {linear|szlenk|ga|counterexample}`` plus
 variant parameters (``--matrix a11,a12,a21,a22``, ``--k``, ``--a``).
 Regions are ``xmin:xmax:ymin:ymax``, grids are ``NxM``.  Reports are strict
-JSON (a non-finite number is written as null), tables are CSV with
+JSON written by one encoder, ``_finite_or_null`` (a point as [x, y], a
+result dataclass as its fields, a non-finite number as null), tables are CSV with
 17-significant-digit floats, basin images are binary PGM; every file is
 written atomically (temporary file, then rename).
 
@@ -29,6 +30,7 @@ and maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -44,7 +46,7 @@ from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
 from .phi import _phi_parts, build_phi
 from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
-from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict,
+from .spectral import (EigenPair, GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict,
                        _log_radii, check_ball, check_interval_free, check_real_free,
                        sample_spectrum)
 
@@ -232,13 +234,19 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _finite_or_null(v):
-    """v with every non-finite float replaced by None, so the JSON is strict."""
+    """v as strict JSON data: a Point2 as [x, y], an EigenPair as
+    [[re, im], [re, im]], any other dataclass as its fields in field order,
+    and every non-finite float as None."""
     if isinstance(v, float):
         return v if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _finite_or_null(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, (list, tuple, Point2)):
         return [_finite_or_null(x) for x in v]
+    if isinstance(v, EigenPair):
+        return [_finite_or_null([z.real, z.imag]) for z in (v.l1, v.l2)]
+    if dataclasses.is_dataclass(v):
+        return {f.name: _finite_or_null(getattr(v, f.name)) for f in dataclasses.fields(v)}
     return v
 
 
@@ -261,15 +269,6 @@ def render_pgm(grid: BasinGrid) -> bytes:
     table[:4] = _PGM_SHADES
     header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + grid.codes.translate(bytes(table))
-
-
-def _point_or_none(p: Point2 | None):
-    return None if p is None else [p.x, p.y]
-
-
-def _verdict_dict(v: Verdict) -> dict:
-    return {"name": v.name, "passed": v.passed, "detail": v.detail,
-            "witness_value": v.witness_value, "witness_at": _point_or_none(v.witness_at)}
 
 
 def _run_spectrum_check(report: SpectrumReport, spec: str) -> Verdict:
@@ -307,13 +306,13 @@ def _run_spectrum(resolved: dict):
         "samples": report.sample_count,
         "overflows": report.overflow_count,
         "max_modulus": report.max_modulus,
-        "max_modulus_at": _point_or_none(report.max_modulus_at),
+        "max_modulus_at": report.max_modulus_at,
         "real_count": report.real_count,
         "min_real": report.min_real,
-        "min_real_at": _point_or_none(report.min_real_at),
+        "min_real_at": report.min_real_at,
         "max_real": report.max_real,
-        "max_real_at": _point_or_none(report.max_real_at),
-        "checks": [_verdict_dict(v) for v in verdicts],
+        "max_real_at": report.max_real_at,
+        "checks": verdicts,
         "passed": passed,
     }, 0 if passed else 1
 
@@ -334,15 +333,7 @@ def _run_periodic(resolved: dict):
     period = _capped(resolved, "period")
     orbit = find_periodic(m, period, _parse_point(resolved["seed"], "--seed"),
                           NewtonConfig(tol=resolved["tol"], max_steps=resolved["max_steps"]))
-    mults = orbit.multipliers
-    return {
-        "map": m.describe(),
-        "period": orbit.period,
-        "points": [[p.x, p.y] for p in orbit.points],
-        "residual": orbit.residual,
-        "multipliers": [[mults.l1.real, mults.l1.imag], [mults.l2.real, mults.l2.imag]],
-        "hyperbolic": orbit.hyperbolic,
-    }, 0
+    return {"map": m.describe(), **_finite_or_null(orbit), "hyperbolic": orbit.hyperbolic}, 0
 
 
 def _run_basin(resolved: dict):
@@ -401,15 +392,7 @@ def _run_ray(resolved: dict):
     radii = [_sample_radius(radius, i, n) for i in range(n)]
     pts = [Point2(cx * r, cy * r) for r in radii]
     verdict = verify_invariant_ray(m, pts, resolved["tol"])
-    return {
-        "map": m.describe(),
-        "passed": verdict.passed,
-        "max_deviation": verdict.max_deviation,
-        "worst_index": verdict.worst_index,
-        "radius_ok": verdict.radius_ok,
-        "max_image_radius": verdict.max_image_radius,
-        "max_sample_radius": verdict.max_sample_radius,
-    }, 0 if verdict.passed else 1
+    return {"map": m.describe(), **_finite_or_null(verdict)}, 0 if verdict.passed else 1
 
 
 def _run_dissipativity(resolved: dict):
@@ -428,23 +411,9 @@ def _run_dissipativity(resolved: dict):
                                      angles=_capped(resolved, "angles"),
                                      outer_radii=_capped(resolved, "outer_radii"))
     bound = dissipativity_bound(m, radius, resolved["alpha"], sampling)
-    return {
-        "map": m.describe(),
-        "ball_radius": bound.ball_radius,
-        "alpha": bound.alpha,
-        "norm_sup": bound.norm_sup,
-        "norm_sup_used": bound.norm_sup_used,
-        "threshold_radius": bound.threshold_radius,
-        "contraction_factor": bound.contraction_factor,
-        "hypothesis_ok": bound.hypothesis_ok,
-        "hypothesis_max_ratio": bound.hypothesis_max_ratio,
-        "hypothesis_worst_at": _point_or_none(bound.hypothesis_worst_at),
-        "contraction_ok": bound.contraction_ok,
-        "contraction_max_ratio": bound.contraction_max_ratio,
-        "contraction_worst_at": _point_or_none(bound.contraction_worst_at),
-        "samples": bound.sample_count,
-        "passed": bound.passed,
-    }, 0 if bound.passed else 1
+    fields = _finite_or_null(bound)
+    fields["samples"] = fields.pop("sample_count")  # the last field, so it stays last
+    return {"map": m.describe(), **fields, "passed": bound.passed}, 0 if bound.passed else 1
 
 
 # name -> (run function, help line, flags); every subcommand also takes the

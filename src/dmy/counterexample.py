@@ -32,8 +32,7 @@ from .geometry import Point2
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import (_growth, _inf_on_overflow, _lerp, _log_radii, _norm, _radius,
-                       _ring_points, _sweep_sup)
+from .spectral import _growth, _lerp, _log_radii, _norm, _radius, _ring_points, _sweep_sup
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -164,12 +163,11 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float, of
     is attained, and the sample count, over the origin and log radii from far
     inside the flat disc to past the profile tail.  Offset 0.5 samples between
     those radii and angles: midpoints of a one-point-longer log grid."""
-    n = SweepConfig.sr_radii
-    llo, lhi = math.log(flat_radius * 1e-6), math.log(SweepConfig.sr_span * tail_radius)
-    radii = (math.exp(_lerp(llo, lhi, i + offset, n + 1 if offset else n)) for i in range(n))
+    radii = _log_radii(flat_radius * 1e-6, SweepConfig.sr_span * tail_radius,
+                       SweepConfig.sr_radii, offset)
     jac = m._jac
     return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset)),
-                      _inf_on_overflow(lambda x, y: _radius(*jac(x, y))))
+                      lambda x, y: _radius(*jac(x, y)))
 
 
 def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
@@ -197,6 +195,11 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
         raise ParameterError(
             f"no slope budget under {eps_init!r} brought the sampled spectral radius "
             f"under {SweepConfig.sr_cap!r} within {SweepConfig.max_eps_halvings} halvings")
+    if profile.r_tail >= SweepConfig.tail_r_max:
+        # the verifier's tail-contraction sweep refuses such a tail
+        raise ParameterError(
+            f"profile tail radius {profile.r_tail!r} is beyond the tail sampling cap "
+            f"{SweepConfig.tail_r_max!r}; pick a larger slope budget")
 
     # the period-4 orbit must exist inside the flat disc; a failed search
     # invalidates this damping value, which the caller then halves
@@ -248,9 +251,15 @@ def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:
 
 
 def _check_sr_bound(bundle: CounterexampleBundle) -> CheckRecord:
-    sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius,
-                                            bundle.profile.r_tail, 0.5)
+    r_tail = bundle.profile.r_tail
     bound = SweepConfig.sr_cap + 1e-9
+    if not math.isfinite(SweepConfig.sr_span * r_tail):
+        return CheckRecord(
+            name="spectral-radius-bound", passed=False,
+            detail=f"profile tail {r_tail!r} times the sweep span {SweepConfig.sr_span!r} "
+                   f"overflows a double, so the sweep has no end",
+            data={"tail_radius": r_tail, "cap": bound, "samples": 0})
+    sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius, r_tail, 0.5)
     return CheckRecord(
         name="spectral-radius-bound", passed=sup <= bound,
         detail=f"max sampled spectral radius {sup!r} vs cap {bound!r} over {count} samples",

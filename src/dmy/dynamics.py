@@ -44,8 +44,7 @@ from itertools import chain
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
 from .planar import PlanarMap, _chain_product, fd_jacobian, step_function
-from .spectral import (EigenPair, _growth, _inf_on_overflow, _log_radii, _norm, _ring_points,
-                       _sweep_sup, eig2)
+from .spectral import EigenPair, _growth, _log_radii, _norm, _ring_points, _sweep_sup, eig2
 
 
 class OmegaTag(Enum):
@@ -382,7 +381,7 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
 
     ball = _log_radii(ball_radius / _BALL_SPAN, ball_radius, cfg.ball_radii)
     norm_sup, _, n_ball = _sweep_sup(chain([(0.0, 0.0)], _ring_points(ball, cfg.angles)),
-                                     _inf_on_overflow(lambda x, y: _norm(*m._jac(x, y))))
+                                     lambda x, y: _norm(*m._jac(x, y)))
     norm_sup_used = max(norm_sup, 1.0)  # threshold formula needs a bound > alpha
     threshold = 2.0 * (norm_sup_used * ball_radius - alpha * ball_radius) / (1.0 - alpha)
     factor = (alpha + 1.0) / 2.0
@@ -395,11 +394,9 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
     end = _OUTER_SPAN * threshold
     if math.isfinite(end):
         outer = _log_radii(ball_radius, end, cfg.outer_radii)
-        hyp_ratio, hyp_at, n_hyp = _sweep_sup(_ring_points(outer, cfg.angles),
-                                              _inf_on_overflow(hyp_growth), 0.0)
+        hyp_ratio, hyp_at, n_hyp = _sweep_sup(_ring_points(outer, cfg.angles), hyp_growth, 0.0)
         far = _log_radii(threshold, end, cfg.outer_radii)
-        con_ratio, con_at, n_con = _sweep_sup(_ring_points(far, cfg.angles),
-                                              _growth(m), 0.0)
+        con_ratio, con_at, n_con = _sweep_sup(_ring_points(far, cfg.angles), _growth(m), 0.0)
     else:
         hyp_ratio = con_ratio = math.inf
         hyp_at = con_at = None

@@ -2,9 +2,10 @@
 
 Eigenvalues come from the characteristic polynomial l^2 - tr*l + det.  The
 discriminant decides real versus conjugate-complex; a pair counts as real
-when tr^2 - 4*det >= -1e-12 * max(1, tr^2), so an exactly-nilpotent Jacobian
-survives rounding as the real double root it is.  The real branch uses the
-cancellation-free form (larger root first, companion via det / root).
+when tr^2 - 4*det >= -1e-12 * max(tr^2, 4*|det|), a floor relative to the
+terms that formed it, so an exactly-nilpotent Jacobian survives rounding as
+the real double root it is.  The real branch uses the cancellation-free form
+(larger root first, companion via det / root).
 
 The operator norm is the exact 2x2 singular-value identity
 
@@ -172,12 +173,13 @@ def _uniform(rng: random.Random, lo: float, hi: float) -> float:
     return (0.5 * lo + (0.5 * hi - 0.5 * lo) * u) * 2.0
 
 
-def _log_radii(lo: float, hi: float, n: int) -> list[float]:
-    """n radii from lo to hi, evenly spaced in log-radius (just hi when n == 1)."""
+def _log_radii(lo: float, hi: float, n: int, offset: float = 0.0) -> list[float]:
+    """n radii from lo to hi, evenly spaced in log-radius (just hi when n == 1).
+    Offset 0.5 takes the n midpoints of the one-point-longer log grid instead."""
     if n == 1:
         return [hi]
     llo, lhi = math.log(lo), math.log(hi)
-    return [math.exp(_lerp(llo, lhi, i, n)) for i in range(n)]
+    return [math.exp(_lerp(llo, lhi, i + offset, n + 1 if offset else n)) for i in range(n)]
 
 
 def _ring_points(radii, angles: int, phase: float = 0.0):
@@ -192,30 +194,26 @@ def _ring_points(radii, angles: int, phase: float = 0.0):
 
 def _sweep_sup(points, value, sup: float = -math.inf, at=None):
     """Largest value(x, y) over the (x, y) points, the first point attaining it
-    as a Point2 (``at`` if no value beats ``sup``), and the number of points visited."""
+    as a Point2 (``at`` if no value beats ``sup``), and the number of points
+    visited.  A value that raises NumericOverflowError or is NaN counts as
+    +inf: an overflowing sample has no finite bound."""
     count = 0
     for p in points:
         count += 1
-        v = value(*p)
+        try:
+            v = value(*p)
+        except NumericOverflowError:
+            v = math.inf
+        if v != v:  # NaN
+            v = math.inf
         if v > sup:
             sup, at = v, p
     return sup, None if at is None else Point2(*at), count
 
 
-def _inf_on_overflow(value):
-    """The sweep value ``value``, infinite where it overflows or is NaN."""
-    def guarded(x, y):
-        try:
-            v = value(x, y)
-        except NumericOverflowError:
-            return math.inf
-        return math.inf if math.isnan(v) else v
-    return guarded
-
-
 def _growth(m: PlanarMap):
-    """The sweep value (x, y) -> |m(x, y)| / |(x, y)|, infinite where m overflows."""
-    return _inf_on_overflow(lambda x, y: math.hypot(*m._image(x, y)) / math.hypot(x, y))
+    """The sweep value (x, y) -> |m(x, y)| / |(x, y)|."""
+    return lambda x, y: math.hypot(*m._image(x, y)) / math.hypot(x, y)
 
 
 def _sample_points(region: Rect, strategy):
@@ -384,5 +382,4 @@ def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:
     finite norm bound, and callers use this value as an upper estimate.
     """
     jac = m._jac
-    return _sweep_sup(_sample_points(region, strategy),
-                      _inf_on_overflow(lambda x, y: _norm(*jac(x, y))), 0.0)[0]
+    return _sweep_sup(_sample_points(region, strategy), lambda x, y: _norm(*jac(x, y)), 0.0)[0]

@@ -336,6 +336,16 @@ def test_counterexample_sweep_overflow_exits_two(capsys):
         "overflows a double\n")
 
 
+def test_counterexample_tail_beyond_the_verifier_cap_exits_two(capsys):
+    # the budget builds a tail radius the tail-contraction sweep refuses
+    assert main(["counterexample", "--eps-init", "0.04"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy counterexample: profile tail radius 1.9642803285233646e+61 is beyond the "
+        "tail sampling cap 1e+60; pick a larger slope budget\n")
+
+
 def test_counterexample_config_round_trip(tmp_path, capsys):
     direct = tmp_path / "direct.json"
     assert main(["counterexample", "--out", str(direct)]) == 0
@@ -367,6 +377,36 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
     assert main([argv[0], "--config", str(cfg_path), "--out", str(replay)]) == code
     assert replay.read_bytes() == direct.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code, sha", [
+    (["spectrum", "--map", "szlenk", "--grid", "21x21", "--check", "ball:0.9",
+      "--check", "interval-free:0.5:0.9"], 0,
+     "41454fccb045ff102afa2c0418e91f96bef13e7bbd793234fc00c1216a41cf87"),
+    (["spectrum", "--map", "szlenk", "--random", "50", "--rng-seed", "7",
+      "--check", "real-free"], 0,
+     "e8a070bfea338edb15a4a9092d1b57e42f2760c7077e18a82c15f3b171489930"),
+    (["periodic", "--map", "counterexample"], 0,
+     "905867785c5a95cc8b3004a94de3eba2087084e8bf023b24f98cea45a727bde5"),
+    (["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5", "--radius", "1e160",
+      "--samples", "11"], 1,
+     "fc80f79741046abb918b2612ebe9eef9c0f73400612e465f56e167326c56a473"),
+    (["dissipativity", "--map", "szlenk", "--radius", "1e100"], 1,
+     "7061c8fce8ccad668208ed7fbcedc56a64faa83ed758d0f2d6ce54c7b8f93a73"),
+    (["counterexample"], 0,
+     "7f477bdbf6e13df79b77db9fde85a1450659ce9aa0194fc63a06aaa0ce681abe"),
+    (["phi"], 0, "31ecf0952f4b1929bf5cf49f0be66a11ee740591fb163266ab3fe46ce74e28ed"),
+    (["orbit", "--map", "ga", "--start", "10,0", "--steps", "50"], 0,
+     "81a88bd7bfa41e740f7c8bca7301853d2329c59fa4edd245baa725b79271a8ff"),
+], ids=["spectrum-grid", "spectrum-random", "periodic", "ray-1e160", "dissipativity-null",
+        "counterexample", "phi", "orbit"])
+def test_report_bytes_are_pinned(argv, code, sha, capsys):
+    # one command of each JSON and CSV shape, byte for byte: key order, float
+    # spelling, null witnesses and the config header
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == sha
 
 
 # ---------------------------------------------------------------------- phi

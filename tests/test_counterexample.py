@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import struct
@@ -203,6 +204,21 @@ def test_spectral_sweep_overflow_is_a_failed_check(bundle):
     assert rec.data["max"] == math.inf
     assert rec.data["samples"] == 1 + 400 * 32
     assert _finite_or_null(report.to_dict())["checks"][1]["data"]["max"] is None
+
+
+def test_sweep_span_overflow_is_a_failed_check(bundle):
+    # the tail radius 9.48e307 is finite, but the sweeps' end 10 * r_tail is
+    # not: the spectral-radius check fails unsampled, it does not raise
+    huge = dataclasses.replace(
+        bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.0077792))
+    assert math.isfinite(huge.profile.r_tail)
+    assert not math.isfinite(ce.SweepConfig.sr_span * huge.profile.r_tail)
+    report = verify_counterexample(huge)
+    rec = next(c for c in report.checks if c.name == "spectral-radius-bound")
+    assert not report.passed and not rec.passed
+    assert rec.data["samples"] == 0
+    text = json.dumps(_finite_or_null(report.to_dict()), allow_nan=False)
+    assert json.loads(text)["checks"][1]["data"]["samples"] == 0
 
 
 def test_far_tail_contracts_strongly(bundle):

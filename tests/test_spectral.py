@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2, ParameterError,
-                 Point2, RandomStrategy, Rect, SzlenkMap, check_ball,
-                 check_interval_free, check_real_free, eig2, operator_norm,
+from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2,
+                 NumericOverflowError, ParameterError, Point2, RandomStrategy, Rect,
+                 SzlenkMap, check_ball, check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
-from dmy.spectral import REAL_DISC_TOL, _eig, _norm, _radius, _sample_points
+from dmy.spectral import REAL_DISC_TOL, _eig, _norm, _radius, _sample_points, _sweep_sup
 
 
 def test_eig_diagonal_real_pair_ascending():
@@ -445,3 +445,17 @@ def test_grid_samples_land_exactly_on_the_region_bounds(a, b, n):
     lo, hi = sorted((a, b))
     pts = list(_sample_points(Rect(lo, hi, lo, hi), GridStrategy(n, n)))
     assert struct.pack("<4d", *pts[0], *pts[-1]) == struct.pack("<4d", lo, lo, hi, hi)
+
+
+def test_sweep_sup_prices_an_overflowing_sample_as_inf():
+    # a value that raises NumericOverflowError or is NaN counts as +inf, and
+    # the first point attaining the sup is its witness
+    def value(x, y):
+        if x == 1.0:
+            raise NumericOverflowError("overflow")
+        return math.nan if x == 2.0 else x
+
+    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+    assert _sweep_sup(pts, value) == (math.inf, Point2(1.0, 0.0), 4)
+    assert _sweep_sup(pts[2:], value) == (math.inf, Point2(2.0, 0.0), 2)
+    assert _sweep_sup(pts[3:], value, 5.0, (9.0, 9.0)) == (5.0, Point2(9.0, 9.0), 1)
