@@ -361,8 +361,10 @@ def _run_phi(resolved: dict):
     n = _capped(resolved, "log_samples")
     if n < 2:
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
-    rows = [(r, *_phi_parts(profile, r))
-            for r in _log_radii(profile.R / 10.0, 10.0 * profile.r_tail, n)]
+    if not math.isfinite(hi := 10.0 * profile.r_tail):
+        raise ParameterError(f"profile tail radius {profile.r_tail!r} times 10 overflows a "
+                             f"double, so the table has no end; pick a larger --eps")
+    rows = [(r, *_phi_parts(profile, r)) for r in _log_radii(profile.R / 10.0, hi, n)]
     return _csv(["r", "phi", "phi_prime_times_r"], rows), 0
 
 

@@ -17,13 +17,17 @@ each fact once (damped map, profile, c_raw, orbit) and composes its own map.
 than searching again and sampling spectral radii off the build's sample points,
 and returns a report of per-check verdicts whose header is read off the same
 bundle; it never raises on a failed claim, and a sample where the Jacobian
-overflows counts as spectral radius infinity.
+overflows counts as spectral radius infinity.  The spectral-radius,
+orientation and envelope sweeps end at the bundle's ``reach``, ``sr_span`` tail
+radii.  A tail at or past ``tail_r_max`` has no reach: the build refuses it
+before any sweep, and the verifier fails those three checks and tail
+contraction unsampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
@@ -45,7 +49,7 @@ class SweepConfig:
     # spectral-radius sweeps of the composed map (also the eps search)
     sr_radii = 400
     sr_angles = 32
-    sr_span = 10.0        # radii reach sr_span * r_tail
+    sr_span = 10.0        # far sweeps reach sr_span * r_tail (CounterexampleBundle.reach)
     sr_cap = 0.95
     # norm and spectral-radius sweep of the damped map (c_raw and the
     # damping precondition)
@@ -58,7 +62,7 @@ class SweepConfig:
     # tail-contraction sweep
     tail_radii = 128
     tail_angles = 16
-    tail_r_max = 1e60
+    tail_r_max = 1e60     # a tail at or past this has no reach: nothing far is sampled
     # radial-map orientation sweep
     orient_radii = 256
     orient_angles = 16
@@ -76,8 +80,8 @@ class CounterexampleBundle:
 
     Only the damped map, the profile, c_raw and the orbit are set; the radial
     map and the composite radial o damped are composed from them, and k, a,
-    c_used and flat_radius are read off them, so the verifier always checks
-    the map the report names."""
+    c_used, flat_radius and the sweeps' reach are read off them, so the
+    verifier always checks the map the report names."""
 
     damped: DampedSzlenkMap
     profile: PhiProfile  # built for the norm bound c_used = 1.05 * max(c_raw, 1)
@@ -95,6 +99,12 @@ class CounterexampleBundle:
     a = property(lambda self: self.damped.a)
     c_used = property(lambda self: self.profile.C)
     flat_radius = property(lambda self: self.profile.R)
+
+    @property
+    def reach(self) -> float | None:
+        """Where the far sweeps end; None at or past the tail sampling cap."""
+        r_tail = self.profile.r_tail
+        return SweepConfig.sr_span * r_tail if r_tail < SweepConfig.tail_r_max else None
 
 
 @dataclass(frozen=True)
@@ -158,13 +168,12 @@ def _damped_sweep(damped: DampedSzlenkMap):
     return sup_norm, sup_sr
 
 
-def _composite_sr_sweep(m: PlanarMap, flat_radius: float, tail_radius: float, offset=0.0):
+def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float, offset=0.0):
     """Max sampled spectral radius of the composed map's Jacobian, where it
     is attained, and the sample count, over the origin and log radii from far
-    inside the flat disc to past the profile tail.  Offset 0.5 samples between
-    those radii and angles: midpoints of a one-point-longer log grid."""
-    radii = _log_radii(flat_radius * 1e-6, SweepConfig.sr_span * tail_radius,
-                       SweepConfig.sr_radii, offset)
+    inside the flat disc out to the reach.  Offset 0.5 samples between those
+    radii and angles: midpoints of a one-point-longer log grid."""
+    radii = _log_radii(flat_radius * 1e-6, reach, SweepConfig.sr_radii, offset)
     jac = m._jac
     return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset)),
                       lambda x, y: _radius(*jac(x, y)))
@@ -182,35 +191,31 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
 
     eps = min(eps_init, 0.9 / (8.0 * c_used))
     for _ in range(SweepConfig.max_eps_halvings + 1):
-        profile = build_phi(flat_radius, c_used, eps)
-        if not math.isfinite(SweepConfig.sr_span * profile.r_tail):
+        # a candidate without its orbit yet; halving eps only pushes its tail out
+        bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
+        if bundle.reach is None:
             raise ParameterError(
-                f"profile tail radius {profile.r_tail!r} times the sweep span "
-                f"{SweepConfig.sr_span!r} overflows a double; pick a larger slope budget")
-        comp = compose(RadialMap(profile), damped)
-        if _composite_sr_sweep(comp, flat_radius, profile.r_tail)[0] <= SweepConfig.sr_cap:
+                f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail sampling "
+                f"cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
+        sup = _composite_sr_sweep(bundle.composite, flat_radius, bundle.reach)[0]
+        if sup <= SweepConfig.sr_cap:
             break
         eps /= 2.0
     else:
         raise ParameterError(
             f"no slope budget under {eps_init!r} brought the sampled spectral radius "
             f"under {SweepConfig.sr_cap!r} within {SweepConfig.max_eps_halvings} halvings")
-    if profile.r_tail >= SweepConfig.tail_r_max:
-        # the verifier's tail-contraction sweep refuses such a tail
-        raise ParameterError(
-            f"profile tail radius {profile.r_tail!r} is beyond the tail sampling cap "
-            f"{SweepConfig.tail_r_max!r}; pick a larger slope budget")
 
     # the period-4 orbit must exist inside the flat disc; a failed search
     # invalidates this damping value, which the caller then halves
-    orbit = find_periodic(comp, 4, Point2(flat_radius / 2.0, 0.0), SweepConfig.newton)
+    orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0), SweepConfig.newton)
     norms = [p.norm() for p in orbit.points]
     if min(norms) <= 1e-6 or max(norms) >= flat_radius:
         raise ConvergenceError(
             f"period-4 search collapsed outside the punctured flat disc "
             f"(orbit radii {min(norms)!r}..{max(norms)!r})",
             last_iterate=orbit.points[0], residual=orbit.residual)
-    return CounterexampleBundle(damped, profile, c_raw, orbit.points)
+    return replace(bundle, orbit=orbit.points)
 
 
 def build_counterexample(k: float, a: float = 0.005,
@@ -250,54 +255,39 @@ def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:
         data={"image": [img.x, img.y]})
 
 
-def _check_sr_bound(bundle: CounterexampleBundle) -> CheckRecord:
-    r_tail = bundle.profile.r_tail
+# the far checks sample out to the bundle's reach and return (passed, detail,
+# data); verify_counterexample names them and runs them only on a bundle with a reach
+def _check_sr_bound(bundle: CounterexampleBundle):
     bound = SweepConfig.sr_cap + 1e-9
-    if not math.isfinite(SweepConfig.sr_span * r_tail):
-        return CheckRecord(
-            name="spectral-radius-bound", passed=False,
-            detail=f"profile tail {r_tail!r} times the sweep span {SweepConfig.sr_span!r} "
-                   f"overflows a double, so the sweep has no end",
-            data={"tail_radius": r_tail, "cap": bound, "samples": 0})
-    sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius, r_tail, 0.5)
-    return CheckRecord(
-        name="spectral-radius-bound", passed=sup <= bound,
-        detail=f"max sampled spectral radius {sup!r} vs cap {bound!r} over {count} samples",
-        data={"max": sup, "cap": bound, "samples": count, "worst": [worst.x, worst.y]})
+    sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius,
+                                            bundle.reach, 0.5)
+    return (sup <= bound,
+            f"max sampled spectral radius {sup!r} vs cap {bound!r} over {count} samples",
+            {"max": sup, "cap": bound, "samples": count, "worst": [worst.x, worst.y]})
 
 
-def _check_tail_contraction(bundle: CounterexampleBundle) -> CheckRecord:
+def _check_tail_contraction(bundle: CounterexampleBundle):
     r_tail = bundle.profile.r_tail
-    cap = SweepConfig.tail_r_max
-    if r_tail >= cap:
-        return CheckRecord(
-            name="tail-contraction", passed=False,
-            detail=f"profile tail {r_tail!r} is beyond the sampling cap {cap!r}",
-            data={"tail_radius": r_tail, "cap": cap, "samples": 0})
-    worst, worst_at, count = _sweep_sup(
-        _ring_points(_log_radii(r_tail, cap, SweepConfig.tail_radii), SweepConfig.tail_angles),
-        _growth(bundle.composite), 0.0, (r_tail, 0.0))
-    return CheckRecord(
-        name="tail-contraction", passed=worst <= 0.5,
-        detail=f"max |f(p)|/|p| = {worst!r} over {count} tail samples (bound 0.5)",
-        data={"max_ratio": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
+    radii = _log_radii(r_tail, SweepConfig.tail_r_max, SweepConfig.tail_radii)
+    worst, worst_at, count = _sweep_sup(_ring_points(radii, SweepConfig.tail_angles),
+                                        _growth(bundle.composite), 0.0, (r_tail, 0.0))
+    return (worst <= 0.5,
+            f"max |f(p)|/|p| = {worst!r} over {count} tail samples (bound 0.5)",
+            {"max_ratio": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
 
 
-def _check_orientation(bundle: CounterexampleBundle) -> CheckRecord:
+def _check_orientation(bundle: CounterexampleBundle):
     """det of the radial map's Jacobian stays positive at every sample."""
-    hi = min(SweepConfig.tail_r_max, SweepConfig.sr_span * bundle.profile.r_tail)
-    ring = _ring_points(_log_radii(bundle.flat_radius * 1e-6, hi, SweepConfig.orient_radii),
-                        SweepConfig.orient_angles)
+    ring = _ring_points(_log_radii(bundle.flat_radius * 1e-6, bundle.reach,
+                                   SweepConfig.orient_radii), SweepConfig.orient_angles)
     def neg_det(x, y):
         j11, j12, j21, j22 = bundle.radial._jac(x, y)
         return -(j11 * j22 - j12 * j21)
 
     neg, worst_at, count = _sweep_sup(chain([(0.0, 0.0)], ring), neg_det)
     worst = -neg
-    return CheckRecord(
-        name="radial-orientation", passed=worst > 0.0,
-        detail=f"min sampled radial Jacobian det {worst!r} over {count} samples",
-        data={"min_det": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
+    return (worst > 0.0, f"min sampled radial Jacobian det {worst!r} over {count} samples",
+            {"min_det": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
 
 
 def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
@@ -328,14 +318,13 @@ def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
               "hyperbolic": orbit.hyperbolic})
 
 
-def _check_envelope(bundle: CounterexampleBundle) -> CheckRecord:
-    prof = bundle.profile
+def _check_envelope(bundle: CounterexampleBundle):
+    prof, reach = bundle.profile, bundle.reach
     slope_budget = prof.eps / 8.0
-    radii = [0.0, prof.R * 0.5, prof.R]
-    radii += _log_radii(prof.R * 1e-3, SweepConfig.sr_span * prof.r_tail,
-                        SweepConfig.phi_samples)
-    radii += [prof.r_tail, prof.r_tail * 10.0, min(SweepConfig.tail_r_max, prof.r_tail * 1e6)]
-    radii = sorted(set(radii))
+    # the log grid, the origin, the reach exactly, the knot walk's knots R,
+    # R e^ramp and R e^m_target, and the tail radius
+    knots = (prof.R, prof.R * math.exp(prof.ramp), prof.R * math.exp(prof.m_target), prof.r_tail)
+    radii = sorted({0.0, *knots, reach, *_log_radii(prof.R * 1e-3, reach, SweepConfig.phi_samples)})
     max_slope = 0.0
     range_ok = monotone_ok = flat_ok = floor_ok = stretch_ok = True
     prev_val, prev_stretch = math.inf, None
@@ -353,15 +342,14 @@ def _check_envelope(bundle: CounterexampleBundle) -> CheckRecord:
         prev_val = val
     slope_ok = not max_slope > slope_budget
     ok = range_ok and monotone_ok and slope_ok and flat_ok and floor_ok and stretch_ok
-    return CheckRecord(
-        name="profile-envelope", passed=ok,
-        detail=(f"range {range_ok}, monotone {monotone_ok}, slope {slope_ok} "
-                f"(max {max_slope!r} vs budget {slope_budget!r}), flat disc {flat_ok}, "
-                f"floor tail {floor_ok}, radius stretch strictly increasing {stretch_ok}"),
-        data={"samples": len(radii), "max_abs_log_slope": max_slope,
-              "slope_budget": slope_budget, "range_ok": range_ok,
-              "monotone_ok": monotone_ok, "flat_ok": flat_ok,
-              "floor_ok": floor_ok, "stretch_ok": stretch_ok})
+    return (ok,
+            f"range {range_ok}, monotone {monotone_ok}, slope {slope_ok} "
+            f"(max {max_slope!r} vs budget {slope_budget!r}), flat disc {flat_ok}, "
+            f"floor tail {floor_ok}, radius stretch strictly increasing {stretch_ok}",
+            {"samples": len(radii), "max_abs_log_slope": max_slope,
+             "slope_budget": slope_budget, "range_ok": range_ok,
+             "monotone_ok": monotone_ok, "flat_ok": flat_ok,
+             "floor_ok": floor_ok, "stretch_ok": stretch_ok})
 
 
 def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
@@ -371,14 +359,23 @@ def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
     build's stored orbit, and the spectral radius is sampled off the build's
     sample points.  Failures are verdicts in the report, never exceptions, so
     a deliberately broken bundle, or one whose spectral sweep overflows, yields
-    a failing report rather than a crash.
+    a failing report rather than a crash.  A bundle with no reach fails the
+    four far checks unsampled (``samples: 0``).
     """
+    def far(name, check):
+        if bundle.reach is not None:
+            return CheckRecord(name, *check(bundle))
+        r_tail, cap = bundle.profile.r_tail, SweepConfig.tail_r_max
+        return CheckRecord(name, False, f"profile tail radius {r_tail!r} is beyond the tail "
+                           f"sampling cap {cap!r}, so nothing was sampled",
+                           {"tail_radius": r_tail, "cap": cap, "samples": 0})
+
     checks = (
         _check_origin_fixed(bundle),
-        _check_sr_bound(bundle),
-        _check_tail_contraction(bundle),
-        _check_orientation(bundle),
+        far("spectral-radius-bound", _check_sr_bound),
+        far("tail-contraction", _check_tail_contraction),
+        far("radial-orientation", _check_orientation),
         _check_periodic_orbit(bundle),
-        _check_envelope(bundle),
+        far("profile-envelope", _check_envelope),
     )
     return VerificationReport(bundle, checks)

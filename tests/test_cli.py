@@ -316,24 +316,25 @@ def test_counterexample_report(tmp_path, capsys):
 
 
 def test_counterexample_tail_span_overflow_exits_two(capsys):
-    # the tail radius is finite, but the sweeps' end sr_span * r_tail is not
+    # the tail radius is finite, but far past the tail sampling cap, so the
+    # bundle has no reach (sr_span * r_tail would overflow besides)
     assert main(["counterexample", "--eps-init", "0.00778"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "dmy counterexample: profile tail radius 8.820622431328206e+307 times the "
-        "sweep span 10.0 overflows a double; pick a larger slope budget\n")
+        "dmy counterexample: profile tail radius 8.820622431328206e+307 is beyond the "
+        "tail sampling cap 1e+60; pick a larger slope budget\n")
 
 
 def test_counterexample_sweep_overflow_exits_two(capsys):
-    # the spectral-radius sweep overflows the cubic Jacobian at every budget
-    # the search tries, so it halves eps until the tail radius overflows
+    # the first budget's tail is already past the tail sampling cap, and
+    # halving eps only pushes it further out: refused before any sweep
     assert main(["counterexample", "--eps-init", "0.02"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "dmy counterexample: slope budget is so small that the tail radius "
-        "overflows a double\n")
+        "dmy counterexample: profile tail radius 7.097125045365751e+120 is beyond the "
+        "tail sampling cap 1e+60; pick a larger slope budget\n")
 
 
 def test_counterexample_tail_beyond_the_verifier_cap_exits_two(capsys):
@@ -427,6 +428,16 @@ def test_phi_csv_slope_column(capsys):
 def test_phi_rejects_tiny_sample_count(capsys):
     assert main(["phi", "--log-samples", "1"]) == 2
     capsys.readouterr()
+
+
+def test_phi_table_end_overflow_exits_two(capsys):
+    # the tail radius is finite, but the table's end 10 * r_tail is not
+    assert main(["phi", "--eps", "0.00852"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy phi: profile tail radius 3.7714548808593454e+307 times 10 overflows a "
+        "double, so the table has no end; pick a larger --eps\n")
 
 
 _CAP = 4096 * 4096

@@ -194,16 +194,23 @@ def test_bundle_reads_its_header_off_its_parts(bundle):
 
 
 def test_spectral_sweep_overflow_is_a_failed_check(bundle):
-    # at eps 0.02 the sweep reaches 10 * r_tail, past where the cubic
-    # Jacobian's d*d overflows: a verdict, not an exception
+    # at eps 0.02 a sweep out to 10 * r_tail passes where the cubic Jacobian's
+    # d*d overflows: each such sample counts as radius infinity, not an
+    # exception
     steep = dataclasses.replace(
         bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.02))
+    span = ce.SweepConfig.sr_span * steep.profile.r_tail
+    sup, _, count = ce._composite_sr_sweep(steep.composite, steep.flat_radius, span, 0.5)
+    assert sup == math.inf
+    assert count == 1 + 400 * 32
+    # that tail lies past the tail sampling cap, so the bundle has no reach
+    # and the check itself samples nothing
+    assert steep.reach is None
     report = verify_counterexample(steep)
     rec = next(c for c in report.checks if c.name == "spectral-radius-bound")
     assert not report.passed and not rec.passed
-    assert rec.data["max"] == math.inf
-    assert rec.data["samples"] == 1 + 400 * 32
-    assert _finite_or_null(report.to_dict())["checks"][1]["data"]["max"] is None
+    assert rec.data == {"tail_radius": steep.profile.r_tail, "cap": 1e60, "samples": 0}
+    json.dumps(_finite_or_null(report.to_dict()), allow_nan=False)
 
 
 def test_sweep_span_overflow_is_a_failed_check(bundle):
@@ -219,6 +226,23 @@ def test_sweep_span_overflow_is_a_failed_check(bundle):
     assert rec.data["samples"] == 0
     text = json.dumps(_finite_or_null(report.to_dict()), allow_nan=False)
     assert json.loads(text)["checks"][1]["data"]["samples"] == 0
+
+
+def test_bundle_without_reach_fails_the_far_checks_unsampled(bundle):
+    # sr_span * r_tail overflows here: the envelope and orientation sweeps
+    # once passed on 7 and 4,097 samples that never reached the tail
+    huge = dataclasses.replace(
+        bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.0077792))
+    assert huge.reach is None
+    checks = {c.name: c for c in verify_counterexample(huge).checks}
+    far = ["spectral-radius-bound", "tail-contraction", "radial-orientation", "profile-envelope"]
+    for name in far:
+        assert not checks[name].passed
+        assert checks[name].data["samples"] == 0
+        assert checks[name].detail == (
+            f"profile tail radius {huge.profile.r_tail!r} is beyond the tail sampling cap "
+            f"1e+60, so nothing was sampled")
+    assert checks["origin-fixed"].passed and checks["period-4-orbit"].passed
 
 
 def test_far_tail_contracts_strongly(bundle):
@@ -327,21 +351,22 @@ def test_orbit_moved_past_the_doubles_fails_its_check(bundle):
 
 
 class _RecordingMap:
-    """Records every point a spectral-radius sweep asks for."""
+    """Records every point a Jacobian sweep asks for, answering with the
+    wrapped map's Jacobian, or zeros without one."""
 
-    def __init__(self):
+    def __init__(self, inner=None):
         self.points = []
+        self.inner = inner
 
     def _jac(self, x, y):
         self.points.append((x, y))
-        return 0.0, 0.0, 0.0, 0.0
+        return (0.0, 0.0, 0.0, 0.0) if self.inner is None else self.inner._jac(x, y)
 
 
 def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
     build, verify = _RecordingMap(), _RecordingMap()
-    r_tail = bundle.profile.r_tail
-    ce._composite_sr_sweep(build, bundle.flat_radius, r_tail)
-    ce._composite_sr_sweep(verify, bundle.flat_radius, r_tail, 0.5)
+    ce._composite_sr_sweep(build, bundle.flat_radius, bundle.reach)
+    ce._composite_sr_sweep(verify, bundle.flat_radius, bundle.reach, 0.5)
     assert len(build.points) == len(verify.points) == 1 + 400 * 32
     assert build.points[0] == verify.points[0] == (0.0, 0.0)
     assert not set(build.points[1:]) & set(verify.points[1:])
@@ -355,6 +380,42 @@ def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
                 if c.name == "spectral-radius-bound").data
     assert tuple(data["worst"]) in set(verify.points)
     assert data["max"] < 0.95
+
+
+def test_far_sweeps_end_at_the_reach(monkeypatch):
+    # the tail 6.9e59 is inside the tail sampling cap 1e60 while ten tails
+    # are not: every far sweep still ends at the one reach
+    sweeps = []
+    sweep, parts = ce._composite_sr_sweep, ce._phi_parts
+
+    def recording_sweep(m, *args):
+        sweeps.append(_RecordingMap(m))
+        return sweep(sweeps[-1], *args)
+
+    monkeypatch.setattr(ce, "_composite_sr_sweep", recording_sweep)
+    b = build_counterexample(1.01, 0.005, 0.041)
+    assert b.profile.r_tail < 1e60 < b.reach == 10.0 * b.profile.r_tail
+    build_sr = sweeps[-1]
+    far = dataclasses.replace(b)
+    orient = _RecordingMap(b.radial)
+    object.__setattr__(far, "radial", orient)
+    envelope = []
+    monkeypatch.setattr(ce, "_phi_parts", lambda prof, r: envelope.append(r) or parts(prof, r))
+    assert verify_counterexample(far).passed
+    # log grids end at exp(log(reach)), which may round off the reach
+    ends = [max(math.hypot(x, y) for x, y in rec.points) for rec in (build_sr, orient)]
+    assert ends + [max(envelope)] == pytest.approx([b.reach] * 3, rel=1e-12)
+    assert b.reach in envelope
+
+
+@pytest.mark.parametrize("eps_init", [0.02, 0.04])
+def test_build_refuses_a_tail_past_the_cap_before_any_sweep(monkeypatch, eps_init):
+    calls = []
+    sweep = ce._composite_sr_sweep
+    monkeypatch.setattr(ce, "_composite_sr_sweep", lambda *args: calls.append(args) or sweep(*args))
+    with pytest.raises(ParameterError, match="beyond the tail sampling cap 1e"):
+        build_counterexample(1.01, 0.005, eps_init)
+    assert calls == []
 
 
 def test_damped_jacobian_is_exactly_even():
