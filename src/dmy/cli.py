@@ -482,7 +482,8 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
         ("radius", "--radius", "float", 100.0, "outer sample radius (default: 100)"),
         ("samples", "--samples", "int", 101, "ray sample count (default: 101)"),
         ("tol", "--tol", "float", 1e-9,
-         "max allowed image distance to the ray (default: 1e-9)"),
+         "max allowed image distance to the ray, as a fraction of the ray's "
+         "length (default: 1e-9)"),
     ]),
     ("dissipativity", _run_dissipativity,
      "sampled eventual-contraction certificate on large norms", _MAP_OPTS + [

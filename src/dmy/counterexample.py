@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
 from .errors import ConvergenceError, NewtonError, ParameterError
@@ -36,7 +36,8 @@ from .geometry import Point2
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import _growth, _lerp, _log_radii, _norm, _radius, _ring_points, _sweep_sup
+from .spectral import (GridStrategy, Rect, _grid_axes, _growth, _half_grid, _log_radii, _norm,
+                       _radius, _ring_points, _sweep_sup)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -153,11 +154,10 @@ def _damped_sweep(damped: DampedSzlenkMap):
     rings far beyond it."""
     g = SweepConfig.norm_grid
     hw = SweepConfig.norm_half_width
-    # _lerp(-hw, hw, i, g) is exactly minus _lerp(-hw, hw, g-1-i, g) and the
-    # damped Jacobian is exactly even, so grid points up to the center see
-    # every value the mirrored half would
-    grid = islice(((_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
-                   for iy in range(g) for ix in range(g)), g * g // 2 + 1)
+    # the grid's axes are mirrored and the damped Jacobian is exactly even,
+    # so grid points up to the center see every value the mirrored half would
+    xs, ys = _grid_axes(Rect(-hw, hw, -hw, hw), GridStrategy(g, g))
+    grid = _half_grid(xs, ys)
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
     sup_norm = sup_sr = 0.0

@@ -16,7 +16,7 @@ Four questions about a planar map, answered by finite computation:
   threshold radius 2(MR - alpha R)/(1 - alpha) and contraction factor
   (alpha+1)/2, both verified by sampling);
 - is a sampled ray invariant (``verify_invariant_ray``: polyline distance of
-  image points to the sampled curve).
+  image points to the sampled curve, relative to the ray's sampled length).
 
 ``basin_raster`` runs the classifier over a pixel grid and is the one
 parallel entry point.  Each task is a row and its mirror row: every map in
@@ -417,7 +417,8 @@ class RayVerdict:
     """Outcome of an invariant-ray check.
 
     ``max_deviation`` is the largest distance from an image point to the
-    polyline through the ray samples; ``radius_ok`` records whether every
+    polyline through the ray samples; the check passes only where it is at
+    most ``tol * max_sample_radius``.  ``radius_ok`` records whether every
     image stayed within the sampled radius range.
     """
 
@@ -440,6 +441,11 @@ def _segment_dist(qx, qy, ax, ay, bx, by):
         # 2**-520, exact for normal floats, to below 2**504, where no square or
         # product overflows, and scale back up
         s = 2.0 ** -520
+        return _segment_dist(qx * s, qy * s, ax * s, ay * s, bx * s, by * s) / s
+    if vv < 2.0 ** -800 and 0.0 < max(map(abs, (qx, qy, ax, ay, bx, by))) < 2.0 ** -400:
+        # every coordinate is tiny and the squares lose their bits below the
+        # normal range: redo it scaled up by 2**600, exact, and scale back down
+        s = 2.0 ** 600
         return _segment_dist(qx * s, qy * s, ax * s, ay * s, bx * s, by * s) / s
     if vv <= 0.0:
         return math.hypot(wx, wy)
@@ -464,9 +470,11 @@ def verify_invariant_ray(m: PlanarMap, samples, tol: float) -> RayVerdict:
     """Check that the map sends a sampled ray into itself.
 
     The ray is given as points from the origin outward with strictly
-    increasing radii.  Each sample's image must lie within ``tol`` of the
-    polyline through the samples, and image radii must not exceed the
-    sampled range (the polyline only represents the ray that far).
+    increasing radii.  Each sample's image must lie within ``tol`` times the
+    largest sample radius of the polyline through the samples, and image
+    radii must not exceed the sampled range (the polyline only represents
+    the ray that far).  The tolerance is relative because invariance is
+    scale-free: scaling a ray scales its rounding deviations with it.
     """
     pts = tuple(samples)
     if len(pts) < 2:
@@ -500,7 +508,7 @@ def verify_invariant_ray(m: PlanarMap, samples, tol: float) -> RayVerdict:
         if d > worst:
             worst = d
             worst_idx = i
-    return RayVerdict(passed=radius_ok and worst <= tol,
+    return RayVerdict(passed=radius_ok and worst <= tol * max_r,
                       max_deviation=worst, worst_index=worst_idx,
                       radius_ok=radius_ok, max_image_radius=img_max,
                       max_sample_radius=max_r)

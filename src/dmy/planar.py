@@ -23,12 +23,18 @@ exactly: products, quotients by the even denominator 1 + x^2 + y^2, sums
 symmetric in sign, so ``xy(-x, -y) == (-fx, -fy)``.  Only the sign of a
 zero can differ (an exact cancellation gives +0.0 either way), and no
 kernel reads the sign of a zero, so an orbit from -p is, norm for norm, the
-negated orbit from p.  The class constant ``odd`` states this promise, and
-``basin_raster`` relies on it to classify each antipodal pair of cells
+negated orbit from p.  The Jacobian of an odd map is even, and the ``jac``
+kernel keeps that too: ``jac(-x, -y) == jac(x, y)`` entry for entry, as
+float equality (zero signs are free), by the same symmetry of each
+operation; the composite's chain rule multiplies factors taken at images
+that are exact negations.  So ``_jac`` raises NumericOverflowError at -p
+exactly when it does at p.  The class constant ``odd`` states this promise;
+``basin_raster`` relies on it to classify each antipodal pair of cells once,
+and ``sample_spectrum`` to evaluate each antipodal pair of grid samples
 once.  It is False on ``PlanarMap``, True on the four leaf variants and,
 on a composite, True when every member is odd.  A subclass that overrides
-``xy`` must set ``odd`` again, because it is inherited with the kernel it
-describes.
+``xy`` or ``jac`` must set ``odd`` again, because it is inherited with the
+kernels it describes.
 """
 
 from __future__ import annotations
@@ -82,8 +88,11 @@ class PlanarMap(ABC):
     The kernels return their result unchecked: a non-finite component means
     the evaluation left the doubles, and callers of the raw kernels must
     treat it as an escape.  ``eval`` and ``jacobian`` are the checked forms.
-    ``odd`` is True only when ``xy(-x, -y) == (-fx, -fy)`` everywhere and
-    the sign of a zero input changes at most the signs of zeros in the image.
+    ``odd`` is True only when ``xy(-x, -y) == (-fx, -fy)`` and
+    ``jac(-x, -y) == jac(x, y)`` everywhere (float equality, so zero signs
+    are free), ``_image`` and ``_jac`` raise NumericOverflowError at -p
+    exactly when they do at p, and the sign of a zero input changes at most
+    the signs of zeros in the image and the Jacobian.
     """
 
     odd = False

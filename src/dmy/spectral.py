@@ -23,6 +23,18 @@ near the double range, it is redone with the bounds scaled down by a power
 of two and scaled back.  A sample whose Jacobian or eigenvalue modulus
 overflows is counted and flagged, never raised, and any flagged sample makes
 every verdict fail: an unbounded spectrum cannot certify a spectrum bound.
+
+``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
+When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
+included) and each axis's coordinate list is its own reversed negation,
+grid sample N-1-i is sample i mirrored, so only the first ceil(N/2) samples
+are evaluated, the center included when N is odd, and the rest are derived.
+The test is on the computed lists, not on the bounds: a one-point axis has
+no mirror point however symmetric its bounds.  A derived sample equals (==)
+the sample it mirrors and comes later in sweep order, so the first maximum
+modulus, the first real extremum and every check's first witness are
+samples that were evaluated; derived real records read their coordinates
+off the grid lists, so an axis coordinate keeps its +0.0.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
@@ -164,13 +177,10 @@ def _lerp(lo: float, hi: float, i: int, n: int) -> float:
     return ((n - 1 - i) * (lo / s) + i * (hi / s)) / (n - 1) * s
 
 
-def _uniform(rng: random.Random, lo: float, hi: float) -> float:
-    """``rng.uniform(lo, hi)``, redone with halved bounds when ``hi - lo`` overflows."""
-    u = rng.random()
-    v = lo + (hi - lo) * u
-    if math.isfinite(v):
-        return v
-    return (0.5 * lo + (0.5 * hi - 0.5 * lo) * u) * 2.0
+def _redraw(v: float, lo: float, hi: float, u: float) -> float:
+    """The draw v = lo + (hi - lo) * u, redone with halved bounds where it
+    overflows (``rng.uniform`` bit for bit where it does not)."""
+    return v if math.isfinite(v) else (0.5 * lo + (0.5 * hi - 0.5 * lo) * u) * 2.0
 
 
 def _log_radii(lo: float, hi: float, n: int, offset: float = 0.0) -> list[float]:
@@ -216,27 +226,47 @@ def _growth(m: PlanarMap):
     return lambda x, y: math.hypot(*m._image(x, y)) / math.hypot(x, y)
 
 
-def _sample_points(region: Rect, strategy):
-    """Sample (x, y) in sweep order; the first one past the doubles raises ParameterError."""
-    if isinstance(strategy, GridStrategy):
-        xs = [_lerp(region.xmin, region.xmax, ix, strategy.nx) for ix in range(strategy.nx)]
-        ys = [_lerp(region.ymin, region.ymax, iy, strategy.ny) for iy in range(strategy.ny)]
-        if not all(map(math.isfinite, xs + ys)):
-            for y in ys:
-                for x in xs:
-                    Point2(x, y)  # raises at the first non-finite sample
+def _grid_axes(region: Rect, strategy: GridStrategy):
+    """The grid's x and y coordinate lists; a non-finite one raises ParameterError."""
+    xs = [_lerp(region.xmin, region.xmax, ix, strategy.nx) for ix in range(strategy.nx)]
+    ys = [_lerp(region.ymin, region.ymax, iy, strategy.ny) for iy in range(strategy.ny)]
+    if not all(map(math.isfinite, xs + ys)):
         for y in ys:
             for x in xs:
-                yield x, y
-    elif isinstance(strategy, RandomStrategy):
-        rng = random.Random(strategy.seed)
-        for _ in range(strategy.count):
-            x, y = _uniform(rng, region.xmin, region.xmax), _uniform(rng, region.ymin, region.ymax)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                Point2(x, y)  # raises
-            yield x, y
-    else:
-        raise ParameterError(f"unknown sampling strategy: {strategy!r}")
+                Point2(x, y)  # raises at the first non-finite sample
+    return xs, ys
+
+
+def _half_grid(xs: list[float], ys: list[float]):
+    """The first ceil(N/2) of the N row-major grid points, the center included
+    when N is odd.  On mirrored axes point N-1-i is the negation of point i."""
+    return islice(((x, y) for y in ys for x in xs), (len(xs) * len(ys) + 1) // 2)
+
+
+def _random_points(region: Rect, strategy: RandomStrategy):
+    draw = random.Random(strategy.seed).random
+    xlo, xhi, ylo, yhi = region.xmin, region.xmax, region.ymin, region.ymax
+    xw, yw = xhi - xlo, yhi - ylo
+    isfinite = math.isfinite
+    for _ in range(strategy.count):
+        u = draw()
+        v = draw()
+        x, y = xlo + xw * u, ylo + yw * v
+        if not (isfinite(x) and isfinite(y)):
+            x, y = _redraw(x, xlo, xhi, u), _redraw(y, ylo, yhi, v)
+            Point2(x, y)  # raises where even the halved draw leaves the doubles
+        yield x, y
+
+
+def _sample_points(region: Rect, strategy):
+    """Sample (x, y) in sweep order; a sample past the doubles raises ParameterError
+    (a grid's before any is taken, a draw's when it is drawn)."""
+    if isinstance(strategy, GridStrategy):
+        xs, ys = _grid_axes(region, strategy)
+        return ((x, y) for y in ys for x in xs)
+    if isinstance(strategy, RandomStrategy):
+        return _random_points(region, strategy)
+    raise ParameterError(f"unknown sampling strategy: {strategy!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,30 +306,44 @@ class SpectrumReport:
 
 
 def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
+    mirror = isinstance(strategy, GridStrategy) and m.odd
+    if mirror:
+        xs, ys = _grid_axes(region, strategy)
+        # each axis list its own reversed negation: symmetric bounds are not
+        # enough, since a one-point axis has no mirror point
+        mirror = xs == [-v for v in reversed(xs)] and ys == [-v for v in reversed(ys)]
+    points = _half_grid(xs, ys) if mirror else _sample_points(region, strategy)
     count = 0
     overflow = 0
+    last_overflow = None
     max_mod = None
     max_mod_at = None
     reals = []
     jac = m._jac
-    for idx, (x, y) in enumerate(_sample_points(region, strategy)):
+    for idx, (x, y) in enumerate(points):
         count += 1
         try:
-            j = jac(x, y)
+            is_real, lo, hi = _eig(*jac(x, y))
+            mod = _modulus(is_real, lo, hi)
         except NumericOverflowError:
+            mod = math.inf
+        if not math.isfinite(mod):  # finite entries can still overflow tr^2 - 4 det
             overflow += 1
-            continue
-        is_real, lo, hi = _eig(*j)
-        mod = _modulus(is_real, lo, hi)
-        if not math.isfinite(mod):
-            # finite entries can still overflow tr^2 - 4 det
-            overflow += 1
+            last_overflow = idx
             continue
         if max_mod is None or mod > max_mod:
             max_mod = mod
             max_mod_at = Point2(x, y)
         if is_real:
             reals.append(RealSpectrumSample(lo, hi, x, y, idx))
+    if mirror:
+        # sample n-1-i is sample i mirrored, with an equal Jacobian, so it
+        # repeats sample i's record; the center, taken last, mirrors itself
+        n, nx = len(xs) * len(ys), len(xs)
+        count = n
+        overflow = 2 * overflow - (n % 2 == 1 and last_overflow == n // 2)
+        reals += [RealSpectrumSample(s.lo, s.hi, xs[j % nx], ys[j // nx], j)
+                  for s in reversed(reals) if (j := n - 1 - s.index) != s.index]
     min_real = max_real = min_real_at = max_real_at = None
     if reals:
         # min and max keep the first extremum in sample order

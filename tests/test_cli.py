@@ -390,8 +390,8 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
     (["periodic", "--map", "counterexample"], 0,
      "905867785c5a95cc8b3004a94de3eba2087084e8bf023b24f98cea45a727bde5"),
     (["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5", "--radius", "1e160",
-      "--samples", "11"], 1,
-     "fc80f79741046abb918b2612ebe9eef9c0f73400612e465f56e167326c56a473"),
+      "--samples", "11"], 0,
+     "027223a641784dd7ebfe3111c082a2dd3d1bbd08ab558e16985a5ef8610158d5"),
     (["dissipativity", "--map", "szlenk", "--radius", "1e100"], 1,
      "7061c8fce8ccad668208ed7fbcedc56a64faa83ed758d0f2d6ce54c7b8f93a73"),
     (["counterexample"], 0,
@@ -399,8 +399,30 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
     (["phi"], 0, "31ecf0952f4b1929bf5cf49f0be66a11ee740591fb163266ab3fe46ce74e28ed"),
     (["orbit", "--map", "ga", "--start", "10,0", "--steps", "50"], 0,
      "81a88bd7bfa41e740f7c8bca7301853d2329c59fa4edd245baa725b79271a8ff"),
+    # symmetric grids of every map, whose mirrored half is derived rather
+    # than sampled, a strip with no mirror points, and draws past the doubles
+    (["spectrum", "--map", "linear", "--matrix", "0,-1,1,0", "--grid", "21x21",
+      "--check", "real-free"], 0,
+     "649a302c12d1f43e95a84a3bebe16849b3deb505ab123b95220731e59edb2dd1"),
+    (["spectrum", "--map", "szlenk", "--grid", "200x201", "--check", "interval-free:0.5:0.9"], 0,
+     "84c74d3809b2b1c1196eb60ca71183a13003196bcce11362d20212a584ceb161"),
+    (["spectrum", "--map", "ga", "--grid", "41x41", "--check", "ball:0.9",
+      "--check", "real-free"], 1,
+     "c7bcec027bc6762375f7c581969e7ec19e947c3a5c11a08047ed2afa0d86ec60"),
+    (["spectrum", "--map", "counterexample", "--grid", "41x31", "--check", "ball:0.95"], 0,
+     "7ae23f5c3b5866bf8525b8b862c4a307ae10230c134412a9ab86998c54e75959"),
+    (["spectrum", "--map", "szlenk", "--grid", "1x5", "--check", "interval-free:0.5:0.9"], 0,
+     "93dddf81d94f18edfd6111f1c8a183ff8362cb62ed61239ba630bc3624837fd8"),
+    (["spectrum", "--map", "szlenk", "--region", "-1e308:1e308:-1:1", "--grid", "3x3",
+      "--check", "ball:1"], 1,
+     "ef032d87fee338c7550b4b84a33e91932595ce1c61d17ae61aaf711d70a1f5a1"),
+    (["spectrum", "--map", "linear", "--matrix", "0.5,0,0,0.25", "--region",
+      "-1e308:1e308:-1:1", "--random", "50", "--rng-seed", "3", "--check", "real-free"], 1,
+     "82ed81ebd635fb095acedc3eb4adf30ba5fa8a9e2563aec48a51f8f4d98d84fe"),
 ], ids=["spectrum-grid", "spectrum-random", "periodic", "ray-1e160", "dissipativity-null",
-        "counterexample", "phi", "orbit"])
+        "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
+        "spectrum-ga-grid", "spectrum-counterexample-grid", "spectrum-strip-1x5",
+        "spectrum-overflow-grid", "spectrum-random-double-range"])
 def test_report_bytes_are_pinned(argv, code, sha, capsys):
     # one command of each JSON and CSV shape, byte for byte: key order, float
     # spelling, null witnesses and the config header
@@ -479,6 +501,20 @@ def test_ray_pass_and_fail(capsys):
     assert code == 1
     assert obj["max_deviation"] == pytest.approx(100.0, rel=1e-12)
     assert obj["worst_index"] == 100
+
+
+def test_ray_tolerance_scales_with_the_radius(capsys):
+    # an invariant ray passes at every radius: the deviation of 9.755e142 at
+    # radius 1e160 is about 1e-17 of it, and --tol is a fraction of the radius
+    argv = ["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5", "--samples", "11"]
+    for radius in ("1e-300", "1", "1e160", "1e308"):
+        code, obj = run_strict_json([*argv, "--radius", radius], capsys)
+        assert code == 0 and obj["passed"] is True, radius
+    code, obj = run_strict_json([*argv, "--radius", "1e160"], capsys)
+    assert obj["max_deviation"] == 9.755464219737476e+142
+    # a deviation past the fraction still fails at that radius
+    code, obj = run_strict_json([*argv, "--radius", "1e160", "--tol", "1e-18"], capsys)
+    assert code == 1 and obj["passed"] is False
 
 
 def test_ray_counterexample_axis_not_invariant(capsys):

@@ -604,6 +604,37 @@ def test_segment_distance_where_the_squares_overflow():
             assert dynamics._segment_dist(*(math.ldexp(v, k) for v in c)) == math.ldexp(d, k)
 
 
+def test_ray_tolerance_is_relative_to_the_sampled_length():
+    # the halving map keeps the x axis, yet at radius 1e160 the float samples
+    # sit about 1e-17 of the radius off exact multiples of one another
+    half = LinearMap(Mat2.diagonal(0.5, 0.5))
+    v = verify_invariant_ray(half, _x_axis(1e160, 11), 1e-9)
+    assert v.passed and 1e142 < v.max_deviation < 1e-16 * 1e160
+    # a quarter turn sends the last sample exactly one ray length off the
+    # ray, at every scale, so the verdict does not depend on the scale
+    rot = LinearMap(Mat2(0.0, -1.0, 1.0, 0.0))
+    for radius in (1e-300, 1e-150, 1.0, 100.0, 1e160, 1e300):
+        pts = _x_axis(radius, 11)
+        assert verify_invariant_ray(rot, pts, 1.0).passed
+        assert not verify_invariant_ray(rot, pts, 0.999).passed
+        v = verify_invariant_ray(half, pts, 1e-12)
+        assert v.passed, (radius, v)
+
+
+def test_segment_distance_where_the_squares_underflow():
+    # vv = 1e-602 underflows to 0: the distance would fall back to |q - a|,
+    # 5e-302, although q lies on the segment
+    assert dynamics._segment_dist(5e-302, 0.0, 0.0, 0.0, 1e-301, 0.0) == 0.0
+    # the underflow path scales by a power of two, so tiny rays keep the bits
+    # of the same ray at an ordinary scale
+    rng = random.Random(6)
+    for _ in range(500):
+        c = [rng.uniform(-1e3, 1e3) for _ in range(6)]
+        d = dynamics._segment_dist(*c)
+        for k in (-600, -1000):
+            assert dynamics._segment_dist(*(math.ldexp(v, k) for v in c)) == math.ldexp(d, k)
+
+
 def test_ray_validation():
     m = LinearMap(Mat2.diagonal(0.5, 0.5))
     with pytest.raises(ParameterError):

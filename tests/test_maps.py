@@ -430,3 +430,56 @@ def test_kernels_do_not_read_the_sign_of_a_zero(t):
                 assert g is f
             else:
                 assert all(map(_same_float, f, g)), (m.describe(), a, f, g)
+
+
+def _jac_or_escape(jac, x, y):
+    try:
+        return jac(x, y)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# ordinary floats, the cubic Jacobian's d*d overflow near 1.3e77, and the
+# composite's intermediate-image overflow: the damped image leaves the doubles
+# near 5.6e102, so by 1e200 every composite Jacobian raises on it
+_jac_coord = st.one_of(st.floats(), _signed(st.floats(1e76, 1e78)),
+                       _signed(st.floats(1e102, 1e104)), _signed(st.floats(1e199, 1e201)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jac_coord, _jac_coord, st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_every_jacobian_is_exactly_even(x, y, entries):
+    # jac(-x, -y) == jac(x, y) entry for entry (zero signs are free, a NaN
+    # entry is NaN at both), and _jac raises at -p exactly when it does at p
+    for m in _ODD_MAPS + [LinearMap(Mat2(*entries))]:
+        for jac in (m.jac, m._jac):
+            f, g = _jac_or_escape(jac, x, y), _jac_or_escape(jac, -x, -y)
+            if isinstance(f, type):
+                assert g is f, (m.describe(), x, y)
+            else:
+                assert all(map(_same_float, f, g)), (m.describe(), x, y, f, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_jacobians_do_not_read_the_sign_of_a_zero(t):
+    for m in _ODD_MAPS:
+        for a, b in (((0.0, t), (-0.0, t)), ((t, 0.0), (t, -0.0))):
+            f, g = _jac_or_escape(m._jac, *a), _jac_or_escape(m._jac, *b)
+            if isinstance(f, type):
+                assert g is f
+            else:
+                assert all(map(_same_float, f, g)), (m.describe(), a, f, g)
+
+
+def test_jacobian_overflow_points_are_reached():
+    # the drawn regions above do meet both overflows
+    with pytest.raises(NumericOverflowError):
+        SzlenkMap(1.01)._jac(1.3e77, 1.3e77)
+    SzlenkMap(1.01)._jac(1e76, 1e76)  # finite just below it
+    with pytest.raises(NumericOverflowError, match="overflowed evaluating"):
+        compose(_PAPER_RADIAL, _DAMPED)._jac(-1e200, 1e200)

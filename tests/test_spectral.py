@@ -10,7 +10,8 @@ from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2,
                  NumericOverflowError, ParameterError, Point2, RandomStrategy, Rect,
                  SzlenkMap, check_ball, check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
-from dmy.spectral import REAL_DISC_TOL, _eig, _norm, _radius, _sample_points, _sweep_sup
+from dmy.spectral import (REAL_DISC_TOL, _eig, _lerp, _norm, _radius, _sample_points,
+                          _sweep_sup)
 
 
 def test_eig_diagonal_real_pair_ascending():
@@ -386,6 +387,126 @@ def test_sample_spectrum_matches_point_loop(m, strategy):
         hi = max(reals, key=lambda r: r[1])
         assert (rep.min_real, rep.min_real_at) == (lo[0], Point2(lo[2], lo[3]))
         assert (rep.max_real, rep.max_real_at) == (hi[1], Point2(hi[2], hi[3]))
+
+
+def _bits(*vs):
+    return struct.pack(f"<{len(vs)}d", *vs)
+
+
+def _point_loop(m, region, strategy):
+    """The report fields of a sweep that evaluates every grid sample."""
+    xs = [_lerp(region.xmin, region.xmax, i, strategy.nx) for i in range(strategy.nx)]
+    ys = [_lerp(region.ymin, region.ymax, i, strategy.ny) for i in range(strategy.ny)]
+    points = [(x, y) for y in ys for x in xs]
+    overflow, best, reals = 0, None, []
+    for idx, (x, y) in enumerate(points):
+        try:
+            pair = eig2(m.jacobian(Point2(x, y)))
+        except NumericOverflowError:
+            overflow += 1
+            continue
+        if not math.isfinite(pair.max_modulus):
+            overflow += 1
+            continue
+        if best is None or pair.max_modulus > best[0]:
+            best = (pair.max_modulus, _bits(x, y))
+        if pair.is_real:
+            reals.append((pair.l1.real, pair.l2.real, _bits(x, y), idx))
+    mirrored = xs == [-v for v in reversed(xs)] and ys == [-v for v in reversed(ys)]
+    return [_bits(*p) for p in points], overflow, best, reals, mirrored
+
+
+class _CountingMap:
+    """Counts the Jacobians a sweep asks of the wrapped map."""
+
+    def __init__(self, inner, odd):
+        self.inner, self.odd, self.calls = inner, odd, 0
+
+    def _jac(self, x, y):
+        self.calls += 1
+        return self.inner._jac(x, y)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+_ROTATION = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
+_MIRROR_CASES = [
+    (SzlenkMap(1.01), "-30:30:-30:30", "1x5"),
+    (DampedSzlenkMap(1.01, 0.005), "-30:30:-30:30", "1x5"),
+    (DampedSzlenkMap(1.01, 0.005), "-1:1:-1.5:1.5", "1x5"),
+    (DampedSzlenkMap(1.01, 0.005), "-30:30:-30:30", "5x1"),
+    (SzlenkMap(1.01), "-30:30:-30:30", "2x2"),
+    (SzlenkMap(1.01), "-30:30:-30:30", "200x201"),
+    (DampedSzlenkMap(1.01, 0.005), "-30:30:-30:30", "41x41"),
+    ("counterexample", "-30:30:-30:30", "41x31"),
+    (_ROTATION, "-30:30:-30:30", "41x31"),
+    (SzlenkMap(1.01), "-30:30:-10:20", "21x21"),        # symmetric in x only
+    (DampedSzlenkMap(1.01, 0.005), "-30:30:-10:20", "21x20"),
+    ("counterexample", "-1:2:-1:1", "31x31"),           # symmetric in y only
+    (SzlenkMap(1.01), "0:1:-1:1", "1x5"),               # a one-point axis at 0 mirrors
+    (SzlenkMap(1.01), "-1e308:1e308:-1:1", "3x3"),      # 6 of 9 samples overflow
+]
+
+
+@pytest.mark.parametrize("m, region, grid", _MIRROR_CASES,
+                         ids=[f"{m if isinstance(m, str) else m.describe()}-{r}-{g}"
+                              for m, r, g in _MIRROR_CASES])
+def test_mirrored_grid_matches_point_loop(m, region, grid, bundle):
+    if m == "counterexample":
+        m = bundle.composite
+    region = Rect(*map(float, region.split(":")))
+    strategy = GridStrategy(*map(int, grid.split("x")))
+    points, overflow, best, reals, mirrored = _point_loop(m, region, strategy)
+    rep = sample_spectrum(m, region, strategy)
+    assert (rep.sample_count, rep.overflow_count) == (len(points), overflow)
+    got = None if rep.max_modulus is None else (rep.max_modulus, _bits(*rep.max_modulus_at))
+    assert got == best
+    # zero signs of a derived pair are free, its coordinates are not
+    assert [(s.lo, s.hi, _bits(s.x, s.y), s.index) for s in rep.real_samples] == reals
+    assert rep.real_count == len(reals)
+    if reals:
+        lo = min(reals, key=lambda r: r[0])
+        hi = max(reals, key=lambda r: r[1])
+        assert (rep.min_real, _bits(*rep.min_real_at)) == (lo[0], lo[2])
+        assert (rep.max_real, _bits(*rep.max_real_at)) == (hi[1], hi[2])
+    for check in (check_real_free(rep), check_interval_free(rep, -0.5, 0.5),
+                  check_ball(rep, 0.5)):
+        if mirrored and check.witness_at is not None:
+            # every witness is a sample taken, none a derived one
+            assert points.index(_bits(*check.witness_at)) < (len(points) + 1) // 2
+
+
+@pytest.mark.parametrize("region, grid, odd, calls", [
+    ("-30:30:-30:30", "201x201", True, 20201),
+    ("-30:30:-30:30", "200x201", True, 20100),
+    ("-30:30:-30:30", "2x2", True, 2),
+    ("-30:30:-30:30", "201x201", False, 40401),
+    ("-30:30:-30:30", "1x5", True, 5),
+    ("-30:30:-10:20", "21x21", True, 441),
+    ("0:1:-1:1", "1x5", True, 3),
+])
+def test_mirrored_grid_evaluates_each_antipodal_pair_once(region, grid, odd, calls):
+    m = _CountingMap(SzlenkMap(1.01), odd)
+    region = Rect(*map(float, region.split(":")))
+    strategy = GridStrategy(*map(int, grid.split("x")))
+    rep = sample_spectrum(m, region, strategy)
+    assert m.calls == calls
+    # a map that promises nothing is sampled whole, to the same report
+    assert rep == sample_spectrum(SzlenkMap(1.01), region, strategy)
+
+
+def test_random_draws_past_the_doubles_keep_their_bits():
+    # the draws of rng.uniform, with the halved-bounds form wherever hi - lo
+    # overflows
+    region = Rect(-1e308, 1e308, -1.0, 1.0)
+    rng = random.Random(3)
+    want = []
+    for _ in range(200):
+        u = rng.random()
+        x = (0.5 * -1e308 + (0.5 * 1e308 - 0.5 * -1e308) * u) * 2.0
+        want.append((x, rng.uniform(-1.0, 1.0)))
+    assert list(_sample_points(region, RandomStrategy(200, 3))) == want
 
 
 def test_composite_sweep_near_1e200_counts_every_sample_as_overflow(bundle):
