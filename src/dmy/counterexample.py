@@ -9,10 +9,14 @@ hyperbolic period-4 orbit inside the flat disc, and halves norms beyond the
 profile tail, so orbits cannot run away even though the origin is not a
 global attractor.
 
-``build_counterexample`` performs the parameter search (slope budget by
-halving against the sampled spectral-radius cap, damping by halving when the
-period-4 Newton search fails) and keeps the orbit it found.  The bundle stores
-each fact once (damped map, profile, c_raw, orbit) and composes its own map.
+``build_counterexample`` performs the parameter search and keeps the orbit it
+found.  For each damping it runs, in order: the damped map's sweep, the
+period-4 Newton search at the starting slope budget (the orbit lies where the
+profile is 1, whatever the budget), and the composite's slope-budget sweep,
+halving the budget against the sampled spectral-radius cap.  A failed search
+halves the damping before any slope-budget sweep; a halved budget is searched
+again, so the orbit kept is the kept map's.  The bundle stores each fact once
+(damped map, profile, c_raw, orbit) and composes its own map.
 ``verify_counterexample`` re-derives the six claims, checking that orbit rather
 than searching again and sampling spectral radii off the build's sample points,
 and returns a report of per-check verdicts whose header is read off the same
@@ -179,6 +183,21 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float, offset=0
                       lambda x, y: _radius(*jac(x, y)))
 
 
+def _find_orbit(bundle: CounterexampleBundle) -> tuple[Point2, ...]:
+    """The period-4 orbit of the candidate's composite, which must lie inside
+    the punctured flat disc; a failed search invalidates this damping value,
+    which the caller then halves."""
+    flat_radius = bundle.flat_radius
+    orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0), SweepConfig.newton)
+    norms = [p.norm() for p in orbit.points]
+    if min(norms) <= 1e-6 or max(norms) >= flat_radius:
+        raise ConvergenceError(
+            f"period-4 search collapsed outside the punctured flat disc "
+            f"(orbit radii {min(norms)!r}..{max(norms)!r})",
+            last_iterate=orbit.points[0], residual=orbit.residual)
+    return orbit.points
+
+
 def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     damped = DampedSzlenkMap(k, a)
     c_raw, ga_sr = _damped_sweep(damped)
@@ -189,7 +208,8 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     c_used = 1.05 * max(c_raw, 1.0)
     flat_radius = 2.0 / math.sqrt(k - 1.0)
 
-    eps = min(eps_init, 0.9 / (8.0 * c_used))
+    eps = eps_start = min(eps_init, 0.9 / (8.0 * c_used))
+    orbit = None
     for _ in range(SweepConfig.max_eps_halvings + 1):
         # a candidate without its orbit yet; halving eps only pushes its tail out
         bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
@@ -197,6 +217,10 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
             raise ParameterError(
                 f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail sampling "
                 f"cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
+        if orbit is None:
+            # the orbit lies where phi is 1, whatever the slope budget, so a
+            # damping without one is rejected before any slope-budget sweep
+            orbit = _find_orbit(bundle)
         sup = _composite_sr_sweep(bundle.composite, flat_radius, bundle.reach)[0]
         if sup <= SweepConfig.sr_cap:
             break
@@ -205,27 +229,24 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
         raise ParameterError(
             f"no slope budget under {eps_init!r} brought the sampled spectral radius "
             f"under {SweepConfig.sr_cap!r} within {SweepConfig.max_eps_halvings} halvings")
-
-    # the period-4 orbit must exist inside the flat disc; a failed search
-    # invalidates this damping value, which the caller then halves
-    orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0), SweepConfig.newton)
-    norms = [p.norm() for p in orbit.points]
-    if min(norms) <= 1e-6 or max(norms) >= flat_radius:
-        raise ConvergenceError(
-            f"period-4 search collapsed outside the punctured flat disc "
-            f"(orbit radii {min(norms)!r}..{max(norms)!r})",
-            last_iterate=orbit.points[0], residual=orbit.residual)
-    return replace(bundle, orbit=orbit.points)
+    if eps != eps_start:
+        # Newton's iterates may leave the flat disc, where a halved budget's map
+        # differs: search again, so the orbit kept is the one of the map kept
+        orbit = _find_orbit(bundle)
+    return replace(bundle, orbit=orbit)
 
 
 def build_counterexample(k: float, a: float = 0.005,
                          eps_init: float = 0.05) -> CounterexampleBundle:
     """Build the composed map for the given cubic parameter and damping.
 
-    The damping halves automatically (up to ``SweepConfig.max_a_halvings``
-    times) when the period-4 Newton search fails, since only smallness of the
-    damping is required.  Raises ParameterError when k or the damping
-    precondition is out of range or either search is exhausted.
+    For each damping: the damped map's sweep, then the period-4 Newton
+    search at the starting slope budget, then the slope-budget sweep of the
+    composite.  The damping halves automatically (up to
+    ``SweepConfig.max_a_halvings`` times) when the search fails, before any
+    slope-budget sweep, since only smallness of the damping is required.
+    Raises ParameterError when k or the damping precondition is out of range
+    or either search is exhausted.
     """
     if not (1.0 < k < K_CEIL):
         raise ParameterError(

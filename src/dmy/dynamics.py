@@ -457,12 +457,50 @@ def _segment_dist(qx, qy, ax, ay, bx, by):
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
-def _polyline_dist(q: Point2, samples) -> float:
+# _polyline_dist skips a run of segments only where a lower bound on their
+# distance, less this fraction of the largest coordinates involved and less
+# _PRUNE_FLOOR, reaches the best distance found: far more than every rounding
+# error of _segment_dist and of the bound, so a skipped segment's computed
+# distance is never the smaller
+_PRUNE_SLACK = 2.0 ** -36
+_PRUNE_FLOOR = 2.0 ** -500
+
+
+def _segment_runs(pts) -> list[tuple]:
+    """The polyline's segments in runs of about the square root of their
+    count, each as (first, end, xlo, xhi, ylo, yhi, slack): the segment index
+    range, the bounding box of its points and the box's share of the slack."""
+    nseg = len(pts) - 1
+    size = math.isqrt(nseg)
+    runs = []
+    for first in range(0, nseg, size):
+        end = min(first + size, nseg)
+        xs = [p.x for p in pts[first:end + 1]]
+        ys = [p.y for p in pts[first:end + 1]]
+        xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
+        big = max(-xlo, xhi, -ylo, yhi)
+        runs.append((first, end, xlo, xhi, ylo, yhi, _PRUNE_SLACK * big + _PRUNE_FLOOR))
+    return runs
+
+
+def _polyline_dist(q: Point2, pts, runs) -> float:
+    """The least _segment_dist from q to a segment of the polyline, bit for
+    bit, without measuring every segment.  No point of a run is nearer to q
+    than the run's box, so runs are measured nearest box first, until the
+    next box, less its slack, is no nearer than the best distance.  A box
+    distance that overflows bounds nothing."""
+    qx, qy = q.x, q.y
+    q_slack = _PRUNE_SLACK * max(abs(qx), abs(qy))
+    bounds = sorted(
+        (math.hypot(max(xlo - qx, qx - xhi, 0.0), max(ylo - qy, qy - yhi, 0.0)) - q_slack - slack,
+         first, end)
+        for first, end, xlo, xhi, ylo, yhi, slack in runs)
     best = math.inf
-    for a, b in zip(samples, samples[1:]):
-        d = _segment_dist(q.x, q.y, a.x, a.y, b.x, b.y)
-        if d < best:
-            best = d
+    for bound, first, end in bounds:
+        if best <= bound < math.inf:
+            break
+        for a, b in zip(pts[first:end], pts[first + 1:end + 1]):
+            best = min(best, _segment_dist(qx, qy, a.x, a.y, b.x, b.y))
     return best
 
 
@@ -489,6 +527,7 @@ def verify_invariant_ray(m: PlanarMap, samples, tol: float) -> RayVerdict:
             raise ParameterError(
                 f"ray sample radii must increase strictly, got {a!r} then {b!r}")
     max_r = radii[-1]
+    runs = _segment_runs(pts)
     worst = -1.0
     worst_idx = 0
     img_max = 0.0
@@ -504,7 +543,7 @@ def verify_invariant_ray(m: PlanarMap, samples, tol: float) -> RayVerdict:
         img_max = max(img_max, qn)
         if qn > max_r * (1.0 + 1e-12):
             radius_ok = False
-        d = _polyline_dist(q, pts)
+        d = _polyline_dist(q, pts, runs)
         if d > worst:
             worst = d
             worst_idx = i

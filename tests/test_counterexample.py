@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
                  dissipativity_bound, dynamics, find_periodic, phi_eval,
                  step_function, verify_counterexample)
 from dmy import counterexample as ce
-from dmy.cli import _finite_or_null
+from dmy.cli import _finite_or_null, main
 from dmy.spectral import _lerp, _log_radii, _norm, _radius, _ring_points
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
@@ -416,6 +417,65 @@ def test_build_refuses_a_tail_past_the_cap_before_any_sweep(monkeypatch, eps_ini
     with pytest.raises(ParameterError, match="beyond the tail sampling cap 1e"):
         build_counterexample(1.01, 0.005, eps_init)
     assert calls == []
+
+
+# the drawn parameters of op 5 of the certify bench at seed 0, whose damping
+# fails its period-4 search and is halved once
+HALVED_K, HALVED_A = 1.0108361478612184, 0.08926466739278938
+
+
+def test_halved_damping_report_bytes_are_pinned(capsys):
+    assert main(["counterexample", "--k", repr(HALVED_K), "--a", repr(HALVED_A),
+                 "--eps-init", "0.05"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+            == "2495c8793b3ecdf9cd6da5fd74280a3774c92218bfa27a25bfea8c8e1cf98653")
+
+
+def _record_search_and_sweeps(monkeypatch, sweep_sups=()):
+    """Log each period-4 search (by the damping and slope budget of the map
+    it searched) and each composite sweep, in call order; the first sweeps
+    report the given sups instead of their own."""
+    calls, sups = [], list(sweep_sups)
+    sweep, search = ce._composite_sr_sweep, ce.find_periodic
+
+    def recording_sweep(*args):
+        calls.append("sweep")
+        sup, worst, count = sweep(*args)
+        return (sups.pop(0) if sups else sup), worst, count
+
+    def recording_search(m, *args):
+        radial, damped = m.members
+        calls.append(("search", damped.a, radial.profile.eps))
+        return search(m, *args)
+
+    monkeypatch.setattr(ce, "_composite_sr_sweep", recording_sweep)
+    monkeypatch.setattr(ce, "find_periodic", recording_search)
+    return calls
+
+
+def test_rejected_damping_pays_no_slope_budget_sweep(monkeypatch):
+    calls = _record_search_and_sweeps(monkeypatch)
+    b = build_counterexample(HALVED_K, HALVED_A, 0.05)
+    assert b.a == HALVED_A / 2.0 and b.profile.eps == 0.05
+    assert verify_counterexample(b).passed
+    # the rejected damping's search comes before any composite sweep, and
+    # the build and the verifier sweep once each
+    assert calls == [("search", HALVED_A, 0.05), ("search", b.a, 0.05), "sweep", "sweep"]
+
+
+def test_halved_slope_budget_searches_the_kept_map(monkeypatch):
+    # no budget under the tail sampling cap needs halving at these
+    # parameters, so the cap is lifted and the first sweep reads over the cap
+    monkeypatch.setattr(ce.SweepConfig, "tail_r_max", 1e300)
+    calls = _record_search_and_sweeps(monkeypatch, [1.0])
+    b = build_counterexample(1.01, 0.005, 0.2)
+    start = 0.9 / (8.0 * b.c_used)
+    assert b.profile.eps == start / 2.0
+    assert calls == [("search", 0.005, start), "sweep", "sweep", ("search", 0.005, b.profile.eps)]
+    orbit = find_periodic(b.composite, 4, Point2(b.flat_radius / 2.0, 0.0), ce.SweepConfig.newton)
+    assert b.orbit == orbit.points
 
 
 def test_damped_jacobian_is_exactly_even():

@@ -5,6 +5,7 @@ import struct
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dmy import (BasinGrid, ConvergenceError, DampedSzlenkMap, DissipativitySampling,
                  LinearMap, Mat2, NewtonConfig, OmegaConfig, OmegaTag,
@@ -633,6 +634,100 @@ def test_segment_distance_where_the_squares_underflow():
         d = dynamics._segment_dist(*c)
         for k in (-600, -1000):
             assert dynamics._segment_dist(*(math.ldexp(v, k) for v in c)) == math.ldexp(d, k)
+
+
+def _loop_polyline_dist(q, pts):
+    """The reference: every segment measured, in order."""
+    best = math.inf
+    for a, b in zip(pts, pts[1:]):
+        d = dynamics._segment_dist(q.x, q.y, a.x, a.y, b.x, b.y)
+        if d < best:
+            best = d
+    return best
+
+
+def _loop_ray(m, pts):
+    """max_deviation and worst_index as the every-segment loop finds them."""
+    worst, worst_idx = -1.0, 0
+    for i, p in enumerate(pts):
+        d = _loop_polyline_dist(m.eval(p), pts)
+        if d > worst:
+            worst, worst_idx = d, i
+    return worst, worst_idx
+
+
+@st.composite
+def _polylines(draw):
+    """Polylines from the origin with increasing radii, straight or bent at
+    every sample, scaled by a power of two from the subnormals to near the
+    top of the doubles."""
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=60))
+    bent = draw(st.booleans())
+    angle = draw(st.floats(-math.pi, math.pi))
+    k = draw(st.integers(-1070, 1010))
+    pts, r = [Point2(0.0, 0.0)], 0.0
+    for step in steps:
+        r += step
+        t = draw(st.floats(-math.pi, math.pi)) if bent else angle
+        pts.append(Point2(math.ldexp(r * math.cos(t), k), math.ldexp(r * math.sin(t), k)))
+    return pts
+
+
+_unit = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polylines(), st.lists(st.tuples(_unit, _unit, st.floats(0.0, 1.0), st.integers(0, 59),
+                                        st.integers(-60, 0)), min_size=1, max_size=12))
+def test_pruned_polyline_distance_is_the_loop_distance(pts, draws):
+    runs = dynamics._segment_runs(pts)
+    size = max(max(abs(p.x), abs(p.y)) for p in pts)
+    queries = list(pts)
+    for u, v, t, j, e in draws:
+        a, b = pts[j % (len(pts) - 1)], pts[j % (len(pts) - 1) + 1]
+        near = math.ldexp(size, e)
+        # anywhere about the polyline, and on or just off one of its segments
+        queries.append(Point2(u * size, v * size))
+        queries.append(Point2(a.x + t * (b.x - a.x) + u * near, a.y + t * (b.y - a.y) + v * near))
+    for q in queries:
+        assert dynamics._polyline_dist(q, pts, runs) == _loop_polyline_dist(q, pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polylines(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_pruned_ray_check_is_the_loop_check(pts, entries):
+    radii = [p.norm() for p in pts]
+    assume(all(b > a for a, b in zip(radii, radii[1:])))
+    m = LinearMap(Mat2(*entries))
+    v = verify_invariant_ray(m, pts, 1e-9)
+    assert (v.max_deviation, v.worst_index) == _loop_ray(m, pts)
+
+
+@pytest.mark.parametrize("radius", [1e160, 4e-121, 100.0])
+def test_pruned_ray_check_at_the_readme_scales(radius):
+    # the halving map's images sit rounding steps off the ray, and the
+    # quarter turn's a whole ray length
+    pts = _x_axis(radius, 301)
+    for m in (LinearMap(Mat2.diagonal(0.5, 0.5)), LinearMap(Mat2(0.0, -1.0, 1.0, 0.0))):
+        v = verify_invariant_ray(m, pts, 1e-9)
+        assert (v.max_deviation, v.worst_index) == _loop_ray(m, pts)
+
+
+def test_ray_check_measures_few_segments(monkeypatch):
+    # images off the ray (the damped cubic turns the x axis) and on it: each
+    # image is measured against about one run of segments, not all 1,000
+    calls = [0]
+    segment_dist = dynamics._segment_dist
+
+    def counting(*args):
+        calls[0] += 1
+        return segment_dist(*args)
+
+    monkeypatch.setattr(dynamics, "_segment_dist", counting)
+    for m in (DampedSzlenkMap(1.01, 0.005), LinearMap(Mat2.diagonal(0.5, 0.5))):
+        calls[0] = 0
+        verify_invariant_ray(m, _x_axis(100.0, 1001), 1e-9)
+        assert calls[0] < 1001 * 100
 
 
 def test_ray_validation():
