@@ -21,11 +21,12 @@ again, so the orbit kept is the kept map's.  The bundle stores each fact once
 than searching again and sampling spectral radii off the build's sample points,
 and returns a report of per-check verdicts whose header is read off the same
 bundle; it never raises on a failed claim, and a sample where the Jacobian
-overflows counts as spectral radius infinity.  The spectral-radius,
-orientation and envelope sweeps end at the bundle's ``reach``, ``sr_span`` tail
-radii.  A tail at or past ``tail_r_max`` has no reach: the build refuses it
-before any sweep, and the verifier fails those three checks and tail
-contraction unsampled.
+overflows counts as spectral radius infinity.  The damped-map (norm and
+radius in one pass) and composite sweeps run through ``_jacobian_sups``.  The
+spectral-radius, orientation and envelope sweeps end at the bundle's ``reach``,
+``sr_span`` tail radii.  A tail at or past ``tail_r_max`` has no reach: the
+build refuses it before any sweep, and the verifier fails those three checks
+and tail contraction unsampled.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .geometry import Point2
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import (GridStrategy, Rect, _grid_axes, _growth, _half_grid, _log_radii, _norm,
-                       _radius, _ring_points, _sweep_sup)
+from .spectral import (GridStrategy, Rect, _grid_axes, _growth, _half_grid, _jacobian_sups,
+                       _log_radii, _norm, _radius, _ring_points, _sweep_sup)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -164,11 +165,8 @@ def _damped_sweep(damped: DampedSzlenkMap):
     grid = _half_grid(xs, ys)
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
-    sup_norm = sup_sr = 0.0
-    for x, y in chain([(0.0, 0.0)], grid, rings):
-        j = damped._jac(x, y)
-        sup_norm = max(sup_norm, _norm(*j))
-        sup_sr = max(sup_sr, _radius(*j))
+    (sup_norm, _, _), (sup_sr, _, _) = _jacobian_sups(chain([(0.0, 0.0)], grid, rings),
+                                                      damped._jac, (_norm, _radius), 0.0)
     return sup_norm, sup_sr
 
 
@@ -178,9 +176,8 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float, offset=0
     inside the flat disc out to the reach.  Offset 0.5 samples between those
     radii and angles: midpoints of a one-point-longer log grid."""
     radii = _log_radii(flat_radius * 1e-6, reach, SweepConfig.sr_radii, offset)
-    jac = m._jac
-    return _sweep_sup(chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset)),
-                      lambda x, y: _radius(*jac(x, y)))
+    points = chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset))
+    return _jacobian_sups(points, m._jac, (_radius,))[0]
 
 
 def _find_orbit(bundle: CounterexampleBundle) -> tuple[Point2, ...]:
@@ -209,14 +206,18 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     flat_radius = 2.0 / math.sqrt(k - 1.0)
 
     eps = eps_start = min(eps_init, 0.9 / (8.0 * c_used))
-    orbit = None
+    orbit = sup = None
     for _ in range(SweepConfig.max_eps_halvings + 1):
         # a candidate without its orbit yet; halving eps only pushes its tail out
         bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
         if bundle.reach is None:
-            raise ParameterError(
-                f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail sampling "
-                f"cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
+            tail = (f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
+                    f"sampling cap {SweepConfig.tail_r_max!r}")
+            # after a halving, a larger budget is the one the sweep just refused
+            raise ParameterError(f"{tail}; pick a larger slope budget" if sup is None else
+                                 f"sampled spectral radius {sup!r} exceeds the cap "
+                                 f"{SweepConfig.sr_cap!r} at slope budget {eps * 2.0!r}, "
+                                 f"and at the halved budget the {tail}")
         if orbit is None:
             # the orbit lies where phi is 1, whatever the slope budget, so a
             # damping without one is rejected before any slope-budget sweep

@@ -44,7 +44,8 @@ from itertools import chain
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
 from .planar import PlanarMap, _chain_product, fd_jacobian, step_function
-from .spectral import EigenPair, _growth, _log_radii, _norm, _ring_points, _sweep_sup, eig2
+from .spectral import (EigenPair, _growth, _jacobian_sups, _log_radii, _norm, _ring_points,
+                       _sweep_sup, eig2)
 
 
 class OmegaTag(Enum):
@@ -380,8 +381,8 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
                              f"starts at radius / {_BALL_SPAN:g}, which underflows to 0")
 
     ball = _log_radii(ball_radius / _BALL_SPAN, ball_radius, cfg.ball_radii)
-    norm_sup, _, n_ball = _sweep_sup(chain([(0.0, 0.0)], _ring_points(ball, cfg.angles)),
-                                     lambda x, y: _norm(*m._jac(x, y)))
+    [(norm_sup, _, n_ball)] = _jacobian_sups(chain([(0.0, 0.0)], _ring_points(ball, cfg.angles)),
+                                             m._jac, (_norm,))
     norm_sup_used = max(norm_sup, 1.0)  # threshold formula needs a bound > alpha
     threshold = 2.0 * (norm_sup_used * ball_radius - alpha * ball_radius) / (1.0 - alpha)
     factor = (alpha + 1.0) / 2.0

@@ -24,6 +24,11 @@ of two and scaled back.  A sample whose Jacobian or eigenvalue modulus
 overflows is counted and flagged, never raised, and any flagged sample makes
 every verdict fail: an unbounded spectrum cannot certify a spectrum bound.
 
+Sups of a Jacobian's spectral radius or norm (``_jacobian_sups``) take the
+exact ``_radius`` or ``_norm`` only at a sample whose pre-test, with no square
+root, does not rule out raising the running sup; sup, witness and count stay
+those of ``_sweep_sup`` bit for bit.
+
 ``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
 When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
 included) and each axis's coordinate list is its own reversed negation,
@@ -219,6 +224,60 @@ def _sweep_sup(points, value, sup: float = -math.inf, at=None):
         if v > sup:
             sup, at = v, p
     return sup, None if at is None else Point2(*at), count
+
+
+PRETEST_MARGIN = 1.0 - 2.0 ** -20
+
+
+def _never(*entries) -> bool:
+    return False
+
+
+def _pretest(measure, sup: float):
+    """A test on Jacobian entries that is True only where their ``measure``
+    (``_radius`` or ``_norm``) is below sup.  It takes no square root.  With
+    c = sup * PRETEST_MARGIN, the radius test is Jury's |det| < c^2 and
+    |tr| < c + det/c.  The norm test asks that both squared singular values,
+    the roots of s^2 - F s + det^2 (F the sum of squared entries), lie below
+    c^2: F <= 2 c^2 and F c^2 < c^4 + det^2.  The margin: near a double root or
+    an isotropic matrix, rounding can pass a measure over c by a relative
+    ~sqrt(eps), about 2e-8, and ``_eig`` errs by as much there (``_norm`` by a
+    few ulps); 2**-20, about 9.5e-7, is over ten times both.  Outside
+    2**-240 <= c <= 2**240 the squares could leave the doubles: nothing passes."""
+    c = sup * PRETEST_MARGIN
+    if not 2.0 ** -240 <= c <= 2.0 ** 240:
+        return _never
+    c2 = c * c
+    if measure is _radius:  # tr and det in _eig's own expressions
+        return lambda a11, a12, a21, a22: (-c2 < (det := a11 * a22 - a12 * a21) < c2
+                                           and abs(a11 + a22) < c + det / c)
+    two_c2, c4 = 2.0 * c2, c2 * c2
+    return lambda a11, a12, a21, a22: (
+        (f := a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22) <= two_c2
+        and f * c2 < c4 + (det := a11 * a22 - a12 * a21) * det)
+
+
+def _jacobian_sups(points, jac, measures, sup: float = -math.inf):
+    """For each measure, ``_radius`` or ``_norm``, what ``_sweep_sup(points,
+    lambda x, y: measure(*jac(x, y)), sup)`` returns, bit for bit, from one
+    pass; a sample that passes the measure's pre-test is not measured."""
+    best = [[sup, None, _pretest(m, sup), m] for m in measures]  # sup, witness, test, measure
+    count = 0
+    for count, p in enumerate(points, 1):
+        try:
+            j = jac(*p)
+        except NumericOverflowError:
+            j = None
+        for b in best:
+            if j is None:
+                v = math.inf
+            elif b[2](*j):
+                continue
+            elif (v := b[3](*j)) != v:  # NaN
+                v = math.inf
+            if v > b[0]:
+                b[0], b[1], b[2] = v, p, _pretest(b[3], v)
+    return [(s, None if at is None else Point2(*at), count) for s, at, _, _ in best]
 
 
 def _growth(m: PlanarMap):
@@ -425,5 +484,4 @@ def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:
     Returns inf when any sample overflows: an overflowing Jacobian has no
     finite norm bound, and callers use this value as an upper estimate.
     """
-    jac = m._jac
-    return _sweep_sup(_sample_points(region, strategy), lambda x, y: _norm(*jac(x, y)), 0.0)[0]
+    return _jacobian_sups(_sample_points(region, strategy), m._jac, (_norm,), 0.0)[0][0]

@@ -394,6 +394,8 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
      "027223a641784dd7ebfe3111c082a2dd3d1bbd08ab558e16985a5ef8610158d5"),
     (["dissipativity", "--map", "szlenk", "--radius", "1e100"], 1,
      "7061c8fce8ccad668208ed7fbcedc56a64faa83ed758d0f2d6ce54c7b8f93a73"),
+    (["dissipativity", "--map", "counterexample", "--radius", "tail"], 0,
+     "12194fefff95286c09e4f62d54be756eacc8344810c27eaf8fab0286357f3f6d"),
     (["counterexample"], 0,
      "7f477bdbf6e13df79b77db9fde85a1450659ce9aa0194fc63a06aaa0ce681abe"),
     (["phi"], 0, "31ecf0952f4b1929bf5cf49f0be66a11ee740591fb163266ab3fe46ce74e28ed"),
@@ -420,7 +422,7 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
       "-1e308:1e308:-1:1", "--random", "50", "--rng-seed", "3", "--check", "real-free"], 1,
      "82ed81ebd635fb095acedc3eb4adf30ba5fa8a9e2563aec48a51f8f4d98d84fe"),
 ], ids=["spectrum-grid", "spectrum-random", "periodic", "ray-1e160", "dissipativity-null",
-        "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
+        "dissipativity-counterexample-tail", "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
         "spectrum-ga-grid", "spectrum-counterexample-grid", "spectrum-strip-1x5",
         "spectrum-overflow-grid", "spectrum-random-double-range"])
 def test_report_bytes_are_pinned(argv, code, sha, capsys):

@@ -478,6 +478,24 @@ def test_halved_slope_budget_searches_the_kept_map(monkeypatch):
     assert b.orbit == orbit.points
 
 
+def test_spectral_refusal_names_the_sampled_sup(monkeypatch, capsys):
+    # the tail cap stays in place: the first sweep reads over the spectral
+    # cap, and the halved budget's tail (1.07e97) is past the sampling cap
+    calls = _record_search_and_sweeps(monkeypatch, [1.0])
+    msg = ("sampled spectral radius 1.0 exceeds the cap 0.95 at slope budget 0.05, and at "
+           "the halved budget the profile tail radius 1.0664263349868425e+97 is beyond the "
+           "tail sampling cap 1e+60")
+    with pytest.raises(ParameterError) as exc:
+        build_counterexample(1.01, 0.005, 0.05)
+    assert str(exc.value) == msg
+    assert calls == [("search", 0.005, 0.05), "sweep"]
+    _record_search_and_sweeps(monkeypatch, [1.0])
+    assert main(["counterexample", "--k", "1.01", "--a", "0.005", "--eps-init", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dmy counterexample: {msg}\n"
+
+
 def test_damped_jacobian_is_exactly_even():
     rng = random.Random(11)
     points = [(0.0, 0.0), (0.0, 1.0), (-0.0, 3.0), (2.5, 0.0), (50.0, -50.0), (1e-320, 7.0)]
