@@ -64,7 +64,7 @@ _MAP_OPTS = [
     ("a", "--a", "float", 0.005,
      "damping subtracted from the identity (default: 0.005)"),
     ("eps_init", "--eps-init", "float", 0.05,
-     "starting slope budget when building the counterexample map (default: 0.05)"),
+     "slope budget of the counterexample map's profile, capped at 0.9/(8C) (default: 0.05)"),
 ]
 
 _IO_OPTS = [
@@ -108,7 +108,11 @@ def _coerce(dest: str, kind: str, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"config key {dest!r} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the doubles
+            raise ParameterError(
+                f"config key {dest!r} is a number too large for a double") from None
     if isinstance(value, str):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -358,13 +362,16 @@ def _run_counterexample(resolved: dict):
 
 def _run_phi(resolved: dict):
     profile = build_phi(resolved["R"], resolved["C"], resolved["eps"])
+    if (lo := profile.R / 10.0) == 0.0:
+        raise ParameterError(f"--R {profile.R!r} is too small: the table starts at R / 10, "
+                             f"which underflows to 0")
     n = _capped(resolved, "log_samples")
     if n < 2:
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
     if not math.isfinite(hi := 10.0 * profile.r_tail):
         raise ParameterError(f"profile tail radius {profile.r_tail!r} times 10 overflows a "
                              f"double, so the table has no end; pick a larger --eps")
-    rows = [(r, *_phi_parts(profile, r)) for r in _log_radii(profile.R / 10.0, hi, n)]
+    rows = [(r, *_phi_parts(profile, r)) for r in _log_radii(lo, hi, n)]
     return _csv(["r", "phi", "phi_prime_times_r"], rows), 0
 
 
@@ -468,7 +475,7 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
          ("k", "--k", "float", 1.01, "cubic map parameter (default: 1.01)"),
          ("a", "--a", "float", 0.005, "damping (default: 0.005)"),
          ("eps_init", "--eps-init", "float", 0.05,
-          "starting slope budget for the profile search (default: 0.05)"),
+          "slope budget of the profile, capped at 0.9/(8C) (default: 0.05)"),
      ]),
     ("phi", _run_phi, "tabulate a radial squashing profile as CSV", [
         ("R", "--R", "float", 20.0, "inner flat radius (default: 20)"),

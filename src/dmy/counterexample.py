@@ -9,14 +9,13 @@ hyperbolic period-4 orbit inside the flat disc, and halves norms beyond the
 profile tail, so orbits cannot run away even though the origin is not a
 global attractor.
 
-``build_counterexample`` performs the parameter search and keeps the orbit it
-found.  For each damping it runs, in order: the damped map's sweep, the
-period-4 Newton search at the starting slope budget (the orbit lies where the
-profile is 1, whatever the budget), and the composite's slope-budget sweep,
-halving the budget against the sampled spectral-radius cap.  A failed search
-halves the damping before any slope-budget sweep; a halved budget is searched
-again, so the orbit kept is the kept map's.  The bundle stores each fact once
-(damped map, profile, c_raw, orbit) and composes its own map.
+``build_counterexample`` searches the damping and keeps the orbit it found.
+Each damping gets one slope budget, min(eps_init, 0.9/(8C)), and runs, in
+order: the damped map's sweep, the period-4 Newton search (the orbit lies
+where the profile is 1), and the composite's sweep, which refuses a sampled
+spectral radius over the cap.  A failed search halves the damping before the
+composite sweep.  The bundle stores each fact once (damped map, profile,
+c_raw, orbit) and composes its own map.
 ``verify_counterexample`` re-derives the six claims, checking that orbit rather
 than searching again and sampling spectral radii off the build's sample points,
 and returns a report of per-check verdicts whose header is read off the same
@@ -32,7 +31,7 @@ and tail contraction unsampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
@@ -52,7 +51,7 @@ K_CEIL = K_MAX * 0.88
 class SweepConfig:
     """The fixed sampling plan of the build search and the verification."""
 
-    # spectral-radius sweeps of the composed map (also the eps search)
+    # spectral-radius sweeps of the composed map (also the build's)
     sr_radii = 400
     sr_angles = 32
     sr_span = 10.0        # far sweeps reach sr_span * r_tail (CounterexampleBundle.reach)
@@ -75,7 +74,6 @@ class SweepConfig:
     # profile envelope sweep
     phi_samples = 10_000
     # search budgets
-    max_eps_halvings = 20
     max_a_halvings = 8
     newton = NewtonConfig(tol=1e-12, max_steps=60)
 
@@ -120,10 +118,6 @@ class CheckRecord:
     detail: str
     data: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "detail": self.detail, "data": self.data}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -149,7 +143,7 @@ class VerificationReport:
             "flat_radius": b.flat_radius,
             "tail_radius": b.profile.r_tail,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -205,35 +199,19 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     c_used = 1.05 * max(c_raw, 1.0)
     flat_radius = 2.0 / math.sqrt(k - 1.0)
 
-    eps = eps_start = min(eps_init, 0.9 / (8.0 * c_used))
-    orbit = sup = None
-    for _ in range(SweepConfig.max_eps_halvings + 1):
-        # a candidate without its orbit yet; halving eps only pushes its tail out
-        bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
-        if bundle.reach is None:
-            tail = (f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
-                    f"sampling cap {SweepConfig.tail_r_max!r}")
-            # after a halving, a larger budget is the one the sweep just refused
-            raise ParameterError(f"{tail}; pick a larger slope budget" if sup is None else
-                                 f"sampled spectral radius {sup!r} exceeds the cap "
-                                 f"{SweepConfig.sr_cap!r} at slope budget {eps * 2.0!r}, "
-                                 f"and at the halved budget the {tail}")
-        if orbit is None:
-            # the orbit lies where phi is 1, whatever the slope budget, so a
-            # damping without one is rejected before any slope-budget sweep
-            orbit = _find_orbit(bundle)
-        sup = _composite_sr_sweep(bundle.composite, flat_radius, bundle.reach)[0]
-        if sup <= SweepConfig.sr_cap:
-            break
-        eps /= 2.0
-    else:
-        raise ParameterError(
-            f"no slope budget under {eps_init!r} brought the sampled spectral radius "
-            f"under {SweepConfig.sr_cap!r} within {SweepConfig.max_eps_halvings} halvings")
-    if eps != eps_start:
-        # Newton's iterates may leave the flat disc, where a halved budget's map
-        # differs: search again, so the orbit kept is the one of the map kept
-        orbit = _find_orbit(bundle)
+    eps = min(eps_init, 0.9 / (8.0 * c_used))
+    # a candidate without its orbit yet
+    bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
+    if bundle.reach is None:
+        raise ParameterError(f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
+                             f"sampling cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
+    # the orbit lies where phi is 1, so a damping without one is rejected
+    # before the composite sweep
+    orbit = _find_orbit(bundle)
+    sup = _composite_sr_sweep(bundle.composite, flat_radius, bundle.reach)[0]
+    if sup > SweepConfig.sr_cap:
+        raise ParameterError(f"sampled spectral radius {sup!r} exceeds the cap "
+                             f"{SweepConfig.sr_cap!r} at slope budget {eps!r}")
     return replace(bundle, orbit=orbit)
 
 
@@ -241,13 +219,14 @@ def build_counterexample(k: float, a: float = 0.005,
                          eps_init: float = 0.05) -> CounterexampleBundle:
     """Build the composed map for the given cubic parameter and damping.
 
-    For each damping: the damped map's sweep, then the period-4 Newton
-    search at the starting slope budget, then the slope-budget sweep of the
-    composite.  The damping halves automatically (up to
-    ``SweepConfig.max_a_halvings`` times) when the search fails, before any
-    slope-budget sweep, since only smallness of the damping is required.
-    Raises ParameterError when k or the damping precondition is out of range
-    or either search is exhausted.
+    For each damping, at the one slope budget min(eps_init, 0.9/(8C)): the
+    damped map's sweep, then the period-4 Newton search, then the composite's
+    spectral-radius sweep.  The damping halves automatically (up to
+    ``SweepConfig.max_a_halvings`` times) when the search fails, before the
+    composite sweep, since only smallness of the damping is required.
+    Raises ParameterError when k, the damping precondition or the slope
+    budget is out of range, when the composite's sampled spectral radius
+    exceeds the cap, or when the damping search is exhausted.
     """
     if not (1.0 < k < K_CEIL):
         raise ParameterError(

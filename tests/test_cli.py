@@ -464,6 +464,17 @@ def test_phi_table_end_overflow_exits_two(capsys):
         "double, so the table has no end; pick a larger --eps\n")
 
 
+def test_phi_table_start_underflow_exits_two(capsys):
+    # the table starts at R / 10: 5e-323 / 10 is the least subnormal, 5e-324 / 10 is 0
+    code, lines = run_csv(["phi", "--R", "5e-323", "--log-samples", "2"], capsys)
+    assert code == 0 and float(lines[1].split(",")[0]) == 5e-324
+    assert main(["phi", "--R", "5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dmy phi: --R 5e-324 is too small: the table starts at R / 10, "
+                            "which underflows to 0\n")
+
+
 _CAP = 4096 * 4096
 _OVER = str(_CAP + 1)
 
@@ -712,6 +723,16 @@ def test_config_type_errors(tmp_path, capsys):
     cfg.write_text(json.dumps({"subcommand": "orbit", "steps": "ten"}))
     assert main(["orbit", "--map", "szlenk", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+    # a JSON integer past the doubles, given to a float flag
+    big = tmp_path / "big.json"
+    for sub, key in (("counterexample", "k"), ("phi", "R")):
+        big.write_text('{"%s": 1%s}' % (key, "0" * 400))
+        assert main([sub, "--config", str(big)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"dmy {sub}: config key {key!r} is a number too large "
+                                f"for a double\n")
 
 
 # -------------------------------------------------------------- entry point

@@ -465,26 +465,34 @@ def test_rejected_damping_pays_no_slope_budget_sweep(monkeypatch):
     assert calls == [("search", HALVED_A, 0.05), ("search", b.a, 0.05), "sweep", "sweep"]
 
 
-def test_halved_slope_budget_searches_the_kept_map(monkeypatch):
-    # no budget under the tail sampling cap needs halving at these
-    # parameters, so the cap is lifted and the first sweep reads over the cap
-    monkeypatch.setattr(ce.SweepConfig, "tail_r_max", 1e300)
-    calls = _record_search_and_sweeps(monkeypatch, [1.0])
-    b = build_counterexample(1.01, 0.005, 0.2)
-    start = 0.9 / (8.0 * b.c_used)
-    assert b.profile.eps == start / 2.0
-    assert calls == [("search", 0.005, start), "sweep", "sweep", ("search", 0.005, b.profile.eps)]
-    orbit = find_periodic(b.composite, 4, Point2(b.flat_radius / 2.0, 0.0), ce.SweepConfig.newton)
-    assert b.orbit == orbit.points
+@pytest.mark.parametrize("k, a", [(1.001, 0.0005), (1.016, 0.05)])
+def test_slope_budget_barely_moves_the_build_sup(monkeypatch, k, a):
+    # a budget under the 0.9/(8C) ceiling and the ceiling itself sample sups
+    # within 1e-5 of each other and far under the 0.95 cap, so halving the
+    # budget could only rescue a sup within that distance of the cap
+    calls, sups = _record_search_and_sweeps(monkeypatch), []
+    recording = ce._composite_sr_sweep
+
+    def sweep(*args):
+        result = recording(*args)
+        sups.append(result[0])
+        return result
+
+    monkeypatch.setattr(ce, "_composite_sr_sweep", sweep)
+    budgets = []
+    for eps_init in (0.045, 1.0):
+        b = build_counterexample(k, a, eps_init)
+        budgets.append(b.profile.eps)
+        assert b.profile.eps == min(eps_init, 0.9 / (8.0 * b.c_used))
+    assert calls == [("search", a, budgets[0]), "sweep", ("search", a, budgets[1]), "sweep"]
+    assert budgets[0] < budgets[1] and len(sups) == 2 and max(sups) <= 0.89
+    assert sups[0] == pytest.approx(sups[1], abs=1e-5)
 
 
 def test_spectral_refusal_names_the_sampled_sup(monkeypatch, capsys):
-    # the tail cap stays in place: the first sweep reads over the spectral
-    # cap, and the halved budget's tail (1.07e97) is past the sampling cap
+    # the build's one sweep reads over the spectral cap
     calls = _record_search_and_sweeps(monkeypatch, [1.0])
-    msg = ("sampled spectral radius 1.0 exceeds the cap 0.95 at slope budget 0.05, and at "
-           "the halved budget the profile tail radius 1.0664263349868425e+97 is beyond the "
-           "tail sampling cap 1e+60")
+    msg = "sampled spectral radius 1.0 exceeds the cap 0.95 at slope budget 0.05"
     with pytest.raises(ParameterError) as exc:
         build_counterexample(1.01, 0.005, 0.05)
     assert str(exc.value) == msg
