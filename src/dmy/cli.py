@@ -472,7 +472,8 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
      ]),
     ("counterexample", _run_counterexample,
      "build the squashed damped cubic map and verify its claims", [
-         ("k", "--k", "float", 1.01, "cubic map parameter (default: 1.01)"),
+         ("k", "--k", "float", 1.01, "cubic map parameter, in (1, 0.88*2/sqrt(3)); next to 1 "
+          "(1.0001, say) the period-4 orbit is too near neutral and the run exits 2 (default: 1.01)"),
          ("a", "--a", "float", 0.005, "damping (default: 0.005)"),
          ("eps_init", "--eps-init", "float", 0.05,
           "slope budget of the profile, capped at 0.9/(8C) (default: 0.05)"),

@@ -10,28 +10,28 @@ profile tail, so orbits cannot run away even though the origin is not a
 global attractor.
 
 ``build_counterexample`` searches the damping and keeps the orbit it found.
-Each damping gets one slope budget, min(eps_init, 0.9/(8C)), and runs, in
-order: the damped map's sweep, the period-4 Newton search (the orbit lies
-where the profile is 1), and the composite's sweep, which refuses a sampled
-spectral radius over the cap.  A failed search halves the damping before the
-composite sweep.  The bundle stores each fact once (damped map, profile,
-c_raw, orbit) and composes its own map.
+Each damping gets one slope budget, min(eps_init, 0.9/(8C)), the damped map's
+sweep and the period-4 Newton search (the orbit lies where the profile is 1);
+the damping halves unless the orbit passes the verifier's own orbit check.
+The build runs no composite sweep: only the verifier reads the spectral cap.
+The bundle stores each fact once (damped map, profile, c_raw, orbit) and
+composes its own map.
 ``verify_counterexample`` re-derives the six claims, checking that orbit rather
-than searching again and sampling spectral radii off the build's sample points,
-and returns a report of per-check verdicts whose header is read off the same
-bundle; it never raises on a failed claim, and a sample where the Jacobian
-overflows counts as spectral radius infinity.  The damped-map (norm and
-radius in one pass) and composite sweeps run through ``_jacobian_sups``.  The
-spectral-radius, orientation and envelope sweeps end at the bundle's ``reach``,
-``sr_span`` tail radii.  A tail at or past ``tail_r_max`` has no reach: the
-build refuses it before any sweep, and the verifier fails those three checks
-and tail contraction unsampled.
+than searching again, and returns a report of per-check verdicts whose header
+is read off the same bundle; it never raises on a failed claim, and a sample
+where the Jacobian overflows counts as spectral radius infinity.  The
+damped-map (norm and radius in one pass) and composite sweeps run through
+``_jacobian_sups``.  The spectral-radius, orientation and envelope sweeps end
+at the bundle's ``reach``, ``sr_span`` tail radii.  A tail at or past
+``tail_r_max`` has no reach: the build refuses it before the search, and the
+verifier fails those three checks and tail contraction unsampled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from fractions import Fraction
 from itertools import chain
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
@@ -51,7 +51,7 @@ K_CEIL = K_MAX * 0.88
 class SweepConfig:
     """The fixed sampling plan of the build search and the verification."""
 
-    # spectral-radius sweeps of the composed map (also the build's)
+    # spectral-radius sweep of the composed map
     sr_radii = 400
     sr_angles = 32
     sr_span = 10.0        # far sweeps reach sr_span * r_tail (CounterexampleBundle.reach)
@@ -164,29 +164,28 @@ def _damped_sweep(damped: DampedSzlenkMap):
     return sup_norm, sup_sr
 
 
-def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float, offset=0.0):
+def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float):
     """Max sampled spectral radius of the composed map's Jacobian, where it
-    is attained, and the sample count, over the origin and log radii from far
-    inside the flat disc out to the reach.  Offset 0.5 samples between those
-    radii and angles: midpoints of a one-point-longer log grid."""
-    radii = _log_radii(flat_radius * 1e-6, reach, SweepConfig.sr_radii, offset)
-    points = chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, offset))
+    is attained, and the sample count, over the origin and rings between log
+    radii from far inside the flat disc out to the reach: midpoints of a
+    one-point-longer log grid, with the angles offset by half a step."""
+    radii = _log_radii(flat_radius * 1e-6, reach, SweepConfig.sr_radii, 0.5)
+    points = chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, 0.5))
     return _jacobian_sups(points, m._jac, (_radius,))[0]
 
 
-def _find_orbit(bundle: CounterexampleBundle) -> tuple[Point2, ...]:
-    """The period-4 orbit of the candidate's composite, which must lie inside
-    the punctured flat disc; a failed search invalidates this damping value,
+def _find_orbit(bundle: CounterexampleBundle) -> CounterexampleBundle:
+    """The candidate with its period-4 orbit, which must pass the verifier's
+    own orbit check; a failed search or check invalidates this damping value,
     which the caller then halves."""
-    flat_radius = bundle.flat_radius
-    orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0), SweepConfig.newton)
-    norms = [p.norm() for p in orbit.points]
-    if min(norms) <= 1e-6 or max(norms) >= flat_radius:
-        raise ConvergenceError(
-            f"period-4 search collapsed outside the punctured flat disc "
-            f"(orbit radii {min(norms)!r}..{max(norms)!r})",
-            last_iterate=orbit.points[0], residual=orbit.residual)
-    return orbit.points
+    orbit = find_periodic(bundle.composite, 4, Point2(bundle.flat_radius / 2.0, 0.0),
+                          SweepConfig.newton)
+    built = replace(bundle, orbit=orbit.points)
+    rec = _check_periodic_orbit(built)
+    if not rec.passed:
+        raise ConvergenceError(f"period-4 orbit fails its check: {rec.detail}",
+                               last_iterate=orbit.points[0], residual=orbit.residual)
+    return built
 
 
 def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
@@ -205,14 +204,7 @@ def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
     if bundle.reach is None:
         raise ParameterError(f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
                              f"sampling cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
-    # the orbit lies where phi is 1, so a damping without one is rejected
-    # before the composite sweep
-    orbit = _find_orbit(bundle)
-    sup = _composite_sr_sweep(bundle.composite, flat_radius, bundle.reach)[0]
-    if sup > SweepConfig.sr_cap:
-        raise ParameterError(f"sampled spectral radius {sup!r} exceeds the cap "
-                             f"{SweepConfig.sr_cap!r} at slope budget {eps!r}")
-    return replace(bundle, orbit=orbit)
+    return _find_orbit(bundle)
 
 
 def build_counterexample(k: float, a: float = 0.005,
@@ -220,13 +212,15 @@ def build_counterexample(k: float, a: float = 0.005,
     """Build the composed map for the given cubic parameter and damping.
 
     For each damping, at the one slope budget min(eps_init, 0.9/(8C)): the
-    damped map's sweep, then the period-4 Newton search, then the composite's
-    spectral-radius sweep.  The damping halves automatically (up to
-    ``SweepConfig.max_a_halvings`` times) when the search fails, before the
-    composite sweep, since only smallness of the damping is required.
+    damped map's sweep, then the period-4 Newton search, whose orbit must
+    pass ``_check_periodic_orbit``, the verifier's own orbit check.  The
+    damping halves automatically (up to ``SweepConfig.max_a_halvings``
+    times) when the search or the check fails, since only smallness of the
+    damping is required.  Next to k = 1 (1.0001, say) the orbit is too near
+    neutral for the check's unit-circle gap at every damping.
     Raises ParameterError when k, the damping precondition or the slope
-    budget is out of range, when the composite's sampled spectral radius
-    exceeds the cap, or when the damping search is exhausted.
+    budget is out of range, when the profile's tail is past the tail
+    sampling cap, or when the damping search is exhausted.
     """
     if not (1.0 < k < K_CEIL):
         raise ParameterError(
@@ -260,8 +254,7 @@ def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:
 # data); verify_counterexample names them and runs them only on a bundle with a reach
 def _check_sr_bound(bundle: CounterexampleBundle):
     bound = SweepConfig.sr_cap + 1e-9
-    sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius,
-                                            bundle.reach, 0.5)
+    sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
     return (sup <= bound,
             f"max sampled spectral radius {sup!r} vs cap {bound!r} over {count} samples",
             {"max": sup, "cap": bound, "samples": count, "worst": [worst.x, worst.y]})
@@ -304,7 +297,7 @@ def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
         return CheckRecord(name=name, passed=False,
                            detail=f"the stored orbit cannot be checked: {exc}", data={})
     norms = [p.norm() for p in orbit.points]
-    in_disc = min(norms) > 0.0 and max(norms) < bundle.flat_radius
+    in_disc = min(norms) > 1e-6 and max(norms) < bundle.flat_radius
     ok = orbit.residual < 1e-10 and gap >= 1e-3 and in_disc
     return CheckRecord(
         name=name, passed=ok,
@@ -328,7 +321,7 @@ def _check_envelope(bundle: CounterexampleBundle):
     radii = sorted({0.0, *knots, reach, *_log_radii(prof.R * 1e-3, reach, SweepConfig.phi_samples)})
     max_slope = 0.0
     range_ok = monotone_ok = flat_ok = floor_ok = stretch_ok = True
-    prev_val, prev_stretch = math.inf, None
+    prev_val, prev_r = math.inf, 0.0
     for r in radii:
         val, ls = _phi_parts(prof, r)
         max_slope = max(max_slope, abs(ls))
@@ -336,11 +329,12 @@ def _check_envelope(bundle: CounterexampleBundle):
         monotone_ok &= not val > prev_val
         flat_ok &= not (r <= prof.R and val != 1.0)
         floor_ok &= not (r >= prof.r_tail and val != prof.floor)
-        if r > 0.0:
-            stretch = val * r  # the radial map sends radius r to this
-            stretch_ok &= prev_stretch is None or stretch > prev_stretch
-            prev_stretch = stretch
-        prev_val = val
+        if prev_r > 0.0:
+            # the radial map sends radius r to val * r; rounding can tie the
+            # products of adjacent radii, and such a tie is settled exactly
+            stretch_ok &= (val * r > prev_val * prev_r
+                           or Fraction(val) * Fraction(r) > Fraction(prev_val) * Fraction(prev_r))
+        prev_val, prev_r = val, r
     slope_ok = not max_slope > slope_budget
     ok = range_ok and monotone_ok and slope_ok and flat_ok and floor_ok and stretch_ok
     return (ok,
@@ -357,11 +351,11 @@ def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
     """Re-check the six claims about a built bundle by sampling.
 
     The orbit check recomputes closure, multipliers and hyperbolicity of the
-    build's stored orbit, and the spectral radius is sampled off the build's
-    sample points.  Failures are verdicts in the report, never exceptions, so
-    a deliberately broken bundle, or one whose spectral sweep overflows, yields
-    a failing report rather than a crash.  A bundle with no reach fails the
-    four far checks unsampled (``samples: 0``).
+    build's stored orbit; it is the check the build's orbit already passed.
+    Failures are verdicts in the report, never exceptions, so a deliberately
+    broken bundle, or one whose spectral sweep overflows, yields a failing
+    report rather than a crash.  A bundle with no reach fails the four far
+    checks unsampled (``samples: 0``).
     """
     def far(name, check):
         if bundle.reach is not None:

@@ -6,6 +6,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
                  RadialMap, build_counterexample, basin_raster, build_phi, compose,
@@ -68,6 +69,26 @@ def test_build_halves_damping_when_newton_collapses():
     b = build_counterexample(1.01, a=0.1)
     assert b.a == 0.05
     assert verify_counterexample(b).passed
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.floats(-5.0, math.log10(K_CEIL - 1.0)).map(lambda e: 1.0 + 10.0 ** e),
+       st.floats(-4.0, math.log10(0.99)).map(lambda e: 10.0 ** e),
+       st.floats(0.041, 2.0))
+@example(1.0001, 0.005, 0.05)  # too near neutral at every damping
+@example(1.0002, 0.05, 0.05)  # too near neutral until the damping halves
+# the envelope's last log radius rounds one step under the reach, where
+# floor * r ties for the two radii
+@example(1.000439338551215, 0.01685986951190581, 0.8135664765207141)
+def test_every_built_bundle_passes_its_report(k, a, eps_init):
+    # k is drawn log-uniformly above 1, where the orbit's larger multiplier
+    # nears 1; the build refuses, or returns a bundle its verifier accepts
+    try:
+        b = build_counterexample(k, a, eps_init)
+    except ParameterError:
+        return
+    report = verify_counterexample(b)
+    assert report.passed, [c.detail for c in report.checks if not c.passed]
 
 
 def test_build_halves_oversized_slope_budget():
@@ -201,7 +222,7 @@ def test_spectral_sweep_overflow_is_a_failed_check(bundle):
     steep = dataclasses.replace(
         bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.02))
     span = ce.SweepConfig.sr_span * steep.profile.r_tail
-    sup, _, count = ce._composite_sr_sweep(steep.composite, steep.flat_radius, span, 0.5)
+    sup, _, count = ce._composite_sr_sweep(steep.composite, steep.flat_radius, span)
     assert sup == math.inf
     assert count == 1 + 400 * 32
     # that tail lies past the tail sampling cap, so the bundle has no reach
@@ -340,6 +361,17 @@ def test_orbit_shifted_off_the_cycle_fails_its_check(bundle):
     assert not _orbit_record(dataclasses.replace(bundle, orbit=tuple(pts))).passed
 
 
+def test_orbit_collapsed_onto_the_origin_fails_its_check(bundle):
+    # four points at radius 1e-20 about the fixed origin, where f is -a times
+    # the identity to first order: they close up and are far from neutral,
+    # so only the puncture about the origin tells them from a cycle
+    pts = tuple(Point2(1e-20 * (-0.005) ** i, 0.0) for i in range(4))
+    rec = _orbit_record(dataclasses.replace(bundle, orbit=pts))
+    assert rec.data["residual"] < 1e-10 and rec.data["unit_circle_gap"] > 0.99
+    assert not rec.passed
+    assert rec.detail.endswith(f"inside disc of {bundle.flat_radius!r}: False")
+
+
 def test_orbit_moved_past_the_doubles_fails_its_check(bundle):
     for scale in (1e200, 1e300):
         far = dataclasses.replace(
@@ -365,17 +397,15 @@ class _RecordingMap:
 
 
 def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
-    build, verify = _RecordingMap(), _RecordingMap()
-    ce._composite_sr_sweep(build, bundle.flat_radius, bundle.reach)
-    ce._composite_sr_sweep(verify, bundle.flat_radius, bundle.reach, 0.5)
-    assert len(build.points) == len(verify.points) == 1 + 400 * 32
-    assert build.points[0] == verify.points[0] == (0.0, 0.0)
-    assert not set(build.points[1:]) & set(verify.points[1:])
-    assert len(set(verify.points)) == len(verify.points)
-    # the same radius range, without growing it
+    # the build samples no spectral radius; the verifier's sample is the
+    # origin, then 400 rings of 32 points, all distinct, strictly between
+    # the sweep's ends
+    verify = _RecordingMap()
+    ce._composite_sr_sweep(verify, bundle.flat_radius, bundle.reach)
+    assert len(verify.points) == len(set(verify.points)) == 1 + 400 * 32
+    assert verify.points[0] == (0.0, 0.0)
     radii = [math.hypot(x, y) for x, y in verify.points[1:]]
-    build_radii = [math.hypot(x, y) for x, y in build.points[1:]]
-    assert min(build_radii) < min(radii) and max(radii) < max(build_radii)
+    assert bundle.flat_radius * 1e-6 < min(radii) and max(radii) < bundle.reach
     # and the check reports a point of its own sample
     data = next(c for c in verify_counterexample(bundle).checks
                 if c.name == "spectral-radius-bound").data
@@ -396,24 +426,26 @@ def test_far_sweeps_end_at_the_reach(monkeypatch):
     monkeypatch.setattr(ce, "_composite_sr_sweep", recording_sweep)
     b = build_counterexample(1.01, 0.005, 0.041)
     assert b.profile.r_tail < 1e60 < b.reach == 10.0 * b.profile.r_tail
-    build_sr = sweeps[-1]
     far = dataclasses.replace(b)
     orient = _RecordingMap(b.radial)
     object.__setattr__(far, "radial", orient)
     envelope = []
     monkeypatch.setattr(ce, "_phi_parts", lambda prof, r: envelope.append(r) or parts(prof, r))
     assert verify_counterexample(far).passed
-    # log grids end at exp(log(reach)), which may round off the reach
-    ends = [max(math.hypot(x, y) for x, y in rec.points) for rec in (build_sr, orient)]
-    assert ends + [max(envelope)] == pytest.approx([b.reach] * 3, rel=1e-12)
+    # the build samples no spectral radius, so the one sweep is the verifier's
+    [sr] = sweeps
+    # log grids end at exp(log(reach)), which may round off the reach; the
+    # spectral rings are midpoints, so they end half a log step short of it
+    ends = [max(math.hypot(x, y) for x, y in rec.points) for rec in (sr, orient)]
+    half_step = (b.reach / (b.flat_radius * 1e-6)) ** (0.5 / 400)
+    assert ends + [max(envelope)] == pytest.approx([b.reach / half_step, b.reach, b.reach],
+                                                   rel=1e-12)
     assert b.reach in envelope
 
 
 @pytest.mark.parametrize("eps_init", [0.02, 0.04])
 def test_build_refuses_a_tail_past_the_cap_before_any_sweep(monkeypatch, eps_init):
-    calls = []
-    sweep = ce._composite_sr_sweep
-    monkeypatch.setattr(ce, "_composite_sr_sweep", lambda *args: calls.append(args) or sweep(*args))
+    calls = _record_search_and_sweeps(monkeypatch)
     with pytest.raises(ParameterError, match="beyond the tail sampling cap 1e"):
         build_counterexample(1.01, 0.005, eps_init)
     assert calls == []
@@ -460,48 +492,24 @@ def test_rejected_damping_pays_no_slope_budget_sweep(monkeypatch):
     b = build_counterexample(HALVED_K, HALVED_A, 0.05)
     assert b.a == HALVED_A / 2.0 and b.profile.eps == 0.05
     assert verify_counterexample(b).passed
-    # the rejected damping's search comes before any composite sweep, and
-    # the build and the verifier sweep once each
-    assert calls == [("search", HALVED_A, 0.05), ("search", b.a, 0.05), "sweep", "sweep"]
-
-
-@pytest.mark.parametrize("k, a", [(1.001, 0.0005), (1.016, 0.05)])
-def test_slope_budget_barely_moves_the_build_sup(monkeypatch, k, a):
-    # a budget under the 0.9/(8C) ceiling and the ceiling itself sample sups
-    # within 1e-5 of each other and far under the 0.95 cap, so halving the
-    # budget could only rescue a sup within that distance of the cap
-    calls, sups = _record_search_and_sweeps(monkeypatch), []
-    recording = ce._composite_sr_sweep
-
-    def sweep(*args):
-        result = recording(*args)
-        sups.append(result[0])
-        return result
-
-    monkeypatch.setattr(ce, "_composite_sr_sweep", sweep)
-    budgets = []
-    for eps_init in (0.045, 1.0):
-        b = build_counterexample(k, a, eps_init)
-        budgets.append(b.profile.eps)
-        assert b.profile.eps == min(eps_init, 0.9 / (8.0 * b.c_used))
-    assert calls == [("search", a, budgets[0]), "sweep", ("search", a, budgets[1]), "sweep"]
-    assert budgets[0] < budgets[1] and len(sups) == 2 and max(sups) <= 0.89
-    assert sups[0] == pytest.approx(sups[1], abs=1e-5)
+    # the build makes no composite sweep: the one sweep is the verifier's
+    assert calls == [("search", HALVED_A, 0.05), ("search", b.a, 0.05), "sweep"]
 
 
 def test_spectral_refusal_names_the_sampled_sup(monkeypatch, capsys):
-    # the build's one sweep reads over the spectral cap
+    # the verifier alone reads the spectral cap: a sweep over it builds, and
+    # the report fails spectral-radius-bound with the sampled sup (exit 1)
     calls = _record_search_and_sweeps(monkeypatch, [1.0])
-    msg = "sampled spectral radius 1.0 exceeds the cap 0.95 at slope budget 0.05"
-    with pytest.raises(ParameterError) as exc:
-        build_counterexample(1.01, 0.005, 0.05)
-    assert str(exc.value) == msg
-    assert calls == [("search", 0.005, 0.05), "sweep"]
-    _record_search_and_sweeps(monkeypatch, [1.0])
-    assert main(["counterexample", "--k", "1.01", "--a", "0.005", "--eps-init", "0.05"]) == 2
+    assert build_counterexample(1.01, 0.005, 0.05).orbit
+    assert calls == [("search", 0.005, 0.05)]
+    assert main(["counterexample", "--k", "1.01", "--a", "0.005", "--eps-init", "0.05"]) == 1
+    assert calls[1:] == [("search", 0.005, 0.05), "sweep"]
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"dmy counterexample: {msg}\n"
+    assert captured.err == ""
+    report = json.loads(captured.out, parse_constant=pytest.fail)
+    assert not report["passed"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["spectral-radius-bound"]
+    assert report["checks"][1]["data"]["max"] == 1.0
 
 
 def test_damped_jacobian_is_exactly_even():

@@ -214,13 +214,13 @@ _MAPS = {
 
 
 @pytest.mark.parametrize("name", [*_MAPS, "bundle"])
-@pytest.mark.parametrize("offset", [0.0, 0.5])
+@pytest.mark.parametrize("offset", [0.5])  # the sweep's midpoint rings and angles
 def test_composite_sr_sweep_equals_sweep_sup(name, offset, bundle):
     m, reach = (bundle.composite, bundle.reach) if name == "bundle" else (_MAPS[name], 1e3)
     cfg = ce.SweepConfig
     radii = _log_radii(bundle.flat_radius * 1e-6, reach, cfg.sr_radii, offset)
     points = list(chain([(0.0, 0.0)], _ring_points(radii, cfg.sr_angles, offset)))
-    _assert_same(ce._composite_sr_sweep(m, bundle.flat_radius, reach, offset),
+    _assert_same(ce._composite_sr_sweep(m, bundle.flat_radius, reach),
                  _sweep_sup(points, lambda x, y: _radius(*m._jac(x, y))))
 
 
@@ -274,10 +274,10 @@ def test_dissipativity_ball_sweep_equals_sweep_sup(m, radius):
 def test_verifier_sweep_takes_few_exact_radii(monkeypatch, bundle):
     # the paper bundle's verifier sweep: most samples cannot raise the sup,
     # so _eig, under every exact radius, runs at only a few of them
-    want = ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach, 0.5)
+    want = ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
     calls = []
     eig = spectral._eig
     monkeypatch.setattr(spectral, "_eig", lambda *j: calls.append(j) or eig(*j))
-    got = ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach, 0.5)
+    got = ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
     assert got == want and got[2] == 12_801
     assert 0 < len(calls) < 2_000
