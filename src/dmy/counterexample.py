@@ -238,7 +238,8 @@ def build_counterexample(k: float, a: float = 0.005,
             last_newton = exc
             cur /= 2.0
     raise ParameterError(
-        f"period-4 orbit search kept failing down to damping {cur * 2.0!r}: {last_newton}")
+        f"no damping down to {cur * 2.0!r} gave a period-4 orbit that passes its check: "
+        f"{last_newton}")
 
 
 def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:

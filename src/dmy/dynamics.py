@@ -37,13 +37,13 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
-from .planar import PlanarMap, _chain_product, fd_jacobian, step_function
+from .planar import PlanarMap, _chain_product
 from .spectral import (EigenPair, _growth, _jacobian_sups, _log_radii, _norm, _ring_points,
                        _sweep_sup, eig2)
 
@@ -107,7 +107,7 @@ class OmegaVerdict:
 
 def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> OmegaVerdict:
     cfg = cfg or OmegaConfig()
-    step = step_function(m)
+    step = m.xy
     hypot = math.hypot
     max_iter, window = cfg.max_iter, cfg.window
     origin_tol, escape_radius, tol = cfg.origin_tol, cfg.escape_radius, cfg.cycle_rel_tol
@@ -252,13 +252,12 @@ def orbit_multipliers(m: PlanarMap, points) -> EigenPair:
     pts = tuple(points)
     if not pts:
         raise ParameterError("orbit must have at least one point")
-    return eig2(Mat2(*_chain_jacobian(m, pts, True)))
+    return eig2(Mat2(*_chain_jacobian(m, pts)))
 
 
-def _chain_jacobian(m: PlanarMap, pts, analytic: bool):
+def _chain_jacobian(m: PlanarMap, pts):
     """D(f^n) along the orbit as floats, from the identity; NumericOverflowError off the doubles."""
-    factors = (m._jac(p.x, p.y) if analytic else astuple(fd_jacobian(m, p, 1e-6)) for p in pts)
-    j = _chain_product((1.0, 0.0, 0.0, 1.0), factors)
+    j = _chain_product((1.0, 0.0, 0.0, 1.0), (m._jac(p.x, p.y) for p in pts))
     if not all(map(math.isfinite, j)):
         raise NumericOverflowError(f"{m.describe()} Jacobian product along the {len(pts)}-point "
                                    f"orbit from ({pts[0].x!r}, {pts[0].y!r}) overflowed")
@@ -266,16 +265,16 @@ def _chain_jacobian(m: PlanarMap, pts, analytic: bool):
 
 
 def _newton_delta(m: PlanarMap, pts, gx: float, gy: float):
-    """Newton step on D(f^n) - I, retried on the finite-difference chain if singular."""
-    for analytic in (True, False):
-        j11, a12, a21, j22 = _chain_jacobian(m, pts, analytic)
-        a11, a22 = j11 - 1.0, j22 - 1.0
-        det = a11 * a22 - a12 * a21
-        if not abs(det) < 1e-14:
-            return ((-gx * a22 + gy * a12) / det,
-                    (-gy * a11 + gx * a21) / det)
-    raise SingularSystemError(f"newton system for {m.describe()} is singular "
-                              f"(finite-difference chain, |det| = {abs(det)!r})")
+    """Newton step on D(f^n) - I with the analytic chain-rule Jacobian;
+    SingularSystemError when |det| < 1e-14."""
+    j11, a12, a21, j22 = _chain_jacobian(m, pts)
+    a11, a22 = j11 - 1.0, j22 - 1.0
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-14:
+        raise SingularSystemError(f"newton system for {m.describe()} is singular "
+                                  f"(|det| = {abs(det)!r})")
+    return ((-gx * a22 + gy * a12) / det,
+            (-gy * a11 + gx * a21) / det)
 
 
 def find_periodic(m: PlanarMap, n: int, seed: Point2,
@@ -283,8 +282,8 @@ def find_periodic(m: PlanarMap, n: int, seed: Point2,
     """Newton search for a period-n orbit from the given seed.
 
     Raises SingularSystemError when the Newton matrix D(f^n) - I is singular
-    even after one finite-difference retry, and ConvergenceError (carrying
-    the last iterate) when the step budget runs out.
+    (|det| < 1e-14) and ConvergenceError (carrying the last iterate) when the
+    step budget runs out.
     """
     cfg = cfg or NewtonConfig()
     if n < 1:

@@ -69,14 +69,3 @@ class Mat2:
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a11 - other.a11, self.a12 - other.a12,
                     self.a21 - other.a21, self.a22 - other.a22)
-
-    def max_abs(self) -> float:
-        return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def diagonal(d1: float, d2: float) -> "Mat2":
-        return Mat2(d1, 0.0, 0.0, d2)

@@ -4,12 +4,13 @@ Five variants share one interface: linear maps, the Szlenk cubic map
 
     F(x, y) = (-k y^3 / (1 + x^2 + y^2),  k x^3 / (1 + x^2 + y^2)),
 
-its damped version F - a*Id, radial squashing by a profile phi, and
-composition.  Each variant supplies two float kernels: ``xy(x, y)``, the
-image, and ``jac(x, y)``, the row-major Jacobian entries as a 4-tuple.
-``PlanarMap`` derives the rest from them: ``eval`` and ``jacobian`` run the
-kernel once and check the result for finiteness, and ``step_function`` hands
-out the unchecked ``xy`` for hot loops, so every path shares one arithmetic.
+its damped version F - a*Id, radial squashing by a profile phi, and the
+composition ``CompositeMap(outer, inner)`` of two maps (longer chains nest).
+Each variant supplies two float kernels: ``xy(x, y)``, the image, and
+``jac(x, y)``, the row-major Jacobian entries as a 4-tuple.  ``PlanarMap``
+derives the rest from them: ``eval`` and ``jacobian`` run the kernel once and
+check the result for finiteness, and hot loops call the unchecked ``xy``
+itself, so every path shares one arithmetic.
 Map objects are immutable and the kernels are pure functions of their
 arguments, so instances can be shared freely across threads or processes.
 
@@ -32,9 +33,9 @@ exactly when it does at p.  The class constant ``odd`` states this promise;
 ``basin_raster`` relies on it to classify each antipodal pair of cells once,
 and ``sample_spectrum`` to evaluate each antipodal pair of grid samples
 once.  It is False on ``PlanarMap``, True on the four leaf variants and,
-on a composite, True when every member is odd.  A subclass that overrides
-``xy`` or ``jac`` must set ``odd`` again, because it is inherited with the
-kernels it describes.
+on a composite, True when both ``outer`` and ``inner`` are odd.  A subclass
+that overrides ``xy`` or ``jac`` must set ``odd`` again, because it is
+inherited with the kernels it describes.
 """
 
 from __future__ import annotations
@@ -252,75 +253,56 @@ class RadialMap(PlanarMap):
 
 @dataclass(frozen=True, slots=True)
 class CompositeMap(PlanarMap):
-    """Composition of maps; members apply right to left (members[-1] first)."""
+    """``outer`` after ``inner``; longer chains nest."""
 
-    members: tuple[PlanarMap, ...]
+    outer: PlanarMap
+    inner: PlanarMap
 
     def __post_init__(self):
-        if not self.members:
-            raise ParameterError("composite needs at least one member")
-        for m in self.members:
+        for m in (self.outer, self.inner):
             if not isinstance(m, PlanarMap):
                 raise ParameterError(f"composite member is not a planar map: {m!r}")
 
     def xy(self, x, y):
-        for m in reversed(self.members):
-            x, y = m.xy(x, y)
-        return x, y
+        # unpacked: a starred call outer.xy(*inner.xy(x, y)) costs about 10% more
+        x, y = self.inner.xy(x, y)
+        return self.outer.xy(x, y)
 
     def _image(self, x, y):
-        # checked after every member, so a non-finite intermediate never
-        # reaches the next member's kernel
-        for m in reversed(self.members):
-            x, y = m._image(x, y)
-        return x, y
+        # checked after each map, so a non-finite intermediate never reaches
+        # the outer kernel
+        x, y = self.inner._image(x, y)
+        return self.outer._image(x, y)
 
     def jac(self, x, y):
-        # chain rule started from the innermost member's factor, not the identity,
-        # which can flip a zero's sign; intermediate points are checked as in eval
-        members = self.members
-        i = len(members) - 1
-        first = members[i].jac(x, y)
-        later = []
-        while i:
-            x, y = members[i]._image(x, y)
-            i -= 1
-            later.append(members[i].jac(x, y))
-        return _chain_product(first, later)
+        # chain rule started from the inner factor, not the identity, which can
+        # flip a zero's sign; the intermediate point is checked as in eval
+        inner = self.inner
+        first = inner.jac(x, y)
+        x, y = inner._image(x, y)
+        return _chain_product(first, (self.outer.jac(x, y),))
 
     @property
     def odd(self):
-        return all(m.odd for m in self.members)
+        return self.outer.odd and self.inner.odd
 
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian
 
     def describe(self):
-        return "compose(" + " o ".join(m.describe() for m in self.members) + ")"
+        return f"compose({self.outer.describe()} o {self.inner.describe()})"
 
 
 def compose(outer: PlanarMap, inner: PlanarMap) -> CompositeMap:
-    """outer after inner.  Nested composites flatten into one member tuple,
-    which changes nothing observable: evaluation applies the same functions
-    in the same order either way."""
-    out_m = outer.members if isinstance(outer, CompositeMap) else (outer,)
-    in_m = inner.members if isinstance(inner, CompositeMap) else (inner,)
-    return CompositeMap(out_m + in_m)
+    """outer after inner."""
+    return CompositeMap(outer, inner)
 
 
 def step_function(m: PlanarMap):
-    """The unchecked image kernel ``m.xy`` for hot loops; callers must treat
-    non-finite output, or an ArithmeticError or ValueError raised by a
-    member's kernel on it, as an escape.  A composite gets a closure over its
-    members' kernels, built per call: maps travel to pool workers by pickle."""
-    if not isinstance(m, CompositeMap):
-        return m.xy
-    step = m.members[-1].xy
-    for outer in reversed(m.members[:-1]):
-        def step(x, y, inner=step, outer=outer.xy):
-            x, y = inner(x, y)
-            return outer(x, y)
-    return step
+    """The unchecked image kernel ``m.xy``; callers must treat non-finite
+    output, or an ArithmeticError or ValueError raised by a kernel on it, as
+    an escape."""
+    return m.xy
 
 
 def fd_jacobian(m: PlanarMap, p: Point2, h: float) -> Mat2:

@@ -74,6 +74,17 @@ def test_newton_failure_exits_one(capsys):
     assert capsys.readouterr().err.startswith("dmy periodic:")
 
 
+def test_singular_newton_system_exits_one(capsys):
+    # the shear's D(f) - I is exactly singular, and the report says so exactly
+    code = main(["periodic", "--map", "linear", "--matrix", "1,1,0,1", "--seed", "10,1",
+                 "--period", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dmy periodic: newton system for linear[[1.0,1.0],[0.0,1.0]] "
+                            "is singular (|det| = 0.0)\n")
+
+
 def test_unwritable_out_exits_three(capsys):
     code = main(["phi", "--out", "/no-such-dir-anywhere/x.csv"])
     assert code == 3
@@ -345,6 +356,20 @@ def test_counterexample_tail_beyond_the_verifier_cap_exits_two(capsys):
     assert captured.err == (
         "dmy counterexample: profile tail radius 1.9642803285233646e+61 is beyond the "
         "tail sampling cap 1e+60; pick a larger slope budget\n")
+
+
+def test_counterexample_near_neutral_k_exits_two(capsys):
+    # Newton closes the orbit at every damping, and the orbit check refuses
+    # it each time: the message blames the check, not the search
+    assert main(["counterexample", "--k", "1.0001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy counterexample: no damping down to 1.953125e-05 gave a period-4 orbit that "
+        "passes its check: period-4 orbit fails its check: residual 4.336808689942018e-19, "
+        "unit-circle gap 0.0008001538866517777, orbit radii "
+        "100.00038151006527..100.00038151006527 inside disc of 200.00000000001103: True\n")
+    assert "search" not in captured.err
 
 
 def test_counterexample_config_round_trip(tmp_path, capsys):

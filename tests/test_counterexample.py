@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
                  RadialMap, build_counterexample, basin_raster, build_phi, compose,
                  dissipativity_bound, dynamics, find_periodic, phi_eval,
-                 step_function, verify_counterexample)
+                 verify_counterexample)
 from dmy import counterexample as ce
 from dmy.cli import _finite_or_null, main
 from dmy.spectral import _lerp, _log_radii, _norm, _radius, _ring_points
@@ -40,7 +40,7 @@ def test_bundle_internal_consistency(bundle):
     assert bundle.profile.floor == 1.0 / (2.0 * bundle.c_used)
     assert bundle.profile.C == bundle.c_used
     assert bundle.radial.profile == bundle.profile
-    assert bundle.composite.members == (bundle.radial, bundle.damped)
+    assert (bundle.composite.outer, bundle.composite.inner) == (bundle.radial, bundle.damped)
     assert bundle.damped.k == bundle.k and bundle.damped.a == bundle.a
 
 
@@ -194,7 +194,8 @@ def test_bundle_composes_its_own_map(bundle):
 
 def test_tampered_profile_reports_the_map_it_verifies(bundle):
     tampered = dataclasses.replace(bundle, profile=_eps_forced(bundle.profile, 3.0))
-    assert tampered.composite.members == (RadialMap(tampered.profile), bundle.damped)
+    assert tampered.composite.outer == RadialMap(tampered.profile)
+    assert tampered.composite.inner == bundle.damped
     report = verify_counterexample(tampered)
     failing = {c.name for c in report.checks if not c.passed}
     assert {"radial-orientation", "profile-envelope"} <= failing
@@ -296,7 +297,7 @@ def test_long_run_orbit_stays_bounded(bundle):
     report = verify_counterexample(bundle)
     orbit = next(c for c in report.checks if c.name == "period-4-orbit")
     x, y = orbit.data["points"][0]
-    step = step_function(bundle.composite)
+    step = bundle.composite.xy
     biggest = 0.0
     for _ in range(40_000):
         x, y = step(x, y)
@@ -478,7 +479,7 @@ def _record_search_and_sweeps(monkeypatch, sweep_sups=()):
         return (sups.pop(0) if sups else sup), worst, count
 
     def recording_search(m, *args):
-        radial, damped = m.members
+        radial, damped = m.outer, m.inner
         calls.append(("search", damped.a, radial.profile.eps))
         return search(m, *args)
 

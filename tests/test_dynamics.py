@@ -11,13 +11,20 @@ from dmy import (BasinGrid, ConvergenceError, DampedSzlenkMap, DissipativitySamp
                  LinearMap, Mat2, NewtonConfig, OmegaConfig, OmegaTag,
                  ParameterError, PlanarMap, Point2, SingularSystemError,
                  SzlenkMap, basin_raster, classify_omega, dissipativity_bound,
-                 find_periodic, orbit_multipliers, resolve_workers, step_function,
+                 find_periodic, orbit_multipliers, resolve_workers,
                  verify_invariant_ray)
-from dmy import dynamics, eig2, fd_jacobian
+from dmy import dynamics, eig2
 from dmy.counterexample import SweepConfig
 from dmy.dynamics import OmegaVerdict
 
-CONTRACT = LinearMap(Mat2.diagonal(0.5, 0.3))
+_ID = Mat2(1.0, 0.0, 0.0, 1.0)
+
+
+def _diag(d1, d2):
+    return Mat2(d1, 0.0, 0.0, d2)
+
+
+CONTRACT = LinearMap(_diag(0.5, 0.3))
 SZLENK = SzlenkMap(1.01)
 
 
@@ -32,20 +39,6 @@ class TranslationMap(PlanarMap):
 
     def describe(self):
         return "translate(1,0)"
-
-
-class LyingJacobianMap(PlanarMap):
-    """Halves every point but reports the identity as its Jacobian,
-    forcing the periodic-orbit search onto its finite-difference retry."""
-
-    def xy(self, x, y):
-        return 0.5 * x, 0.5 * y
-
-    def jac(self, x, y):
-        return 1.0, 0.0, 0.0, 1.0
-
-    def describe(self):
-        return "lying-half"
 
 
 class ScriptMap(PlanarMap):
@@ -123,7 +116,7 @@ def test_classify_seed_outside_escape_radius():
 
 
 def test_classify_overflowing_orbit_escapes():
-    grow = LinearMap(Mat2.diagonal(1e200, 1e200))
+    grow = LinearMap(_diag(1e200, 1e200))
     v = classify_omega(grow, Point2(1.0, 0.0), OmegaConfig(escape_radius=1e300))
     assert v.tag is OmegaTag.ESCAPING
 
@@ -161,7 +154,7 @@ def test_classify_composite_cycle_frozen(bundle):
 
 def _classify_by_lag_scan(m, p, cfg):
     """Reference classifier: tests every lag of the tail, newest first."""
-    step = step_function(m)
+    step = m.xy
     x, y = p.x, p.y
     nn = math.hypot(x, y)
     if not (nn <= cfg.escape_radius):
@@ -245,7 +238,7 @@ def test_classify_matches_lag_scan_on_rotations(angle, scale):
                    1.02 * math.sin(1.0), 1.02 * math.cos(1.0))),
     LinearMap(Mat2(0.98 * math.cos(1.0), -0.98 * math.sin(1.0),
                    0.98 * math.sin(1.0), 0.98 * math.cos(1.0))),
-    LinearMap(Mat2.diagonal(1.5, 1.5)),
+    LinearMap(_diag(1.5, 1.5)),
 ], ids=["rotate-grow", "rotate-decay", "diagonal-grow"])
 @pytest.mark.parametrize("window", [1, 2, 4096])
 def test_classify_matches_lag_scan_on_runaway_and_decaying_orbits(m, window):
@@ -340,7 +333,7 @@ def test_classify_composite_orbits_falling_onto_the_cycle(bundle, p):
 
 
 def test_newton_fixed_point_of_contraction_is_origin():
-    orb = find_periodic(LinearMap(Mat2.diagonal(0.5, 0.5)), 1, Point2(1.0, 1.0))
+    orb = find_periodic(LinearMap(_diag(0.5, 0.5)), 1, Point2(1.0, 1.0))
     assert orb.period == 1
     assert orb.points == (Point2(0.0, 0.0),)
     assert orb.residual == 0.0
@@ -381,11 +374,6 @@ def test_newton_singular_system():
         find_periodic(TranslationMap(), 1, Point2(0.0, 0.0))
 
 
-def test_newton_fd_fallback_rescues_bad_jacobian():
-    orb = find_periodic(LyingJacobianMap(), 1, Point2(1.0, 1.0))
-    assert orb.points[0].norm() < 1e-10
-
-
 def test_newton_budget_exhaustion():
     with pytest.raises(ConvergenceError) as exc:
         find_periodic(SZLENK, 4, Point2(9.5, 0.1), NewtonConfig(max_steps=1))
@@ -418,29 +406,27 @@ def test_orbit_multipliers_empty():
         orbit_multipliers(SZLENK, ())
 
 
-def _mat2_chain(m, pts, analytic):
+def _mat2_chain(m, pts):
     """Reference chain-rule product over Mat2 @, from the identity."""
-    jac = Mat2.identity()
+    jac = _ID
     for p in pts:
-        jm = m.jacobian(p) if analytic else fd_jacobian(m, p, 1e-6)
-        jac = jm @ jac
+        jac = m.jacobian(p) @ jac
     return jac
 
 
-def _mat2_newton_delta(m, pts, gx, gy, analytic):
-    a = _mat2_chain(m, pts, analytic) - Mat2.identity()
+def _mat2_newton_delta(m, pts, gx, gy):
+    a = _mat2_chain(m, pts) - _ID
     det = a.det
     if abs(det) < 1e-14:
-        kind = "analytic" if analytic else "finite-difference"
         raise SingularSystemError(
-            f"newton system for {m.describe()} is singular ({kind} chain, |det| = {abs(det)!r})")
+            f"newton system for {m.describe()} is singular (|det| = {abs(det)!r})")
     return ((-gx * a.a22 + gy * a.a12) / det,
             (-gy * a.a11 + gx * a.a21) / det)
 
 
 def _mat2_find_periodic(m, n, seed, cfg=None):
-    """Reference Newton search on Mat2 products, with the finite-difference
-    retry as a second call: (points, residual, multipliers), or it raises."""
+    """Reference Newton search on Mat2 products: (points, residual,
+    multipliers), or it raises."""
     cfg = cfg or NewtonConfig()
     x = seed
     res = math.inf
@@ -452,13 +438,10 @@ def _mat2_find_periodic(m, n, seed, cfg=None):
         gx, gy = cur.x - x.x, cur.y - x.y
         res = math.hypot(gx, gy)
         if res < cfg.tol:
-            return tuple(pts), res, eig2(_mat2_chain(m, pts, True))
+            return tuple(pts), res, eig2(_mat2_chain(m, pts))
         if attempt == cfg.max_steps:
             break
-        try:
-            dx, dy = _mat2_newton_delta(m, pts, gx, gy, True)
-        except SingularSystemError:
-            dx, dy = _mat2_newton_delta(m, pts, gx, gy, False)
+        dx, dy = _mat2_newton_delta(m, pts, gx, gy)
         x = Point2(x.x + dx, x.y + dy)
     raise ConvergenceError(
         f"newton did not close a period-{n} orbit of {m.describe()} in "
@@ -490,45 +473,33 @@ def _float_search(*args):
     return orb.points, orb.residual, orb.multipliers
 
 
-def test_find_periodic_is_bit_identical_to_mat2_newton(bundle, monkeypatch):
-    calls = []
-    fd = dynamics.fd_jacobian
-
-    def counting_fd(*args):
-        calls.append(args)
-        return fd(*args)
-
-    monkeypatch.setattr(dynamics, "fd_jacobian", counting_fd)
+def test_find_periodic_is_bit_identical_to_mat2_newton(bundle):
     cases = [(SZLENK, 4, Point2(9.5, 0.1)), (SZLENK, 4, Point2(10.0, 0.0)),
              (DampedSzlenkMap(1.01, 0.005), 4, Point2(9.5, 0.1)),
              (bundle.composite, 4, Point2(bundle.flat_radius / 2.0, 0.0), SweepConfig.newton),
-             (LyingJacobianMap(), 1, Point2(1.0, 1.0)),
              (TranslationMap(), 1, Point2(0.0, 0.0)),
              (SZLENK, 4, Point2(9.5, 0.1), NewtonConfig(max_steps=1)),
              (bundle.composite, 4, Point2(3.0, 1.0), NewtonConfig(max_steps=3))]
     for args in cases:
         want = _outcome(_mat2_find_periodic, *args)
         assert _outcome(_float_search, *args) == want, args[0].describe()
-    assert _outcome(_float_search, *cases[5])[0] is SingularSystemError
-    assert _outcome(_float_search, *cases[6])[0] is ConvergenceError
-    # the lying map and the translation reach the finite-difference retry
-    assert calls
+    assert _outcome(_float_search, *cases[4])[0] is SingularSystemError
+    assert _outcome(_float_search, *cases[5])[0] is ConvergenceError
     # the chain itself, from the identity, down to the sign of a zero entry
     flip = LinearMap(Mat2(-0.0, 1.0, 0.0, -0.0))
     for m, pts in ((flip, [Point2(1.0, 0.0)]), (flip, [Point2(-0.0, 2.0)] * 3),
                    (SZLENK, [Point2(10.0, 0.0), Point2(-0.0, 10.0)]),
                    (bundle.composite, list(bundle.orbit))):
-        for analytic in (True, False):
-            want = _mat2_chain(m, pts, analytic)
-            got = dynamics._chain_jacobian(m, pts, analytic)
-            assert _bits(*got) == _bits(want.a11, want.a12, want.a21, want.a22)
+        want = _mat2_chain(m, pts)
+        got = dynamics._chain_jacobian(m, pts)
+        assert _bits(*got) == _bits(want.a11, want.a12, want.a21, want.a22)
 
 
 # ------------------------------------------------------------ dissipativity
 
 
 def test_dissipativity_expanding_map_exact_values():
-    b = dissipativity_bound(LinearMap(Mat2.diagonal(2.0, 2.0)), 20.0, 0.5)
+    b = dissipativity_bound(LinearMap(_diag(2.0, 2.0)), 20.0, 0.5)
     assert b.norm_sup == 2.0
     assert b.norm_sup_used == 2.0
     assert b.threshold_radius == 120.0
@@ -542,7 +513,7 @@ def test_dissipativity_expanding_map_exact_values():
 
 
 def test_dissipativity_contraction_passes_with_norm_floor():
-    b = dissipativity_bound(LinearMap(Mat2.diagonal(0.5, 0.5)), 1.0, 0.6)
+    b = dissipativity_bound(LinearMap(_diag(0.5, 0.5)), 1.0, 0.6)
     assert b.norm_sup == 0.5
     assert b.norm_sup_used == 1.0  # floored so the threshold stays positive
     assert b.threshold_radius == 2.0
@@ -551,7 +522,7 @@ def test_dissipativity_contraction_passes_with_norm_floor():
 
 
 def test_dissipativity_validation():
-    m = LinearMap(Mat2.diagonal(0.5, 0.5))
+    m = LinearMap(_diag(0.5, 0.5))
     with pytest.raises(ParameterError):
         dissipativity_bound(m, 0.0, 0.5)
     with pytest.raises(ParameterError):
@@ -570,7 +541,7 @@ def _x_axis(radius, n):
 
 
 def test_ray_invariant_under_axis_contraction():
-    v = verify_invariant_ray(LinearMap(Mat2.diagonal(0.5, 0.5)), _x_axis(100.0, 101), 1e-9)
+    v = verify_invariant_ray(LinearMap(_diag(0.5, 0.5)), _x_axis(100.0, 101), 1e-9)
     assert v.passed
     assert v.max_deviation == 0.0
     assert v.radius_ok
@@ -608,7 +579,7 @@ def test_segment_distance_where_the_squares_overflow():
 def test_ray_tolerance_is_relative_to_the_sampled_length():
     # the halving map keeps the x axis, yet at radius 1e160 the float samples
     # sit about 1e-17 of the radius off exact multiples of one another
-    half = LinearMap(Mat2.diagonal(0.5, 0.5))
+    half = LinearMap(_diag(0.5, 0.5))
     v = verify_invariant_ray(half, _x_axis(1e160, 11), 1e-9)
     assert v.passed and 1e142 < v.max_deviation < 1e-16 * 1e160
     # a quarter turn sends the last sample exactly one ray length off the
@@ -708,7 +679,7 @@ def test_pruned_ray_check_at_the_readme_scales(radius):
     # the halving map's images sit rounding steps off the ray, and the
     # quarter turn's a whole ray length
     pts = _x_axis(radius, 301)
-    for m in (LinearMap(Mat2.diagonal(0.5, 0.5)), LinearMap(Mat2(0.0, -1.0, 1.0, 0.0))):
+    for m in (LinearMap(_diag(0.5, 0.5)), LinearMap(Mat2(0.0, -1.0, 1.0, 0.0))):
         v = verify_invariant_ray(m, pts, 1e-9)
         assert (v.max_deviation, v.worst_index) == _loop_ray(m, pts)
 
@@ -724,14 +695,14 @@ def test_ray_check_measures_few_segments(monkeypatch):
         return segment_dist(*args)
 
     monkeypatch.setattr(dynamics, "_segment_dist", counting)
-    for m in (DampedSzlenkMap(1.01, 0.005), LinearMap(Mat2.diagonal(0.5, 0.5))):
+    for m in (DampedSzlenkMap(1.01, 0.005), LinearMap(_diag(0.5, 0.5))):
         calls[0] = 0
         verify_invariant_ray(m, _x_axis(100.0, 1001), 1e-9)
         assert calls[0] < 1001 * 100
 
 
 def test_ray_validation():
-    m = LinearMap(Mat2.diagonal(0.5, 0.5))
+    m = LinearMap(_diag(0.5, 0.5))
     with pytest.raises(ParameterError):
         verify_invariant_ray(m, [Point2(0.0, 0.0)], 1e-9)
     with pytest.raises(ParameterError):
@@ -758,7 +729,7 @@ def test_basin_cubic_window_frozen_counts():
 
 
 def test_basin_serial_and_parallel_agree():
-    m = LinearMap(Mat2.diagonal(0.5, 0.5))
+    m = LinearMap(_diag(0.5, 0.5))
     serial = basin_raster(m, 10.0, 80, 80, workers=1)
     parallel = basin_raster(m, 10.0, 80, 80, workers=4)
     assert serial.codes == parallel.codes

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -12,6 +13,12 @@ from dmy import (CompositeMap, DampedSzlenkMap, K_MAX, LinearMap, Mat2,
                  step_function)
 from dmy.phi import phi_eval
 from dmy.planar import _chain_product
+
+_ID = Mat2(1.0, 0.0, 0.0, 1.0)
+
+
+def _max_abs(m):
+    return max(abs(m.a11), abs(m.a12), abs(m.a21), abs(m.a22))
 
 
 def test_k_max_value():
@@ -85,7 +92,7 @@ def test_radial_map_is_identity_on_flat_disc():
     h = RadialMap(prof)
     for p in (Point2(0.0, 0.0), Point2(3.0, 4.0), Point2(-20.0, 0.0)):
         assert h.eval(p) == p
-        assert h.jacobian(p) == Mat2.identity()
+        assert h.jacobian(p) == _ID
 
 
 def test_radial_map_scales_by_floor_in_tail():
@@ -108,17 +115,24 @@ def test_radial_map_preserves_direction():
     assert 0.25 * p.norm() <= q.norm() <= p.norm()
 
 
-def test_compose_flattens():
+def test_compose_is_binary():
     f = SzlenkMap(1.01)
     g = DampedSzlenkMap(1.01, 0.005)
     h = RadialMap(build_phi(20.0, 2.0, 0.05))
+    assert [fl.name for fl in dataclasses.fields(CompositeMap)] == ["outer", "inner"]
     c1 = compose(h, g)
-    assert isinstance(c1, CompositeMap) and c1.members == (h, g)
+    assert c1 == CompositeMap(h, g)
+    assert c1.outer is h and c1.inner is g
+    # longer chains nest as they were composed
     c2 = compose(c1, f)
-    assert c2.members == (h, g, f)
+    assert c2.outer is c1 and c2.inner is f
     c3 = compose(f, c1)
-    assert c3.members == (f, h, g)
+    assert c3.outer is f and c3.inner is c1
     assert c1.describe() == f"compose({h.describe()} o {g.describe()})"
+    assert c3.describe() == f"compose({f.describe()} o {c1.describe()})"
+    for outer, inner in ((h, "g"), ("h", g), (None, g)):
+        with pytest.raises(ParameterError, match="not a planar map"):
+            CompositeMap(outer, inner)
 
 
 def test_composite_applies_right_to_left():
@@ -136,22 +150,29 @@ def test_composite_chain_rule_matches_finite_differences():
     for p in (Point2(25.0, 13.0), Point2(-40.0, 2.0), Point2(0.5, 0.25)):
         a = c.jacobian(p)
         fd = fd_jacobian(c, p, 1e-6)
-        assert (a - fd).max_abs() <= max(1e-6 * a.max_abs(), 1e-9)
+        assert _max_abs(a - fd) <= max(1e-6 * _max_abs(a), 1e-9)
 
 
 def test_describe_strings():
     assert SzlenkMap(1.01).describe() == "szlenk(k=1.01)"
     assert DampedSzlenkMap(1.01, 0.005).describe() == "ga(k=1.01, a=0.005)"
-    assert "linear" in LinearMap(Mat2.identity()).describe()
+    assert "linear" in LinearMap(_ID).describe()
     assert RadialMap(build_phi(20.0, 2.0, 0.05)).describe() == \
         "radial(R=20.0, C=2.0, eps=0.05)"
 
 
 def test_maps_are_picklable():
-    c = compose(RadialMap(build_phi(20.0, 2.0, 0.05)), DampedSzlenkMap(1.01, 0.005))
-    c2 = pickle.loads(pickle.dumps(c))
-    p = Point2(17.0, -9.0)
-    assert c2.eval(p) == c.eval(p)
+    radial = RadialMap(build_phi(20.0, 2.0, 0.05))
+    damped = DampedSzlenkMap(1.01, 0.005)
+    turn = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
+    # basin_raster's pool sends maps to its workers by pickle, nested ones included
+    for c in (compose(radial, damped), compose(turn, compose(radial, damped)),
+              CompositeMap(CompositeMap(turn, radial), CompositeMap(damped, turn))):
+        c2 = pickle.loads(pickle.dumps(c))
+        assert c2 == c and c2.odd
+        for p in (Point2(17.0, -9.0), Point2(-250.0, 3.5)):
+            assert c2.eval(p) == c.eval(p)
+            assert c2.jacobian(p) == c.jacobian(p)
 
 
 def test_step_function_matches_eval(bundle):
@@ -194,24 +215,6 @@ def test_radial_kernel_nan_radius_still_raises():
     for x, y in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
         with pytest.raises(ParameterError):
             h.xy(x, y)
-
-
-def test_composite_step_closure_is_bit_equal_to_kernel(bundle):
-    radial = RadialMap(build_phi(20.0, 2.0, 0.05))
-    damped = DampedSzlenkMap(1.01, 0.005)
-    turn = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
-    rng = random.Random(3)
-    points = [(0.0, 0.0), (-0.0, 0.0), (10.0, 0.0), (1e200, 1e200), (-1e160, 3.0)]
-    for _ in range(400):
-        mag = 10.0 ** rng.uniform(-3.0, 300.0)
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        points.append((mag * math.cos(t), mag * math.sin(t)))
-    for c in (bundle.composite, compose(radial, damped), CompositeMap((radial, damped, turn)),
-              CompositeMap((turn, CompositeMap((radial, damped)))),
-              CompositeMap((turn, SzlenkMap(1.01), LinearMap(Mat2.diagonal(1e200, 1e200))))):
-        step = step_function(c)
-        assert [_bits(step, x, y) for x, y in points] == [_bits(c.xy, x, y) for x, y in points]
-        assert any(_bits(c._image, x, y) is NumericOverflowError for x, y in points)
 
 
 def test_eval_overflow_raises():
@@ -267,7 +270,7 @@ def test_analytic_jacobians_match_finite_differences(x, y):
               SzlenkMap(1.12), DampedSzlenkMap(1.05, 0.2)):
         a = m.jacobian(p)
         fd = fd_jacobian(m, p, 1e-6)
-        assert (a - fd).max_abs() <= max(1e-6 * a.max_abs(), 1e-9)
+        assert _max_abs(a - fd) <= max(1e-6 * _max_abs(a), 1e-9)
 
 
 def test_jacobian_fd_sweep_all_variants(bundle):
@@ -279,7 +282,7 @@ def test_jacobian_fd_sweep_all_variants(bundle):
         for m in maps:
             a = m.jacobian(p)
             fd = fd_jacobian(m, p, 1e-6)
-            assert (a - fd).max_abs() <= max(1e-6 * a.max_abs(), 1e-9), m.describe()
+            assert _max_abs(a - fd) <= max(1e-6 * _max_abs(a), 1e-9), m.describe()
 
 
 def _mat2_chain(start, factors):
@@ -313,48 +316,115 @@ def test_chain_product_is_bit_equal_to_mat2_chain_on_signed_zeros():
 
 
 def _mat2_jacobian(m, x, y):
-    """Jacobian entries by Mat2 products, from the innermost member's factor
-    and recursing into nested composites."""
+    """Jacobian entries by Mat2 products, recursing into nested composites."""
     if not isinstance(m, CompositeMap):
         return m.jac(x, y)
-    members = m.members[::-1]
-    acc = Mat2(*_mat2_jacobian(members[0], x, y))
-    for inner, outer in zip(members, members[1:]):
-        x, y = inner.xy(x, y)
-        acc = Mat2(*_mat2_jacobian(outer, x, y)) @ acc
+    acc = (Mat2(*_mat2_jacobian(m.outer, *m.inner.xy(x, y)))
+           @ Mat2(*_mat2_jacobian(m.inner, x, y)))
     return acc.a11, acc.a12, acc.a21, acc.a22
 
 
-def _member_factors(c, x, y):
-    """Each member's Jacobian at its intermediate point, innermost first."""
-    out = []
-    for m in reversed(c.members):
-        out.append(_mat2_jacobian(m, x, y))
-        x, y = m.xy(x, y)
-    return out
+def _chain(*maps):
+    """compose(m1, compose(m2, ... mn)): the right-nested chain, mn applied first."""
+    c = maps[-1]
+    for m in reversed(maps[:-1]):
+        c = compose(m, c)
+    return c
+
+
+def _sequential(maps):
+    """The kernels of maps[0] o ... o maps[-1] applied one map at a time, the
+    Jacobian as the one ordered product from the innermost factor."""
+    inner_first = maps[::-1]
+
+    def xy(x, y):
+        for m in inner_first:
+            x, y = m.xy(x, y)
+        return x, y
+
+    def image(x, y):
+        for m in inner_first:
+            x, y = m._image(x, y)
+        return x, y
+
+    def factors(x, y):
+        out = [inner_first[0].jac(x, y)]
+        for m, nxt in zip(inner_first, inner_first[1:]):
+            x, y = m._image(x, y)
+            out.append(nxt.jac(x, y))
+        return out
+
+    def jac(x, y):
+        fs = factors(x, y)
+        return _chain_product(fs[0], fs[1:])
+
+    return xy, image, jac, factors
+
+
+def _outcome(f, x, y):
+    """_bits, or the type and message of the escape f raises."""
+    try:
+        return tuple(struct.pack("<d", v) for v in f(x, y))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _composite_points(seed, max_exp):
+    rng = random.Random(seed)
+    points = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (10.0, -0.0), (-0.0, 30.0)]
+    for _ in range(200):
+        mag = 10.0 ** rng.uniform(-3.0, max_exp)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        points.append((mag * math.cos(t), mag * math.sin(t)))
+    return points
+
+
+_FLIP = LinearMap(Mat2(-0.0, 1.0, 0.0, -0.0))
+_TURN = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
+
+
+def test_right_nested_chains_match_the_sequential_kernels():
+    radial = RadialMap(build_phi(20.0, 2.0, 0.05))
+    damped = DampedSzlenkMap(1.01, 0.005)
+    chains = [(radial, damped), (_FLIP, damped), (radial, damped, _FLIP),
+              (_FLIP, _TURN, _FLIP), (_TURN, radial, damped),
+              (_FLIP, radial, damped, _FLIP),
+              (_TURN, SzlenkMap(1.01), LinearMap(Mat2(1e200, 0.0, 0.0, 1e200)))]
+    points = _composite_points(3, 300.0) + [(1e200, 1e200), (-1e160, 3.0)]
+    overflowed = False
+    for maps in chains:
+        c = _chain(*maps)
+        xy, image, jac, factors = _sequential(maps)
+        for x, y in points:
+            assert _outcome(c.xy, x, y) == _outcome(xy, x, y), (c.describe(), x, y)
+            got = _outcome(c._image, x, y)
+            assert got == _outcome(image, x, y), (c.describe(), x, y)
+            overflowed |= got[0] is NumericOverflowError
+            got = _outcome(c.jac, x, y)
+            assert got == _outcome(jac, x, y), (c.describe(), x, y)
+            if _outcome(c._jac, x, y)[0] is not NumericOverflowError:  # Mat2 needs finite entries
+                assert got == _raw(_mat2_jacobian(c, x, y))
+                fs = factors(x, y)
+                assert got == _raw(_mat2_chain(fs[0], fs[1:]))
+    # a checked image stops at the first map that leaves the doubles
+    assert overflowed
 
 
 def test_composite_jacobian_is_bit_equal_to_mat2_chain(bundle):
     radial = RadialMap(build_phi(20.0, 2.0, 0.05))
     damped = DampedSzlenkMap(1.01, 0.005)
-    flip = LinearMap(Mat2(-0.0, 1.0, 0.0, -0.0))
-    turn = LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))
-    composites = [bundle.composite, CompositeMap((flip, damped)),
-                  CompositeMap((radial, damped, flip)), CompositeMap((flip, turn, flip)),
-                  CompositeMap((turn, CompositeMap((radial, damped)))),
-                  CompositeMap((CompositeMap((flip, radial)), CompositeMap((damped, flip))))]
-    rng = random.Random(5)
-    points = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (10.0, -0.0), (-0.0, 30.0)]
-    for _ in range(200):
-        mag = 10.0 ** rng.uniform(-3.0, 40.0)
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        points.append((mag * math.cos(t), mag * math.sin(t)))
+    # left nesting rounds the product in its own order, which the Mat2
+    # recursion follows too
+    composites = [bundle.composite, CompositeMap(_FLIP, damped),
+                  _chain(radial, damped, _FLIP), _chain(_FLIP, _TURN, _FLIP),
+                  CompositeMap(CompositeMap(_TURN, radial), damped),
+                  CompositeMap(CompositeMap(_FLIP, radial), CompositeMap(damped, _FLIP))]
     for c in composites:
-        for x, y in points:
-            want_first = _raw(_mat2_jacobian(c, x, y))
-            assert _raw(c.jac(x, y)) == want_first, (c.describe(), x, y)
-            factors = _member_factors(c, x, y)
-            assert _raw(_chain_product(factors[0], factors[1:])) == want_first
+        for x, y in _composite_points(5, 40.0):
+            want = _raw(_mat2_jacobian(c, x, y))
+            assert _raw(c.jac(x, y)) == want, (c.describe(), x, y)
+            factors = [c.inner.jac(x, y), c.outer.jac(*c.inner.xy(x, y))]
+            assert _raw(_chain_product(factors[0], factors[1:])) == want
             assert (_raw(_chain_product((1.0, 0.0, 0.0, 1.0), factors))
                     == _raw(_mat2_chain((1.0, 0.0, 0.0, 1.0), factors)))
 
@@ -382,8 +452,8 @@ _ODD_MAPS = [LinearMap(Mat2(0.5, 1.0, 0.0, 0.5)), LinearMap(Mat2(1.0, 1.0, -1.0,
              LinearMap(Mat2(-0.0, -1.2, 0.9, 0.0)), SzlenkMap(1.01), SzlenkMap(1.15),
              _DAMPED, DampedSzlenkMap(1.05, 0.2), _RADIAL, _PAPER_RADIAL,
              compose(_PAPER_RADIAL, _DAMPED),
-             CompositeMap((CompositeMap((_RADIAL, _DAMPED)), LinearMap(Mat2(0.6, -0.8, 0.8, 0.6)))),
-             CompositeMap((SzlenkMap(1.01), CompositeMap((_RADIAL, CompositeMap((_DAMPED,))))))]
+             CompositeMap(CompositeMap(_RADIAL, _DAMPED), LinearMap(Mat2(0.6, -0.8, 0.8, 0.6))),
+             compose(SzlenkMap(1.01), compose(_RADIAL, compose(_DAMPED, _TURN)))]
 
 
 def _image_or_escape(m, x, y):
@@ -402,9 +472,14 @@ def _same_float(a, b):
 def test_odd_flags():
     assert PlanarMap.odd is False and _ShiftMap().odd is False
     assert all(m.odd for m in _ODD_MAPS)
-    assert not CompositeMap((_RADIAL, _ShiftMap())).odd
-    assert not CompositeMap((CompositeMap((_ShiftMap(),)), _DAMPED)).odd
+    assert not CompositeMap(_RADIAL, _ShiftMap()).odd
+    assert not CompositeMap(_ShiftMap(), _DAMPED).odd
+    # nested composites are odd exactly when every map in them is
+    assert not CompositeMap(CompositeMap(_RADIAL, _ShiftMap()), _DAMPED).odd
+    assert not compose(_DAMPED, compose(_RADIAL, compose(_TURN, _ShiftMap()))).odd
     assert compose(_RADIAL, _DAMPED).odd
+    assert compose(_TURN, compose(_RADIAL, _DAMPED)).odd
+    assert CompositeMap(CompositeMap(_RADIAL, _DAMPED), CompositeMap(_TURN, _FLIP)).odd
 
 
 @settings(max_examples=300, deadline=None)
