@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -60,7 +61,9 @@ _MAP_OPTS = [
     ("matrix", "--matrix", "str", None,
      "entries a11,a12,a21,a22 of the linear map (with --map linear)"),
     ("k", "--k", "float", 1.01,
-     "cubic map parameter, in (1, 2/sqrt(3)) (default: 1.01)"),
+     "cubic map parameter, in (1, 2/sqrt(3)); the counterexample map takes only "
+     "(1, 0.88*2/sqrt(3)), and next to 1 (1.0001, say) its period-4 orbit is too near "
+     "neutral and the run exits 2 (default: 1.01)"),
     ("a", "--a", "float", 0.005,
      "damping subtracted from the identity (default: 0.005)"),
     ("eps_init", "--eps-init", "float", 0.05,
@@ -78,7 +81,10 @@ _IO_OPTS = [
 _KIND_TYPES = {"int": int, "float": float, "str": str, "multi": str}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then reused:
+    each parse fills a fresh namespace, and every flag's default is suppressed."""
     parser = argparse.ArgumentParser(
         prog="dmy",
         description="planar map toolkit: spectra, orbits, basins, and the "
@@ -471,13 +477,8 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
           "row workers, at most one per CPU; 0 = one per CPU (default: 0)"),
      ]),
     ("counterexample", _run_counterexample,
-     "build the squashed damped cubic map and verify its claims", [
-         ("k", "--k", "float", 1.01, "cubic map parameter, in (1, 0.88*2/sqrt(3)); next to 1 "
-          "(1.0001, say) the period-4 orbit is too near neutral and the run exits 2 (default: 1.01)"),
-         ("a", "--a", "float", 0.005, "damping (default: 0.005)"),
-         ("eps_init", "--eps-init", "float", 0.05,
-          "slope budget of the profile, capped at 0.9/(8C) (default: 0.05)"),
-     ]),
+     "build the squashed damped cubic map and verify its claims",
+     _MAP_OPTS[2:]),  # --k, --a and --eps-init: the map flags past --map and --matrix
     ("phi", _run_phi, "tabulate a radial squashing profile as CSV", [
         ("R", "--R", "float", 20.0, "inner flat radius (default: 20)"),
         ("C", "--C", "float", 2.0, "Jacobian norm bound; tail value is 1/(2C) (default: 2)"),

@@ -16,10 +16,11 @@ the damping halves unless the orbit passes the verifier's own orbit check.
 The build runs no composite sweep: only the verifier reads the spectral cap.
 The bundle stores each fact once (damped map, profile, c_raw, orbit) and
 composes its own map.
-``verify_counterexample`` re-derives the six claims, checking that orbit rather
-than searching again, and returns a report of per-check verdicts whose header
-is read off the same bundle; it never raises on a failed claim, and a sample
-where the Jacobian overflows counts as spectral radius infinity.  The
+``verify_counterexample`` re-derives the six claims of ``_CHECKS``, checking
+that orbit rather than searching again; every check maps a bundle to (passed,
+detail, data), the verdict the build's orbit gate also reads.  The report's
+header is read off the same bundle; it never raises on a failed claim, and a
+sample where the Jacobian overflows counts as spectral radius infinity.  The
 damped-map (norm and radius in one pass) and composite sweeps run through
 ``_jacobian_sups``.  The spectral-radius, orientation and envelope sweeps end
 at the bundle's ``reach``, ``sr_span`` tail radii.  A tail at or past
@@ -116,7 +117,7 @@ class CheckRecord:
     name: str
     passed: bool
     detail: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,9 @@ def _find_orbit(bundle: CounterexampleBundle) -> CounterexampleBundle:
     orbit = find_periodic(bundle.composite, 4, Point2(bundle.flat_radius / 2.0, 0.0),
                           SweepConfig.newton)
     built = replace(bundle, orbit=orbit.points)
-    rec = _check_periodic_orbit(built)
-    if not rec.passed:
-        raise ConvergenceError(f"period-4 orbit fails its check: {rec.detail}",
+    passed, detail, _ = _check_periodic_orbit(built)
+    if not passed:
+        raise ConvergenceError(f"period-4 orbit fails its check: {detail}",
                                last_iterate=orbit.points[0], residual=orbit.residual)
     return built
 
@@ -242,17 +243,12 @@ def build_counterexample(k: float, a: float = 0.005,
         f"{last_newton}")
 
 
-def _check_origin_fixed(bundle: CounterexampleBundle) -> CheckRecord:
+def _check_origin_fixed(bundle: CounterexampleBundle):
     img = bundle.composite.eval(Point2(0.0, 0.0))
-    ok = img.x == 0.0 and img.y == 0.0
-    return CheckRecord(
-        name="origin-fixed", passed=ok,
-        detail=f"image of the origin is ({img.x!r}, {img.y!r})",
-        data={"image": [img.x, img.y]})
+    return (img.x == 0.0 and img.y == 0.0, f"image of the origin is ({img.x!r}, {img.y!r})",
+            {"image": [img.x, img.y]})
 
 
-# the far checks sample out to the bundle's reach and return (passed, detail,
-# data); verify_counterexample names them and runs them only on a bundle with a reach
 def _check_sr_bound(bundle: CounterexampleBundle):
     bound = SweepConfig.sr_cap + 1e-9
     sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
@@ -285,8 +281,7 @@ def _check_orientation(bundle: CounterexampleBundle):
             {"min_det": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
 
 
-def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
-    name = "period-4-orbit"
+def _check_periodic_orbit(bundle: CounterexampleBundle):
     m, pts = bundle.composite, bundle.orbit
     try:
         # largest gap |f(p_i) - p_i+1|: the closing gap on the build's orbit
@@ -295,22 +290,19 @@ def _check_periodic_orbit(bundle: CounterexampleBundle) -> CheckRecord:
         orbit = PeriodicOrbit(len(pts), pts, residual, mults)
         gap = min(abs(abs(mults.l1) - 1.0), abs(abs(mults.l2) - 1.0))
     except (ArithmeticError, ValueError) as exc:
-        return CheckRecord(name=name, passed=False,
-                           detail=f"the stored orbit cannot be checked: {exc}", data={})
+        return False, f"the stored orbit cannot be checked: {exc}", {}
     norms = [p.norm() for p in orbit.points]
     in_disc = min(norms) > 1e-6 and max(norms) < bundle.flat_radius
-    ok = orbit.residual < 1e-10 and gap >= 1e-3 and in_disc
-    return CheckRecord(
-        name=name, passed=ok,
-        detail=(f"residual {orbit.residual!r}, unit-circle gap {gap!r}, "
-                f"orbit radii {min(norms)!r}..{max(norms)!r} inside disc of "
-                f"{bundle.flat_radius!r}: {in_disc}"),
-        data={"points": [[p.x, p.y] for p in orbit.points],
-              "residual": orbit.residual,
-              "multipliers": [[mults.l1.real, mults.l1.imag],
-                              [mults.l2.real, mults.l2.imag]],
-              "unit_circle_gap": gap,
-              "hyperbolic": orbit.hyperbolic})
+    return (orbit.residual < 1e-10 and gap >= 1e-3 and in_disc,
+            f"residual {orbit.residual!r}, unit-circle gap {gap!r}, "
+            f"orbit radii {min(norms)!r}..{max(norms)!r} inside disc of "
+            f"{bundle.flat_radius!r}: {in_disc}",
+            {"points": [[p.x, p.y] for p in orbit.points],
+             "residual": orbit.residual,
+             "multipliers": [[mults.l1.real, mults.l1.imag],
+                             [mults.l2.real, mults.l2.imag]],
+             "unit_circle_gap": gap,
+             "hyperbolic": orbit.hyperbolic})
 
 
 def _check_envelope(bundle: CounterexampleBundle):
@@ -348,30 +340,36 @@ def _check_envelope(bundle: CounterexampleBundle):
              "floor_ok": floor_ok, "stretch_ok": stretch_ok})
 
 
+def _unsampled(bundle: CounterexampleBundle):
+    r_tail, cap = bundle.profile.r_tail, SweepConfig.tail_r_max
+    return (False, f"profile tail radius {r_tail!r} is beyond the tail sampling cap {cap!r}, "
+            "so nothing was sampled", {"tail_radius": r_tail, "cap": cap, "samples": 0})
+
+
+# the six claims in report order: (name, check, samples_to_reach); every check
+# maps a bundle to (passed, detail, data), and one that samples out to the
+# bundle's reach fails unsampled on a bundle with no reach
+_CHECKS = (
+    ("origin-fixed", _check_origin_fixed, False),
+    ("spectral-radius-bound", _check_sr_bound, True),
+    ("tail-contraction", _check_tail_contraction, True),
+    ("radial-orientation", _check_orientation, True),
+    ("period-4-orbit", _check_periodic_orbit, False),
+    ("profile-envelope", _check_envelope, True),
+)
+
+
 def verify_counterexample(bundle: CounterexampleBundle) -> VerificationReport:
-    """Re-check the six claims about a built bundle by sampling.
+    """Re-check the six claims of ``_CHECKS`` about a built bundle by sampling.
 
     The orbit check recomputes closure, multipliers and hyperbolicity of the
     build's stored orbit; it is the check the build's orbit already passed.
     Failures are verdicts in the report, never exceptions, so a deliberately
     broken bundle, or one whose spectral sweep overflows, yields a failing
-    report rather than a crash.  A bundle with no reach fails the four far
-    checks unsampled (``samples: 0``).
+    report rather than a crash.  A bundle with no reach fails the four checks
+    that sample out to it unsampled (``samples: 0``).
     """
-    def far(name, check):
-        if bundle.reach is not None:
-            return CheckRecord(name, *check(bundle))
-        r_tail, cap = bundle.profile.r_tail, SweepConfig.tail_r_max
-        return CheckRecord(name, False, f"profile tail radius {r_tail!r} is beyond the tail "
-                           f"sampling cap {cap!r}, so nothing was sampled",
-                           {"tail_radius": r_tail, "cap": cap, "samples": 0})
-
-    checks = (
-        _check_origin_fixed(bundle),
-        far("spectral-radius-bound", _check_sr_bound),
-        far("tail-contraction", _check_tail_contraction),
-        far("radial-orientation", _check_orientation),
-        _check_periodic_orbit(bundle),
-        far("profile-envelope", _check_envelope),
-    )
-    return VerificationReport(bundle, checks)
+    unreached = bundle.reach is None
+    return VerificationReport(bundle, tuple(
+        CheckRecord(name, *(_unsampled if to_reach and unreached else check)(bundle))
+        for name, check, to_reach in _CHECKS))

@@ -54,6 +54,33 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "counterexample"])
+def test_k_help_states_both_ranges(sub, capsys):
+    # one --k declaration serves every map subcommand and counterexample
+    assert main([sub, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "in (1, 2/sqrt(3))" in out
+    assert "the counterexample map takes only (1, 0.88*2/sqrt(3))" in out
+    assert "the run exits 2" in out
+
+
+def test_reused_parser_carries_no_flags_over(capsys):
+    # the parser is built once per process; clearing its cache makes the
+    # reference run the first parse of a fresh parser
+    from dmy.cli import _build_parser
+    base = ["spectrum", "--map", "szlenk", "--grid", "11x11"]
+    _build_parser.cache_clear()
+    assert main(base) == 0
+    first = capsys.readouterr().out
+    assert main(base + ["--check", "ball:0.9", "--check", "real-free"]) == 1
+    assert main(["spectrum", "--no-such-flag"]) == 2
+    capsys.readouterr()
+    assert main(base) == 0
+    last = capsys.readouterr().out
+    assert last == first
+    assert json.loads(last)["config"]["check"] == []
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["no-such-subcommand"]) == 2
