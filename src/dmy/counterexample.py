@@ -9,16 +9,17 @@ hyperbolic period-4 orbit inside the flat disc, and halves norms beyond the
 profile tail, so orbits cannot run away even though the origin is not a
 global attractor.
 
-``build_counterexample`` searches the damping and keeps the orbit it found.
-Each damping gets one slope budget, min(eps_init, 0.9/(8C)), the damped map's
-sweep and the period-4 Newton search (the orbit lies where the profile is 1);
-the damping halves unless the orbit passes the verifier's own orbit check.
-The build runs no composite sweep: only the verifier reads the spectral cap.
+``build_counterexample`` is one loop over dampings and keeps the orbit it
+found.  Each damping gets the damped map's sweep, one slope budget,
+min(eps_init, 0.9/(8C)), its profile and the period-4 Newton search (the
+orbit lies where the profile is 1); a failed search, or an orbit that fails
+the verifier's own orbit check, halves the damping.  The build runs no
+composite sweep: only the verifier reads the spectral cap.
 The bundle stores each fact once (damped map, profile, c_raw, orbit) and
 composes its own map.
 ``verify_counterexample`` re-derives the six claims of ``_CHECKS``, checking
 that orbit rather than searching again; every check maps a bundle to (passed,
-detail, data), the verdict the build's orbit gate also reads.  The report's
+detail, data), and the build reads the orbit check's verdict.  The report's
 header is read off the same bundle; it never raises on a failed claim, and a
 sample where the Jacobian overflows counts as spectral radius infinity.  The
 damped-map (norm and radius in one pass) and composite sweeps run through
@@ -36,13 +37,13 @@ from fractions import Fraction
 from itertools import chain
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
-from .errors import ConvergenceError, NewtonError, ParameterError
+from .errors import NewtonError, ParameterError
 from .geometry import Point2
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import (GridStrategy, Rect, _grid_axes, _growth, _half_grid, _jacobian_sups,
-                       _log_radii, _norm, _radius, _ring_points, _sweep_sup)
+from .spectral import (_growth, _half_grid, _jacobian_sups, _lerp, _log_radii, _norm, _radius,
+                       _ring_points, _sweep_sup)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -156,8 +157,8 @@ def _damped_sweep(damped: DampedSzlenkMap):
     hw = SweepConfig.norm_half_width
     # the grid's axes are mirrored and the damped Jacobian is exactly even,
     # so grid points up to the center see every value the mirrored half would
-    xs, ys = _grid_axes(Rect(-hw, hw, -hw, hw), GridStrategy(g, g))
-    grid = _half_grid(xs, ys)
+    axis = [_lerp(-hw, hw, i, g) for i in range(g)]
+    grid = _half_grid(axis, axis)
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
     (sup_norm, _, _), (sup_sr, _, _) = _jacobian_sups(chain([(0.0, 0.0)], grid, rings),
@@ -175,72 +176,57 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float):
     return _jacobian_sups(points, m._jac, (_radius,))[0]
 
 
-def _find_orbit(bundle: CounterexampleBundle) -> CounterexampleBundle:
-    """The candidate with its period-4 orbit, which must pass the verifier's
-    own orbit check; a failed search or check invalidates this damping value,
-    which the caller then halves."""
-    orbit = find_periodic(bundle.composite, 4, Point2(bundle.flat_radius / 2.0, 0.0),
-                          SweepConfig.newton)
-    built = replace(bundle, orbit=orbit.points)
-    passed, detail, _ = _check_periodic_orbit(built)
-    if not passed:
-        raise ConvergenceError(f"period-4 orbit fails its check: {detail}",
-                               last_iterate=orbit.points[0], residual=orbit.residual)
-    return built
-
-
-def _build_once(k: float, a: float, eps_init: float) -> CounterexampleBundle:
-    damped = DampedSzlenkMap(k, a)
-    c_raw, ga_sr = _damped_sweep(damped)
-    if ga_sr > SweepConfig.ga_sr_cap:
-        raise ParameterError(
-            f"damping {a!r} pushes the sampled spectral radius of the damped map to "
-            f"{ga_sr!r} > {SweepConfig.ga_sr_cap!r}; pick a smaller damping")
-    c_used = 1.05 * max(c_raw, 1.0)
-    flat_radius = 2.0 / math.sqrt(k - 1.0)
-
-    eps = min(eps_init, 0.9 / (8.0 * c_used))
-    # a candidate without its orbit yet
-    bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
-    if bundle.reach is None:
-        raise ParameterError(f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
-                             f"sampling cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
-    return _find_orbit(bundle)
-
-
 def build_counterexample(k: float, a: float = 0.005,
                          eps_init: float = 0.05) -> CounterexampleBundle:
     """Build the composed map for the given cubic parameter and damping.
 
-    For each damping, at the one slope budget min(eps_init, 0.9/(8C)): the
-    damped map's sweep, then the period-4 Newton search, whose orbit must
-    pass ``_check_periodic_orbit``, the verifier's own orbit check.  The
-    damping halves automatically (up to ``SweepConfig.max_a_halvings``
-    times) when the search or the check fails, since only smallness of the
+    One loop over dampings, each at the one slope budget min(eps_init,
+    0.9/(8C)): the damped map's sweep, the profile, then the period-4 Newton
+    search, whose orbit must pass ``_check_periodic_orbit``, the verifier's
+    own orbit check.  A failed search or check halves the damping (up to
+    ``SweepConfig.max_a_halvings`` times), since only smallness of the
     damping is required.  Next to k = 1 (1.0001, say) the orbit is too near
     neutral for the check's unit-circle gap at every damping.
-    Raises ParameterError when k, the damping precondition or the slope
-    budget is out of range, when the profile's tail is past the tail
-    sampling cap, or when the damping search is exhausted.
+    Raises ParameterError when k, the damping or the slope budget is out of
+    range, when a damping pushes the damped map's spectral radius past
+    ``ga_sr_cap``, when the profile's tail is past the tail sampling cap, or
+    when the damping search is exhausted.
     """
     if not (1.0 < k < K_CEIL):
         raise ParameterError(
             f"cubic parameter must satisfy 1 < k < {K_CEIL!r}, got {k!r}")
-    if not (0.0 < a < 1.0):
-        raise ParameterError(f"damping must satisfy 0 < a < 1, got {a!r}")
+    damped = DampedSzlenkMap(k, a)
     if not (math.isfinite(eps_init) and eps_init > 0.0):
         raise ParameterError(f"slope budget must be positive, got {eps_init!r}")
-    cur = a
-    last_newton: NewtonError | None = None
-    for _ in range(SweepConfig.max_a_halvings + 1):
+    flat_radius = 2.0 / math.sqrt(k - 1.0)
+    for halvings in range(SweepConfig.max_a_halvings + 1):
+        if halvings:
+            damped = replace(damped, a=damped.a / 2.0)
+        c_raw, ga_sr = _damped_sweep(damped)
+        if ga_sr > SweepConfig.ga_sr_cap:
+            raise ParameterError(
+                f"damping {damped.a!r} pushes the sampled spectral radius of the damped map to "
+                f"{ga_sr!r} > {SweepConfig.ga_sr_cap!r}; pick a smaller damping")
+        c_used = 1.05 * max(c_raw, 1.0)
+        eps = min(eps_init, 0.9 / (8.0 * c_used))
+        # a candidate without its orbit yet
+        bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
+        if bundle.reach is None:
+            raise ParameterError(f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
+                                 f"sampling cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")
         try:
-            return _build_once(k, cur, eps_init)
+            orbit = find_periodic(bundle.composite, 4, Point2(flat_radius / 2.0, 0.0),
+                                  SweepConfig.newton)
         except NewtonError as exc:
-            last_newton = exc
-            cur /= 2.0
+            failure = exc
+            continue
+        bundle = replace(bundle, orbit=orbit.points)
+        passed, detail, _ = _check_periodic_orbit(bundle)
+        if passed:
+            return bundle
+        failure = f"period-4 orbit fails its check: {detail}"
     raise ParameterError(
-        f"no damping down to {cur * 2.0!r} gave a period-4 orbit that passes its check: "
-        f"{last_newton}")
+        f"no damping down to {damped.a!r} gave a period-4 orbit that passes its check: {failure}")
 
 
 def _check_origin_fixed(bundle: CounterexampleBundle):

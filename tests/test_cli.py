@@ -399,6 +399,19 @@ def test_counterexample_near_neutral_k_exits_two(capsys):
     assert "search" not in captured.err
 
 
+def test_counterexample_newton_exhaustion_exits_two(capsys):
+    # so close to k = 1 Newton never closes the orbit, at any damping: the
+    # message carries the last search's failure
+    assert main(["counterexample", "--k", "1.0000000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy counterexample: no damping down to 1.953125e-05 gave a period-4 orbit that "
+        "passes its check: newton did not close a period-4 orbit of "
+        "compose(radial(R=199999.99172596342, C=1.5750000003561966, eps=0.05) o "
+        "ga(k=1.0000000001, a=1.953125e-05)) in 60 steps (last residual 1517.1169089649507)\n")
+
+
 def test_counterexample_config_round_trip(tmp_path, capsys):
     direct = tmp_path / "direct.json"
     assert main(["counterexample", "--out", str(direct)]) == 0

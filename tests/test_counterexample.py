@@ -45,16 +45,20 @@ def test_bundle_internal_consistency(bundle):
 
 
 def test_build_validation():
-    with pytest.raises(ParameterError):
-        build_counterexample(1.0)
-    with pytest.raises(ParameterError):
-        build_counterexample(1.2)  # past the sampled-certificate ceiling
-    with pytest.raises(ParameterError):
-        build_counterexample(1.01, a=0.0)
-    with pytest.raises(ParameterError):
-        build_counterexample(1.01, a=1.0)
-    with pytest.raises(ParameterError):
-        build_counterexample(1.01, eps_init=0.0)
+    k_range = "cubic parameter must satisfy 1 < k < 1.0161364737737415, got "
+    damping = "damping must satisfy 0 < a < 1, got "
+    for kwargs, message in [
+        ({"k": 1.0}, k_range + "1.0"),
+        ({"k": 1.2}, k_range + "1.2"),  # past the sampled-certificate ceiling
+        ({"k": 1.01, "a": 0.0}, damping + "0.0"),
+        ({"k": 1.01, "a": 1.0}, damping + "1.0"),
+        ({"k": 1.01, "eps_init": 0.0}, "slope budget must be positive, got 0.0"),
+        # the damping is checked before the slope budget
+        ({"k": 1.01, "a": 1.0, "eps_init": 0.0}, damping + "1.0"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            build_counterexample(**kwargs)
+        assert str(exc.value) == message
 
 
 def test_build_rejects_heavy_damping():
