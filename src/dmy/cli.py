@@ -21,10 +21,10 @@ Every JSON report embeds the fully resolved configuration under ``config``,
 and feeding that object back via ``--config`` reproduces the report.
 
 Each subcommand is declared once, in ``_COMMANDS``: its run function, help
-line and flags.  A run function maps the resolved flags to its output (a
-JSON report as a dict, CSV text or PGM bytes) and an exit code; ``main``
-alone heads a report with ``config``, writes the output to stdout or ``--out``
-and maps errors to exit codes.
+line and flags, each flag a ``(dest, default, help)`` row.  A run function
+maps the resolved flags to its output (a JSON report as a dict, CSV text or
+PGM bytes) and an exit code; ``main`` alone heads a report with ``config``,
+writes the output to stdout or ``--out`` and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -55,30 +55,27 @@ from .spectral import (EigenPair, GridStrategy, RandomStrategy, Rect, SpectrumRe
 # not flags, so --region -30:30:-30:30 parses without an equals sign
 _NEG_VALUE = re.compile(r"^-(\d|\.\d).*$")
 
+# a flag row is (dest, default, help); its spelling (``_flag``), its type (the
+# default's, or str for a None or list default) and help's "(default: ...)" are derived
 _MAP_OPTS = [
-    ("map", "--map", "str", None,
-     "map variant: linear | szlenk | ga | counterexample"),
-    ("matrix", "--matrix", "str", None,
-     "entries a11,a12,a21,a22 of the linear map (with --map linear)"),
-    ("k", "--k", "float", 1.01,
+    ("map", None, "map variant: linear | szlenk | ga | counterexample"),
+    ("matrix", None, "entries a11,a12,a21,a22 of the linear map (with --map linear)"),
+    ("k", 1.01,
      "cubic map parameter, in (1, 2/sqrt(3)); the counterexample map takes only "
      "(1, 0.88*2/sqrt(3)), and next to 1 (1.0001, say) its period-4 orbit is too near "
-     "neutral and the run exits 2 (default: 1.01)"),
-    ("a", "--a", "float", 0.005,
-     "damping subtracted from the identity (default: 0.005)"),
-    ("eps_init", "--eps-init", "float", 0.05,
-     "slope budget of the counterexample map's profile, capped at 0.9/(8C) (default: 0.05)"),
+     "neutral and the run exits 2"),
+    ("a", 0.005, "damping subtracted from the identity"),
+    ("eps_init", 0.05, "slope budget of the counterexample map's profile, capped at 0.9/(8C)"),
 ]
 
 _IO_OPTS = [
-    ("out", "--out", "str", None,
-     "output file (default: JSON/CSV to stdout; required for basin images)"),
-    ("config", "--config", "str", None,
-     "JSON file with defaults for this subcommand's flags; flags win"),
+    ("out", None, "output file (default: JSON/CSV to stdout; required for basin images)"),
+    ("config", None, "JSON file with defaults for this subcommand's flags; flags win"),
 ]
 
-# argparse type of each flag kind; a "multi" flag is a repeatable string
-_KIND_TYPES = {"int": int, "float": float, "str": str, "multi": str}
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 @functools.cache
@@ -95,23 +92,27 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_run, hlp, opts) in _COMMANDS.items():
         sp = subs.add_parser(name, help=hlp, description=hlp, allow_abbrev=False)
         sp._negative_number_matcher = _NEG_VALUE
-        for dest, flag, kind, _default, flag_hlp in opts:
-            multi = {"action": "append", "metavar": "SPEC"} if kind == "multi" else {}
-            sp.add_argument(flag, dest=dest, type=_KIND_TYPES[kind],
+        for dest, default, flag_hlp in opts:
+            multi = {"action": "append", "metavar": "SPEC"} if isinstance(default, list) else {}
+            if default is not None and not multi:
+                shown = default if isinstance(default, str) else format(default, "g")
+                flag_hlp = f"{flag_hlp} (default: {shown})"
+            sp.add_argument(_flag(dest), dest=dest,
+                            type=str if default is None or multi else type(default),
                             default=argparse.SUPPRESS, help=flag_hlp, **multi)
     return parser
 
 
-def _coerce(dest: str, kind: str, value):
-    if kind == "multi":
+def _coerce(dest: str, default, value):
+    if isinstance(default, list):
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise ParameterError(f"config key {dest!r} must be a list of strings")
         return list(value)
-    if kind == "int":
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParameterError(f"config key {dest!r} must be an integer, got {value!r}")
         return value
-    if kind == "float":
+    if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"config key {dest!r} must be a number, got {value!r}")
         try:
@@ -148,11 +149,11 @@ def _merge_config(sub: str, provided: dict) -> dict:
             raise ParameterError(f"config {path} has unknown keys: {', '.join(unknown)}")
         file_values = raw
     resolved = {}
-    for dest, _flag, kind, default, _hlp in opts:
+    for dest, default, _hlp in opts:
         if dest in provided:
             resolved[dest] = provided[dest]
         elif dest != "config" and file_values.get(dest) is not None:
-            resolved[dest] = _coerce(dest, kind, file_values[dest])
+            resolved[dest] = _coerce(dest, default, file_values[dest])
         else:
             resolved[dest] = default
     return resolved
@@ -203,7 +204,7 @@ def _capped(resolved: dict, dest: str) -> int:
     """The count flag ``dest``, rejected above the 4096x4096 cell cap before it sizes a list."""
     n = resolved[dest]
     if n > _MAX_CELLS:
-        raise ParameterError(f"--{dest.replace('_', '-')} must be at most {_MAX_CELLS} "
+        raise ParameterError(f"{_flag(dest)} must be at most {_MAX_CELLS} "
                              f"(the 4096x4096 cell cap), got {n!r}")
     return n
 
@@ -376,7 +377,8 @@ def _run_phi(resolved: dict):
         raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
     if not math.isfinite(hi := 10.0 * profile.r_tail):
         raise ParameterError(f"profile tail radius {profile.r_tail!r} times 10 overflows a "
-                             f"double, so the table has no end; pick a larger --eps")
+                             f"double, so the table has no end; pick a smaller --R or a "
+                             f"larger --eps")
     rows = [(r, *_phi_parts(profile, r)) for r in _log_radii(lo, hi, n)]
     return _csv(["r", "phi", "phi_prime_times_r"], rows), 0
 
@@ -436,75 +438,60 @@ def _run_dissipativity(resolved: dict):
 _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
     ("spectrum", _run_spectrum, "sweep Jacobian eigenvalues over a region and test bounds",
      _MAP_OPTS + [
-         ("region", "--region", "str", "-30:30:-30:30",
-          "sample region xmin:xmax:ymin:ymax (default: -30:30:-30:30)"),
-         ("grid", "--grid", "str", "201x201",
-          "grid resolution NxM (default: 201x201)"),
-         ("random", "--random", "int", 0,
-          "sample this many random points instead of the grid (default: 0 = grid)"),
-         ("rng_seed", "--rng-seed", "int", 0,
-          "seed for --random sampling (default: 0)"),
-         ("check", "--check", "multi", [],
+         ("region", "-30:30:-30:30", "sample region xmin:xmax:ymin:ymax"),
+         ("grid", "201x201", "grid resolution NxM"),
+         ("random", 0, "sample this many random points instead of the grid; 0 = grid"),
+         ("rng_seed", 0, "seed for --random sampling"),
+         ("check", [],
           "spectrum verdict, repeatable: ball:RADIUS | interval-free:LO:HI | real-free"),
      ]),
     ("orbit", _run_orbit, "iterate a map and write the orbit as CSV", _MAP_OPTS + [
-        ("start", "--start", "str", "10,0", "starting point x,y (default: 10,0)"),
-        ("steps", "--steps", "int", 100, "iterations to record (default: 100)"),
-        ("escape_radius", "--escape-radius", "float", 1e9,
-         "stop once the orbit norm passes this (default: 1e9)"),
+        ("start", "10,0", "starting point x,y"),
+        ("steps", 100, "iterations to record"),
+        ("escape_radius", 1e9, "stop once the orbit norm passes this"),
     ]),
     ("periodic", _run_periodic, "newton search for a period-n orbit", _MAP_OPTS + [
-        ("seed", "--seed", "str", "10,0", "newton starting point x,y (default: 10,0)"),
-        ("period", "--period", "int", 4, "orbit period to search for (default: 4)"),
-        ("tol", "--tol", "float", 1e-12, "closure residual target (default: 1e-12)"),
-        ("max_steps", "--max-steps", "int", 50, "newton step budget (default: 50)"),
+        ("seed", "10,0", "newton starting point x,y"),
+        ("period", 4, "orbit period to search for"),
+        ("tol", 1e-12, "closure residual target"),
+        ("max_steps", 50, "newton step budget"),
     ]),
     ("basin", _run_basin, "rasterize omega-limit classes over a window into a PGM image",
      _MAP_OPTS + [
-         ("L", "--L", "float", 30.0, "window half-width, cells cover [-L,L]^2 (default: 30)"),
-         ("grid", "--grid", "str", "256x256", "raster resolution WxH (default: 256x256)"),
-         ("max_iter", "--max-iter", "int", 10_000,
-          "classification budget per cell (default: 10000)"),
-         ("origin_tol", "--origin-tol", "float", 1e-9,
-          "origin-ball radius for convergence (default: 1e-9)"),
-         ("escape_radius", "--escape-radius", "float", 1e9,
-          "norm beyond which a cell escapes (default: 1e9)"),
-         ("window", "--window", "int", 64,
-          "tail length for cycle detection (default: 64)"),
-         ("cycle_tol", "--cycle-tol", "float", 1e-7,
-          "relative tolerance for cycle detection (default: 1e-7)"),
-         ("workers", "--workers", "int", 0,
-          "row workers, at most one per CPU; 0 = one per CPU (default: 0)"),
+         ("L", 30.0, "window half-width, cells cover [-L,L]^2"),
+         ("grid", "256x256", "raster resolution WxH"),
+         ("max_iter", 10_000, "classification budget per cell"),
+         ("origin_tol", 1e-9, "origin-ball radius for convergence"),
+         ("escape_radius", 1e9, "norm beyond which a cell escapes"),
+         ("window", 64, "tail length for cycle detection"),
+         ("cycle_tol", 1e-7, "relative tolerance for cycle detection"),
+         ("workers", 0, "row workers, at most one per CPU; 0 = one per CPU"),
      ]),
     ("counterexample", _run_counterexample,
      "build the squashed damped cubic map and verify its claims",
      _MAP_OPTS[2:]),  # --k, --a and --eps-init: the map flags past --map and --matrix
     ("phi", _run_phi, "tabulate a radial squashing profile as CSV", [
-        ("R", "--R", "float", 20.0, "inner flat radius (default: 20)"),
-        ("C", "--C", "float", 2.0, "Jacobian norm bound; tail value is 1/(2C) (default: 2)"),
-        ("eps", "--eps", "float", 0.05, "slope budget, in (0, 1/(8C)) (default: 0.05)"),
-        ("log_samples", "--log-samples", "int", 50,
-         "data rows, log-spaced from R/10 to 10*r_tail (default: 50)"),
+        ("R", 20.0, "inner flat radius"),
+        ("C", 2.0, "Jacobian norm bound; tail value is 1/(2C)"),
+        ("eps", 0.05, "slope budget, in (0, 1/(8C))"),
+        ("log_samples", 50, "data rows, log-spaced from R/10 to 10*r_tail"),
     ]),
     ("ray", _run_ray, "check that a map sends a sampled ray into itself", _MAP_OPTS + [
-        ("angle", "--angle", "float", 0.0, "ray direction in degrees (default: 0)"),
-        ("radius", "--radius", "float", 100.0, "outer sample radius (default: 100)"),
-        ("samples", "--samples", "int", 101, "ray sample count (default: 101)"),
-        ("tol", "--tol", "float", 1e-9,
-         "max allowed image distance to the ray, as a fraction of the ray's "
-         "length (default: 1e-9)"),
+        ("angle", 0.0, "ray direction in degrees"),
+        ("radius", 100.0, "outer sample radius"),
+        ("samples", 101, "ray sample count"),
+        ("tol", 1e-9,
+         "max allowed image distance to the ray, as a fraction of the ray's length"),
     ]),
     ("dissipativity", _run_dissipativity,
      "sampled eventual-contraction certificate on large norms", _MAP_OPTS + [
-         ("radius", "--radius", "str", "20",
+         ("radius", "20",
           "ball radius for the norm bound; 'tail' uses the built profile's tail "
-          "radius (counterexample map only) (default: 20)"),
-         ("alpha", "--alpha", "float", 0.5, "hypothesis constant, in (0,1) (default: 0.5)"),
-         ("ball_radii", "--ball-radii", "int", 64,
-          "radial samples inside the ball (default: 64)"),
-         ("angles", "--angles", "int", 16, "angular samples per ring (default: 16)"),
-         ("outer_radii", "--outer-radii", "int", 48,
-          "radial samples outside the ball (default: 48)"),
+          "radius (counterexample map only)"),
+         ("alpha", 0.5, "hypothesis constant, in (0,1)"),
+         ("ball_radii", 64, "radial samples inside the ball"),
+         ("angles", 16, "angular samples per ring"),
+         ("outer_radii", 48, "radial samples outside the ball"),
      ]),
 ]}
 

@@ -78,7 +78,9 @@ class PhiProfile:
             r_tail = math.inf
         if not math.isfinite(r_tail):
             raise ParameterError(
-                "slope budget is so small that the tail radius overflows a double")
+                f"tail radius R * exp(m_target + 1) overflows a double at R {self.R!r}, "
+                f"slope budget {self.eps!r} (m_target {m_target!r}); "
+                f"pick a smaller R or a larger slope budget")
         object.__setattr__(self, "floor", floor)
         object.__setattr__(self, "m_target", m_target)
         object.__setattr__(self, "r_tail", r_tail)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from dmy import BasinGrid
-from dmy.cli import main, render_pgm
+from dmy.cli import _COMMANDS, _merge_config, main, render_pgm
 
 
 def run_json(argv, capsys):
@@ -526,7 +527,17 @@ def test_phi_table_end_overflow_exits_two(capsys):
     assert captured.out == ""
     assert captured.err == (
         "dmy phi: profile tail radius 3.7714548808593454e+307 times 10 overflows a "
-        "double, so the table has no end; pick a larger --eps\n")
+        "double, so the table has no end; pick a smaller --R or a larger --eps\n")
+
+
+def test_phi_tail_overflow_from_a_large_R_exits_two(capsys):
+    # the default slope budget is fine; R alone puts the tail past the doubles
+    assert main(["phi", "--R", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dmy phi: tail radius R * exp(m_target + 1) overflows a double at R 1e+308, "
+        "slope budget 0.05 (m_target 120.0); pick a smaller R or a larger slope budget\n")
 
 
 def test_phi_table_start_underflow_exits_two(capsys):
@@ -798,6 +809,47 @@ def test_config_type_errors(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"dmy {sub}: config key {key!r} is a number too large "
                                 f"for a double\n")
+
+
+# a value of the wrong JSON type for each flag kind, as read off the default
+_WRONG_TYPE = {int: 1.5, float: "1", str: [1], list: "ball:0.9"}
+
+
+@pytest.mark.parametrize("sub, dest, default", [
+    (sub, dest, default) for sub, (_run, _hlp, opts) in _COMMANDS.items()
+    for dest, default, _flag_hlp in opts if dest != "config"])
+def test_config_values_take_the_type_of_the_default(sub, dest, default, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({dest: default}))
+    got = _merge_config(sub, {"config": str(cfg)})[dest]
+    assert got == default and type(got) is type(default)
+
+    cfg.write_text(json.dumps({dest: _WRONG_TYPE[str if default is None else type(default)]}))
+    assert main([sub, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dmy {sub}: config key {dest!r} must be ")
+
+
+@pytest.mark.parametrize("sub", list(_COMMANDS))
+def test_help_states_each_default(sub, capsys):
+    assert main([sub, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    opts = _COMMANDS[sub][2]
+    # each flag's entry runs from "--flag METAVAR " to the next flag's entry
+    starts = [text.index(f"--{dest.replace('_', '-')} "
+                         f"{'SPEC' if isinstance(default, list) else dest.upper()} ")
+              for dest, default, _flag_hlp in opts]
+    assert starts == sorted(starts)
+    for (dest, default, _flag_hlp), lo, hi in zip(opts, starts, starts[1:] + [len(text)]):
+        if default is None or isinstance(default, list):
+            continue
+        shown = re.search(r"\(default: ([^()]*)\) *$", text[lo:hi])
+        assert shown, (dest, text[lo:hi])
+        if isinstance(default, str):
+            assert shown.group(1) == default
+        else:
+            assert float(shown.group(1)) == default
 
 
 # -------------------------------------------------------------- entry point

@@ -158,7 +158,10 @@ def _ref_build(R, C, eps):
         raise ParameterError(
             f"slope budget must lie in (0, 1/(8C)) = (0, {1.0 / (8.0 * C)!r}), got {eps!r}")
     if not math.isfinite(r_tail):
-        raise ParameterError("slope budget is so small that the tail radius overflows a double")
+        raise ParameterError(
+            f"tail radius R * exp(m_target + 1) overflows a double at R {R!r}, "
+            f"slope budget {eps!r} (m_target {m_target!r}); "
+            f"pick a smaller R or a larger slope budget")
     return floor, m_target, r_tail, ramp
 
 
@@ -199,6 +202,17 @@ def test_profile_errors_match_the_reference(R, C, eps):
         PhiProfile(R, C, eps)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("R, eps, cause", [
+    (1e300, 0.05, "R 1e+300, slope budget 0.05 (m_target 120.0)"),  # R is too large
+    (20.0, 1e-300, "R 20.0, slope budget 1e-300 (m_target 6e+300)"),  # eps is too small
+])
+def test_tail_overflow_names_the_flat_radius_and_the_slope_budget(R, eps, cause):
+    with pytest.raises(ParameterError) as exc:
+        PhiProfile(R, 2.0, eps)
+    assert str(exc.value) == (f"tail radius R * exp(m_target + 1) overflows a double at "
+                              f"{cause}; pick a smaller R or a larger slope budget")
 
 
 # Reference: the profile as two separate knot walks, each behind its own
