@@ -189,8 +189,8 @@ def build_counterexample(k: float, a: float = 0.005,
     neutral for the check's unit-circle gap at every damping.
     Raises ParameterError when k, the damping or the slope budget is out of
     range, when a damping pushes the damped map's spectral radius past
-    ``ga_sr_cap``, when the profile's tail is past the tail sampling cap, or
-    when the damping search is exhausted.
+    ``ga_sr_cap``, when the profile's tail is past the tail sampling cap or
+    the doubles, or when the damping search is exhausted.
     """
     if not (1.0 < k < K_CEIL):
         raise ParameterError(
@@ -209,8 +209,13 @@ def build_counterexample(k: float, a: float = 0.005,
                 f"{ga_sr!r} > {SweepConfig.ga_sr_cap!r}; pick a smaller damping")
         c_used = 1.05 * max(c_raw, 1.0)
         eps = min(eps_init, 0.9 / (8.0 * c_used))
+        try:
+            profile = build_phi(flat_radius, c_used, eps)
+        except ParameterError:  # R, C and eps are in range: the tail radius overflows
+            raise ParameterError(f"slope budget {eps!r} gives a profile tail radius that overflows "
+                                 f"a double; pick a larger slope budget (--eps-init)") from None
         # a candidate without its orbit yet
-        bundle = CounterexampleBundle(damped, build_phi(flat_radius, c_used, eps), c_raw, ())
+        bundle = CounterexampleBundle(damped, profile, c_raw, ())
         if bundle.reach is None:
             raise ParameterError(f"profile tail radius {bundle.profile.r_tail!r} is beyond the tail "
                                  f"sampling cap {SweepConfig.tail_r_max!r}; pick a larger slope budget")

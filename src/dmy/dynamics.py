@@ -6,9 +6,10 @@ Four questions about a planar map, answered by finite computation:
   undecided within budget; the tail's norms are a sorted float list searched
   only in the band a revisit can lie in, and not at all when that band
   misses the tail's norm range.  On a monotone run, where each norm lies
-  band-above or band-below the previous one, that miss is decided from the
-  previous norm and the sorted list is not kept; it is rebuilt from the
-  tail when the run breaks, so verdicts and rasters do not depend on it);
+  band-above or band-below the previous one, a step is decided by one
+  comparison with the previous norm and the sorted list is not kept; it is
+  rebuilt from the tail when the run breaks, so verdicts and rasters do not
+  depend on it);
 - where exactly is a period-n orbit (``find_periodic``: Newton's method on
   f^n(x) - x with the chain-rule Jacobian along the orbit);
 - how strongly does the map pull a large annulus inward
@@ -128,8 +129,9 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
     # `prev` and falls (d = -1) when it lies wholly below.  After window - 1
     # steps of one direction (or one direction since index 0) the window is
     # strictly monotone, so the band of a further step that way misses every
-    # norm in it: on such a monotone run the skip is decided from `prev` alone
-    # and a step writes only the rings.  Off runs, `sn` holds the window's
+    # norm in it: on such a monotone run one comparison with `prev` decides a
+    # step (no band is both below and above `prev`, and from tol >= 0.25 no
+    # run falls) and writes only the rings.  Off runs, `sn` holds the window's
     # norms sorted and `si` the index of each (equal norms in index order).
     # The step that breaks a run rebuilds them from the rings in index order,
     # reversed for a falling run: the list the index would have kept, since
@@ -151,19 +153,18 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
             origin_run += 1
             if origin_run >= window:
                 return OmegaVerdict(OmegaTag.CONVERGES_TO_ORIGIN, i, nn)
-        else:
+        elif origin_run:
             origin_run = 0
+        slot = i % window
+        if run_dir is not None and (nn * lo_f > prev if run_dir > 0 else nn * hi_f < prev):
+            prev = nn
+            rn[slot], rx[slot], ry[slot] = nn, x, y
+            continue
         lo, hi = nn * lo_f, nn * hi_f
         d = 1 if lo > prev else -1 if hi < prev else 0
         prev = nn
-        slot = i % window
-        if d == run_dir:
-            rn[slot], rx[slot], ry[slot] = nn, x, y
-            continue
         if run_dir is not None:
-            si = list(range(max(0, i - window), i))
-            if run_dir < 0:
-                si.reverse()
+            si = list(range(max(0, i - window), i))[::run_dir]
             sn = [rn[j % window] for j in si]
             run_dir = None
         # no search near the origin, nor when the band misses the tail's norm range

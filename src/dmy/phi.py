@@ -101,21 +101,6 @@ def _smoothstep_integral(t: float) -> float:
     return t * t * t * t * (t * (t - 3.0) + 2.5)
 
 
-def _ramp(profile: PhiProfile, u: float) -> tuple[float, float]:
-    """(m(u), sigma(u)) for u < m_target + ramp, walking the knots 0, ramp and m_target."""
-    w = profile.ramp
-    mt = profile.m_target
-    if u <= 0.0:
-        return 0.0, 0.0
-    if u < w:
-        t = u / w
-        return w * _smoothstep_integral(t), _smoothstep(t)
-    if u <= mt:
-        return u - 0.5 * w, 1.0
-    t = (mt + w - u) / w
-    return mt - w * _smoothstep_integral(t), _smoothstep(t)
-
-
 def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
     """(phi(r), phi'(r) * r) from one range check, one log and one knot walk,
     or phi(r) alone when ``slope`` is false.
@@ -135,7 +120,18 @@ def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
           or (u := math.log(r / profile.R)) >= profile.m_target + profile.ramp):
         val, s = profile.floor, 0.0
     else:
-        m, s = _ramp(profile, u)
+        # the knot walk over 0, ramp and m_target: (m(u), sigma(u))
+        w, mt = profile.ramp, profile.m_target
+        if u <= 0.0:
+            m, s = 0.0, 0.0
+        elif u < w:
+            t = u / w
+            m, s = w * _smoothstep_integral(t), _smoothstep(t)
+        elif u <= mt:
+            m, s = u - 0.5 * w, 1.0
+        else:
+            t = (mt + w - u) / w
+            m, s = mt - w * _smoothstep_integral(t), _smoothstep(t)
         val = 1.0 - e8 * m
         # rounding may graze the floor just before the tail branch takes over
         if not val > profile.floor:

@@ -14,9 +14,9 @@ itself, so every path shares one arithmetic.
 Map objects are immutable and the kernels are pure functions of their
 arguments, so instances can be shared freely across threads or processes.
 
-The damped variant reuses the plain Szlenk arithmetic verbatim and then
-subtracts a*(x, y) term by term, so its image and Jacobian are exactly the
-undamped ones shifted: same intermediate roundings, then one subtraction.
+The cubic kernels are module functions of the map, bound as ``SzlenkMap.xy``
+and ``jac``; the damped variant calls them and then subtracts a*(x, y) term by
+term, so its image and Jacobian are exactly the undamped ones shifted.
 
 Every variant is odd, f(-p) = -f(p), and its ``xy`` kernel keeps that
 exactly: products, quotients by the even denominator 1 + x^2 + y^2, sums
@@ -51,17 +51,19 @@ from .phi import PhiProfile, _phi_parts, phi_eval
 K_MAX = 2.0 / math.sqrt(3.0)  # Szlenk parameter lives in the open interval (1, K_MAX)
 
 
-def _szlenk_xy(k, x, y):
+def _szlenk_xy(m, x, y):
+    k = m.k
     d = 1.0 + x * x + y * y
     return -(k * y * y * y) / d, (k * x * x * x) / d
 
 
-def _szlenk_jac(k, x, y):
+def _szlenk_jac(m, x, y):
     # partials of (-k y^3/d, k x^3/d) with d = 1 + x^2 + y^2:
     #   d/dx(-k y^3/d) =  2 k x y^3 / d^2
     #   d/dy(-k y^3/d) = -k y^2 (3 + 3 x^2 + y^2) / d^2
     #   d/dx( k x^3/d) =  k x^2 (3 + x^2 + 3 y^2) / d^2
     #   d/dy( k x^3/d) = -2 k x^3 y / d^2
+    k = m.k
     d = 1.0 + x * x + y * y
     d2 = d * d
     return (
@@ -174,12 +176,8 @@ class SzlenkMap(PlanarMap):
     def __post_init__(self):
         _check_k(self.k)
 
-    def xy(self, x, y):
-        return _szlenk_xy(self.k, x, y)
-
-    def jac(self, x, y):
-        return _szlenk_jac(self.k, x, y)
-
+    xy = _szlenk_xy
+    jac = _szlenk_jac
     odd = True
     eval = PlanarMap.eval
     jacobian = PlanarMap.jacobian
@@ -202,12 +200,12 @@ class DampedSzlenkMap(PlanarMap):
 
     def xy(self, x, y):
         a = self.a
-        fx, fy = _szlenk_xy(self.k, x, y)
+        fx, fy = _szlenk_xy(self, x, y)
         return fx - a * x, fy - a * y
 
     def jac(self, x, y):
         a = self.a
-        j11, j12, j21, j22 = _szlenk_jac(self.k, x, y)
+        j11, j12, j21, j22 = _szlenk_jac(self, x, y)
         return j11 - a, j12, j21, j22 - a
 
     odd = True

@@ -61,6 +61,15 @@ def test_build_validation():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("eps_init", [1e-300, 0.007])
+def test_build_refuses_a_tail_radius_past_the_doubles(eps_init):
+    # the flat radius is derived from k, so the refusal advises only the budget
+    with pytest.raises(ParameterError) as exc:
+        build_counterexample(1.01, eps_init=eps_init)
+    assert str(exc.value) == (f"slope budget {eps_init!r} gives a profile tail radius that "
+                              "overflows a double; pick a larger slope budget (--eps-init)")
+
+
 def test_build_rejects_heavy_damping():
     # damping this strong drags eigenvalues past the sampled radius cap
     with pytest.raises(ParameterError) as exc:

@@ -318,6 +318,26 @@ def test_classify_revisit_after_leaving_and_reentering_runs(window):
     _assert_window_edge(xs, window)
 
 
+@pytest.mark.parametrize("window", [1, 2, 3, 64])
+@pytest.mark.parametrize("factor, starts, out", [(1.5, (1e-12, 5e-10), 1.5),
+                                                 (0.5, (1e-6, 3e-9), 1.3)],
+                         ids=["rising-out-of-the-ball", "falling-into-the-ball"])
+def test_classify_origin_ball_on_a_monotone_run(window, factor, starts, out):
+    # a monotone run that leaves the origin ball (from 1e-12 in fewer than 64
+    # iterates) must restart the ball count, and one that enters it must count
+    # from there; each scripted orbit runs the map's way, then climbs out at
+    # `out` per step and revisits the point `window` iterates back, a cycle
+    # the band search finds only once the ball count is reset
+    m = LinearMap(_diag(factor, factor))
+    for x0 in starts:
+        script = _script(x0, ((factor,), 12), ((out,), window + 20))
+        for tol in (1e-7, 0.1):
+            cfg = OmegaConfig(max_iter=300, window=window, cycle_rel_tol=tol)
+            _assert_same_as_lag_scan(m, Point2(x0, 0.0), cfg)
+            _assert_same_as_lag_scan(m, Point2(-x0 * 0.6, x0 * 0.8), cfg)
+            _assert_same_as_lag_scan(ScriptMap(*script, script[-window]), Point2(x0, 0.0), cfg)
+
+
 @pytest.mark.parametrize("p", [(200.0, 0.0), (0.0, -300.0), (-250.0, 170.0), (1000.0, -20.0)])
 def test_classify_composite_orbits_falling_onto_the_cycle(bundle, p):
     # starts beyond the attracting cycle at radius 156.93 fall onto it

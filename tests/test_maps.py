@@ -61,15 +61,17 @@ def test_szlenk_origin_jacobian_is_zero():
 
 
 def test_damped_is_exact_shift_of_szlenk():
+    # bit for bit, zero signs included: the damped kernels shift the one cubic
+    # arithmetic and have none of their own
     f = SzlenkMap(1.05)
     g = DampedSzlenkMap(1.05, 0.01)
-    for p in (Point2(3.0, -4.0), Point2(10.0, 0.0), Point2(-0.3, 0.7)):
-        base = f.eval(p)
-        shifted = g.eval(p)
-        assert shifted.x == base.x - 0.01 * p.x
-        assert shifted.y == base.y - 0.01 * p.y
-        jf, jg = f.jacobian(p), g.jacobian(p)
-        assert jg == Mat2(jf.a11 - 0.01, jf.a12, jf.a21, jf.a22 - 0.01)
+    for x, y in ((3.0, -4.0), (10.0, 0.0), (-0.3, 0.7), (0.0, 2.5), (-0.0, -2.5),
+                 (-7.0, -0.0), (7.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                 (-0.0, -0.0), (1e-200, -1e150)):
+        fx, fy = f.xy(x, y)
+        assert _raw(g.xy(x, y)) == _raw((fx - 0.01 * x, fy - 0.01 * y))
+        j11, j12, j21, j22 = f.jac(x, y)
+        assert _raw(g.jac(x, y)) == _raw((j11 - 0.01, j12, j21, j22 - 0.01))
 
 
 def test_damped_parameter_validation():
