@@ -24,7 +24,10 @@ Each subcommand is declared once, in ``_COMMANDS``: its run function, help
 line and flags, each flag a ``(dest, default, help)`` row.  A run function
 maps the resolved flags to its output (a JSON report as a dict, CSV text or
 PGM bytes) and an exit code; ``main`` alone heads a report with ``config``,
-writes the output to stdout or ``--out`` and maps errors to exit codes.
+encodes it once, writes the output to stdout or ``--out`` and maps errors to
+exit codes.  A report's keys are its result record's field names (but not
+``SpectrumReport.real_samples``) plus ``map``, ``checks``, ``passed`` and
+``hyperbolic`` where they apply.
 """
 
 from __future__ import annotations
@@ -284,20 +287,19 @@ def render_pgm(grid: BasinGrid) -> bytes:
 
 def _run_spectrum_check(report: SpectrumReport, spec: str) -> Verdict:
     head, _, rest = spec.partition(":")
-    try:
-        if head == "ball":
-            return check_ball(report, float(rest))
-        if head == "interval-free":
-            lo_s, _, hi_s = rest.partition(":")
-            return check_interval_free(report, float(lo_s), float(hi_s))
-        if head == "real-free":
-            if rest:
-                raise ParameterError(f"real-free takes no arguments, got {spec!r}")
-            return check_real_free(report)
+    if head == "real-free":
+        if rest:
+            raise ParameterError(f"real-free takes no arguments, got {spec!r}")
+        return check_real_free(report)
+    if head not in ("ball", "interval-free"):
+        raise ParameterError(
+            f"unknown check {spec!r}; use ball:RADIUS, interval-free:LO:HI, or real-free")
+    lo_s, _, hi_s = rest.partition(":")
+    try:  # the numbers alone: a check's own refusal is printed as it is
+        args = (float(rest),) if head == "ball" else (float(lo_s), float(hi_s))
     except ValueError as exc:
         raise ParameterError(f"bad check spec {spec!r}: {exc}") from None
-    raise ParameterError(
-        f"unknown check {spec!r}; use ball:RADIUS, interval-free:LO:HI, or real-free")
+    return check_ball(report, *args) if head == "ball" else check_interval_free(report, *args)
 
 
 def _run_spectrum(resolved: dict):
@@ -311,21 +313,9 @@ def _run_spectrum(resolved: dict):
     report = sample_spectrum(m, region, strategy)
     verdicts = [_run_spectrum_check(report, spec) for spec in resolved["check"]]
     passed = all(v.passed for v in verdicts)
-    return {
-        "map": report.map_desc,
-        "strategy": report.strategy,
-        "samples": report.sample_count,
-        "overflows": report.overflow_count,
-        "max_modulus": report.max_modulus,
-        "max_modulus_at": report.max_modulus_at,
-        "real_count": report.real_count,
-        "min_real": report.min_real,
-        "min_real_at": report.min_real_at,
-        "max_real": report.max_real,
-        "max_real_at": report.max_real_at,
-        "checks": verdicts,
-        "passed": passed,
-    }, 0 if passed else 1
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+              if f.name != "real_samples"}
+    return {**fields, "checks": verdicts, "passed": passed}, 0 if passed else 1
 
 
 def _run_orbit(resolved: dict):
@@ -428,9 +418,8 @@ def _run_dissipativity(resolved: dict):
                                      angles=_capped(resolved, "angles"),
                                      outer_radii=_capped(resolved, "outer_radii"))
     bound = dissipativity_bound(m, radius, resolved["alpha"], sampling)
-    fields = _finite_or_null(bound)
-    fields["samples"] = fields.pop("sample_count")  # the last field, so it stays last
-    return {"map": m.describe(), **fields, "passed": bound.passed}, 0 if bound.passed else 1
+    return ({"map": m.describe(), **_finite_or_null(bound), "passed": bound.passed},
+            0 if bound.passed else 1)
 
 
 # name -> (run function, help line, flags); every subcommand also takes the

@@ -283,8 +283,9 @@ def find_periodic(m: PlanarMap, n: int, seed: Point2,
     """Newton search for a period-n orbit from the given seed.
 
     Raises SingularSystemError when the Newton matrix D(f^n) - I is singular
-    (|det| < 1e-14) and ConvergenceError (carrying the last iterate) when the
-    step budget runs out.
+    (|det| < 1e-14), ConvergenceError (carrying the last iterate) when the
+    step budget runs out or an iterate leaves the doubles, and
+    NumericOverflowError when the chain-rule Jacobian overflows on finite iterates.
     """
     cfg = cfg or NewtonConfig()
     if n < 1:
@@ -362,7 +363,7 @@ class DissipativityBound:
     contraction_ok: bool
     contraction_max_ratio: float
     contraction_worst_at: Point2 | None
-    sample_count: int
+    samples: int
 
     @property
     def passed(self) -> bool:
@@ -410,7 +411,7 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
         hypothesis_worst_at=hyp_at,
         contraction_ok=con_ratio <= factor, contraction_max_ratio=con_ratio,
         contraction_worst_at=con_at,
-        sample_count=n_ball + n_hyp + n_con)
+        samples=n_ball + n_hyp + n_con)
 
 
 @dataclass(frozen=True, slots=True)

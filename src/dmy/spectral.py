@@ -350,10 +350,13 @@ class Verdict:
 
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
-    map_desc: str
+    """The ``spectrum`` report's keys in order, then ``real_samples``: the
+    per-sample records that the checks read and the report omits."""
+
+    map: str
     strategy: str
-    sample_count: int
-    overflow_count: int
+    samples: int
+    overflows: int
     max_modulus: float | None
     max_modulus_at: Point2 | None
     real_count: int
@@ -411,8 +414,8 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
         min_real, min_real_at = first_lo.lo, Point2(first_lo.x, first_lo.y)
         max_real, max_real_at = first_hi.hi, Point2(first_hi.x, first_hi.y)
     return SpectrumReport(
-        map_desc=m.describe(), strategy=strategy.describe(),
-        sample_count=count, overflow_count=overflow,
+        map=m.describe(), strategy=strategy.describe(),
+        samples=count, overflows=overflow,
         max_modulus=max_mod, max_modulus_at=max_mod_at,
         real_count=len(reals),
         min_real=min_real, min_real_at=min_real_at,
@@ -422,9 +425,9 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
 
 def _uncertifiable(name: str, report: SpectrumReport) -> Verdict | None:
     """The failing verdict of a sweep that overflowed or took no samples, else None."""
-    if report.overflow_count:
-        detail = f"{report.overflow_count} of {report.sample_count} samples overflowed"
-    elif report.sample_count == 0:
+    if report.overflows:
+        detail = f"{report.overflows} of {report.samples} samples overflowed"
+    elif report.samples == 0:
         detail = "no samples"
     else:
         return None
@@ -475,7 +478,7 @@ def check_real_free(report: SpectrumReport) -> Verdict:
                               f"first at sample {s.index}",
                        witness_value=s.lo, witness_at=Point2(s.x, s.y))
     return Verdict(name=name, passed=True,
-                   detail=f"all {report.sample_count} samples had complex pairs")
+                   detail=f"all {report.samples} samples had complex pairs")
 
 
 def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:

@@ -59,7 +59,7 @@ def test_acceptance_02_spectrum_sweep():
     off_axis_complex = all(abs(s.x * s.y) <= 1e-9 for s in rep.real_samples)
     axis_zero = all(abs(s.lo) <= 1e-12 and abs(s.hi) <= 1e-12
                     for s in rep.real_samples if s.x * s.y == 0.0)
-    ok = (rep.sample_count == 201 * 201 and rep.overflow_count == 0
+    ok = (rep.samples == 201 * 201 and rep.overflows == 0
           and in_ball and off_axis_complex and axis_zero and elapsed < 5.0)
     _report(2, "spectrum-sweep", ok,
             f"max modulus {rep.max_modulus!r} vs {bound!r}, "

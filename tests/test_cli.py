@@ -113,6 +113,40 @@ def test_singular_newton_system_exits_one(capsys):
                             "is singular (|det| = 0.0)\n")
 
 
+_REFUSALS = [
+    (["spectrum", "--map", "szlenk", "--region", "1:2"],
+     "region must be xmin:xmax:ymin:ymax, got '1:2'"),
+    (["spectrum", "--map", "szlenk", "--region", "a:1:0:1"],
+     "region has a non-numeric bound: 'a:1:0:1'"),
+    (["spectrum", "--map", "szlenk", "--grid", "3by3"], "grid must be NxM, got '3by3'"),
+    (["orbit"], "--map is required for this subcommand"),
+    (["orbit", "--map", "linear"], "--map linear needs --matrix a11,a12,a21,a22"),
+    (["orbit", "--map", "linear", "--matrix", "1,2,3"],
+     "--matrix needs 4 comma-separated numbers, got '1,2,3'"),
+    (["orbit", "--map", "linear", "--matrix", "a,b,c,d"],
+     "--matrix has a non-numeric entry: 'a,b,c,d'"),
+    (["orbit", "--map", "foo"],
+     "unknown map variant 'foo'; pick linear, szlenk, ga, or counterexample"),
+    (["orbit", "--map", "szlenk", "--steps", "-1"], "--steps must be >= 0, got -1"),
+    (["ray", "--map", "szlenk", "--samples", "1"], "--samples must be >= 2, got 1"),
+    (["dissipativity", "--map", "szlenk", "--radius", "abc"],
+     "--radius must be a number or 'tail', got 'abc'"),
+    (["orbit", "--map", "szlenk", "--config", "{array}"], "config {array} must hold a JSON object"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _REFUSALS,
+                         ids=["-".join(argv[-2:]).lstrip("-") for argv, _ in _REFUSALS])
+def test_parameter_errors_print_one_line(argv, err, tmp_path, capsys):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    argv = [a.format(array=array) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dmy {argv[0]}: {err.format(array=array)}\n"
+
+
 def test_unwritable_out_exits_three(capsys):
     code = main(["phi", "--out", "/no-such-dir-anywhere/x.csv"])
     assert code == 3
@@ -208,10 +242,26 @@ def test_spectrum_negative_region_tokens(capsys):
     assert obj["max_modulus"] == 0.5
 
 
-def test_spectrum_bad_check_spec(capsys):
-    assert main(["spectrum", "--map", "szlenk", "--grid", "3x3",
-                 "--check", "nonsense:1"]) == 2
-    capsys.readouterr()
+_CHECK_REFUSALS = [
+    ("nonsense:1", "unknown check 'nonsense:1'; use ball:RADIUS, interval-free:LO:HI, "
+                   "or real-free"),
+    # a check's own refusal is printed as it is, not as a bad spec
+    ("real-free:x", "real-free takes no arguments, got 'real-free:x'"),
+    ("ball:-1", "ball radius must be positive, got -1.0"),
+    ("interval-free:0.9:0.5", "interval must satisfy lo < hi, got [0.9, 0.5)"),
+    # a number that does not parse is a bad spec
+    ("ball:abc", "bad check spec 'ball:abc': could not convert string to float: 'abc'"),
+    ("interval-free:a:1",
+     "bad check spec 'interval-free:a:1': could not convert string to float: 'a'"),
+]
+
+
+@pytest.mark.parametrize("spec, err", _CHECK_REFUSALS, ids=[s for s, _ in _CHECK_REFUSALS])
+def test_spectrum_bad_check_spec(spec, err, capsys):
+    assert main(["spectrum", "--map", "szlenk", "--grid", "3x3", "--check", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dmy spectrum: {err}\n"
 
 
 # -------------------------------------------------------------------- orbit
@@ -270,6 +320,15 @@ def test_periodic_multiplier_overflow_exits_one(capsys):
     assert out == ""
     assert err == ("dmy periodic: linear[[1e+200,0.0],[0.0,1e-200]] Jacobian product "
                    "along the 2-point orbit from (0.0, 0.0) overflowed\n")
+
+
+def test_periodic_jacobian_overflow_exits_one(capsys):
+    # the image of the seed is finite, its Jacobian is not
+    code = main(["periodic", "--map", "szlenk", "--seed", "1e100,1e100", "--period", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "dmy periodic: szlenk(k=1.01) Jacobian overflowed at (1e+100, 1e+100)\n"
 
 
 # -------------------------------------------------------------------- basin
@@ -726,6 +785,15 @@ def test_dissipativity_ball_sweep_start_underflow(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("dmy dissipativity: ball radius 1e-300 is too small")
+
+
+def test_dissipativity_single_ball_radius(capsys):
+    # one ball radius is the ball's own radius: the origin and one ring of 16
+    code, obj = run_strict_json(["dissipativity", "--map", "ga", "--ball-radii", "1"], capsys)
+    assert code == 1
+    assert obj["ball_radius"] == 20.0 and obj["hypothesis_worst_at"] == [19.999999999999996, 0.0]
+    assert obj["samples"] == 1 + 16 + 2 * 48 * 16 == 1553
+    assert obj["passed"] is False
 
 
 def test_dissipativity_tail_needs_counterexample_map(capsys):

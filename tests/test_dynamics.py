@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dmy import (BasinGrid, ConvergenceError, DampedSzlenkMap, DissipativitySampling,
-                 LinearMap, Mat2, NewtonConfig, OmegaConfig, OmegaTag,
-                 ParameterError, PlanarMap, Point2, SingularSystemError,
+                 LinearMap, Mat2, NewtonConfig, NumericOverflowError, OmegaConfig,
+                 OmegaTag, ParameterError, PlanarMap, Point2, SingularSystemError,
                  SzlenkMap, basin_raster, classify_omega, dissipativity_bound,
                  find_periodic, orbit_multipliers, resolve_workers,
                  verify_invariant_ray)
@@ -401,6 +401,22 @@ def test_newton_budget_exhaustion():
     assert exc.value.residual > 0.0
 
 
+def test_newton_orbit_leaving_the_doubles_is_a_convergence_error():
+    # the second iterate of (1e150, 3) overflows, so the search stops before any step
+    with pytest.raises(ConvergenceError) as exc:
+        find_periodic(SZLENK, 2, Point2(1e150, 3.0))
+    assert str(exc.value).startswith("orbit left the doubles during the newton search:")
+    assert exc.value.last_iterate == Point2(1e150, 3.0)
+    assert exc.value.residual == math.inf
+
+
+def test_newton_jacobian_overflow_raises():
+    # the image of (1e100, 1e100) is finite, but its chain-rule Jacobian is not
+    with pytest.raises(NumericOverflowError) as exc:
+        find_periodic(SZLENK, 1, Point2(1e100, 1e100))
+    assert str(exc.value) == "szlenk(k=1.01) Jacobian overflowed at (1e+100, 1e+100)"
+
+
 def test_newton_validation():
     with pytest.raises(ParameterError):
         find_periodic(SZLENK, 0, Point2(1.0, 0.0))
@@ -529,7 +545,7 @@ def test_dissipativity_expanding_map_exact_values():
     assert not b.contraction_ok and b.contraction_max_ratio == pytest.approx(2.0, rel=1e-12)
     assert b.hypothesis_worst_at is not None and b.contraction_worst_at is not None
     assert not b.passed
-    assert b.sample_count > 0
+    assert b.samples > 0
 
 
 def test_dissipativity_contraction_passes_with_norm_floor():
@@ -721,6 +737,14 @@ def test_ray_check_measures_few_segments(monkeypatch):
         assert calls[0] < 1001 * 100
 
 
+def test_ray_image_overflow_fails_the_check():
+    # the first image past the doubles ends the check at its sample index
+    big = LinearMap(_diag(1e300, 1e300))
+    v = verify_invariant_ray(big, [Point2(0.0, 0.0), Point2(1e10, 0.0), Point2(2e10, 0.0)], 1e-9)
+    assert (v.passed, v.max_deviation, v.worst_index) == (False, math.inf, 1)
+    assert (v.radius_ok, v.max_image_radius, v.max_sample_radius) == (False, math.inf, 2e10)
+
+
 def test_ray_validation():
     m = LinearMap(_diag(0.5, 0.5))
     with pytest.raises(ParameterError):
@@ -780,6 +804,10 @@ def test_basin_grid_validation():
         basin_raster(CONTRACT, -1.0, 8, 8)
     with pytest.raises(ParameterError):
         basin_raster(CONTRACT, 10.0, 8, 8, workers=0)
+    # the cell cap, which the CLI's grid parser enforces before it is reached
+    with pytest.raises(ParameterError, match=r"^raster has 16785409 cells, more than the "
+                                             r"16777216 \(4096x4096\) cap$"):
+        basin_raster(SZLENK, 1.0, 4097, 4097)
 
 
 def test_resolve_workers_env(monkeypatch):

@@ -270,7 +270,7 @@ def test_dissipativity_ball_sweep_equals_sweep_sup(m, radius):
     want, _, n_ball = _sweep_sup(points, lambda x, y: _norm(*m._jac(x, y)))
     got = dissipativity_bound(m, radius, 0.5, cfg)
     assert _bits(got.norm_sup) == _bits(want)
-    assert got.sample_count >= n_ball == len(points)
+    assert got.samples >= n_ball == len(points)
 
 
 # ----------------------------------------------------------------- skips

@@ -121,7 +121,7 @@ def test_strategy_validation_and_describe():
 def test_grid_sweep_hits_axes_and_corners_exactly():
     m = LinearMap(_diag(0.5, 0.5))
     rep = sample_spectrum(m, Rect(-30.0, 30.0, -30.0, 30.0), GridStrategy(5, 5))
-    assert rep.sample_count == 25
+    assert rep.samples == 25
     # symmetric grids contain exact zeros and the exact endpoints
     assert rep.max_modulus_at is not None
 
@@ -129,14 +129,14 @@ def test_grid_sweep_hits_axes_and_corners_exactly():
 def test_szlenk_sweep_real_exactly_on_axes():
     f = SzlenkMap(1.01)
     rep = sample_spectrum(f, Rect(-30.0, 30.0, -30.0, 30.0), GridStrategy(21, 21))
-    assert rep.sample_count == 441
+    assert rep.samples == 441
     assert rep.real_count == 41  # two 21-point axes sharing the origin
     assert rep.min_real == 0.0 and rep.max_real == 0.0
     for s in rep.real_samples:
         assert s.x * s.y == 0.0
         assert s.lo == 0.0 and s.hi == 0.0
-    assert rep.overflow_count == 0
-    assert rep.map_desc == "szlenk(k=1.01)"
+    assert rep.overflows == 0
+    assert rep.map == "szlenk(k=1.01)"
     assert rep.strategy == "grid 21x21"
 
 
@@ -154,8 +154,8 @@ def test_random_sweep_is_deterministic():
 def test_empty_report_has_zero_counts():
     f = SzlenkMap(1.01)
     rep = sample_spectrum(f, Rect(-1.0, 1.0, -1.0, 1.0), RandomStrategy(0, 0))
-    assert rep.sample_count == 0
-    assert rep.overflow_count == 0
+    assert rep.samples == 0
+    assert rep.overflows == 0
     assert rep.real_count == 0
     assert rep.max_modulus is None and rep.max_modulus_at is None
     # a sweep with no data cannot certify anything
@@ -212,8 +212,8 @@ def test_overflow_counted_and_fails_checks():
     f = SzlenkMap(1.01)
     region = Rect(1e180, 2e180, 1e180, 2e180)  # squaring these overflows
     rep = sample_spectrum(f, region, GridStrategy(3, 3))
-    assert rep.overflow_count == 9
-    assert rep.sample_count == 9
+    assert rep.overflows == 9
+    assert rep.samples == 9
     for v in (check_ball(rep, 1.0), check_real_free(rep),
               check_interval_free(rep, 0.0, 1.0)):
         assert not v.passed
@@ -463,7 +463,7 @@ def test_mirrored_grid_matches_point_loop(m, region, grid, bundle):
     strategy = GridStrategy(*map(int, grid.split("x")))
     points, overflow, best, reals, mirrored = _point_loop(m, region, strategy)
     rep = sample_spectrum(m, region, strategy)
-    assert (rep.sample_count, rep.overflow_count) == (len(points), overflow)
+    assert (rep.samples, rep.overflows) == (len(points), overflow)
     got = None if rep.max_modulus is None else (rep.max_modulus, _bits(*rep.max_modulus_at))
     assert got == best
     # zero signs of a derived pair are free, its coordinates are not
@@ -518,7 +518,7 @@ def test_composite_sweep_near_1e200_counts_every_sample_as_overflow(bundle):
     # intermediate point before any Jacobian entry exists
     rep = sample_spectrum(bundle.composite, Rect(1e200, 2e200, 1e200, 2e200),
                           GridStrategy(3, 3))
-    assert rep.sample_count == 9 and rep.overflow_count == 9
+    assert rep.samples == 9 and rep.overflows == 9
     assert rep.max_modulus is None and rep.real_count == 0
 
 
@@ -536,7 +536,7 @@ def test_sample_points_near_the_double_range_stay_finite(region, strategy):
     for x, y in pts:
         assert region.xmin <= x <= region.xmax and region.ymin <= y <= region.ymax
     f = SzlenkMap(1.01)
-    assert sample_spectrum(f, region, strategy).sample_count == len(pts)
+    assert sample_spectrum(f, region, strategy).samples == len(pts)
     assert sample_norm_sup(f, region, strategy) == math.inf
 
 
