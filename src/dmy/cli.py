@@ -51,7 +51,7 @@ from .geometry import Mat2, Point2
 from .phi import _phi_parts, build_phi
 from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
 from .spectral import (EigenPair, GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict,
-                       _log_radii, check_ball, check_interval_free, check_real_free,
+                       _lerp, _log_radii, check_ball, check_interval_free, check_real_free,
                        sample_spectrum)
 
 # tokens that begin with a minus and a digit (or a decimal point) are values,
@@ -373,17 +373,6 @@ def _run_phi(resolved: dict):
     return _csv(["r", "phi", "phi_prime_times_r"], rows), 0
 
 
-def _sample_radius(radius: float, i: int, n: int) -> float:
-    """i * radius / (n - 1).  Near the double range i * radius overflows
-    although the quotient is finite: that radius is redone with radius scaled
-    down by a power of two, exact for normal floats, and scaled back up."""
-    r = i * radius / (n - 1)
-    if math.isfinite(r):
-        return r
-    s = 2.0 ** (n - 1).bit_length()
-    return i * (radius / s) / (n - 1) * s
-
-
 def _run_ray(resolved: dict):
     m, _ = _make_map(resolved)
     n = _capped(resolved, "samples")
@@ -396,7 +385,7 @@ def _run_ray(resolved: dict):
         raise ParameterError(f"--angle must be finite, got {angle!r}")
     t = math.radians(angle)
     cx, cy = math.cos(t), math.sin(t)
-    radii = [_sample_radius(radius, i, n) for i in range(n)]
+    radii = [_lerp(0.0, radius, i, n) for i in range(n)]
     pts = [Point2(cx * r, cy * r) for r in radii]
     verdict = verify_invariant_ray(m, pts, resolved["tol"])
     return {"map": m.describe(), **_finite_or_null(verdict)}, 0 if verdict.passed else 1

@@ -32,7 +32,7 @@ verifier fails those three checks and tail contraction unsampled.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -133,6 +133,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        """Header, then CheckRecords whose Point2 and EigenPair data cli._finite_or_null encodes."""
         b = self.bundle
         return {
             "map": b.composite.describe(),
@@ -145,7 +146,7 @@ class VerificationReport:
             "flat_radius": b.flat_radius,
             "tail_radius": b.profile.r_tail,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": self.checks,
         }
 
 
@@ -237,7 +238,7 @@ def build_counterexample(k: float, a: float = 0.005,
 def _check_origin_fixed(bundle: CounterexampleBundle):
     img = bundle.composite.eval(Point2(0.0, 0.0))
     return (img.x == 0.0 and img.y == 0.0, f"image of the origin is ({img.x!r}, {img.y!r})",
-            {"image": [img.x, img.y]})
+            {"image": img})
 
 
 def _check_sr_bound(bundle: CounterexampleBundle):
@@ -245,7 +246,7 @@ def _check_sr_bound(bundle: CounterexampleBundle):
     sup, worst, count = _composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
     return (sup <= bound,
             f"max sampled spectral radius {sup!r} vs cap {bound!r} over {count} samples",
-            {"max": sup, "cap": bound, "samples": count, "worst": [worst.x, worst.y]})
+            {"max": sup, "cap": bound, "samples": count, "worst": worst})
 
 
 def _check_tail_contraction(bundle: CounterexampleBundle):
@@ -255,7 +256,7 @@ def _check_tail_contraction(bundle: CounterexampleBundle):
                                         _growth(bundle.composite), 0.0, (r_tail, 0.0))
     return (worst <= 0.5,
             f"max |f(p)|/|p| = {worst!r} over {count} tail samples (bound 0.5)",
-            {"max_ratio": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
+            {"max_ratio": worst, "samples": count, "worst": worst_at})
 
 
 def _check_orientation(bundle: CounterexampleBundle):
@@ -269,7 +270,7 @@ def _check_orientation(bundle: CounterexampleBundle):
     neg, worst_at, count = _sweep_sup(chain([(0.0, 0.0)], ring), neg_det)
     worst = -neg
     return (worst > 0.0, f"min sampled radial Jacobian det {worst!r} over {count} samples",
-            {"min_det": worst, "samples": count, "worst": [worst_at.x, worst_at.y]})
+            {"min_det": worst, "samples": count, "worst": worst_at})
 
 
 def _check_periodic_orbit(bundle: CounterexampleBundle):
@@ -288,10 +289,9 @@ def _check_periodic_orbit(bundle: CounterexampleBundle):
             f"residual {orbit.residual!r}, unit-circle gap {gap!r}, "
             f"orbit radii {min(norms)!r}..{max(norms)!r} inside disc of "
             f"{bundle.flat_radius!r}: {in_disc}",
-            {"points": [[p.x, p.y] for p in orbit.points],
+            {"points": orbit.points,
              "residual": orbit.residual,
-             "multipliers": [[mults.l1.real, mults.l1.imag],
-                             [mults.l2.real, mults.l2.imag]],
+             "multipliers": mults,
              "unit_circle_gap": gap,
              "hyperbolic": orbit.hyperbolic})
 

@@ -153,6 +153,18 @@ def test_unwritable_out_exits_three(capsys):
     capsys.readouterr()
 
 
+def test_out_onto_a_directory_removes_the_temporary_file(tmp_path, capsys):
+    # the temporary file is written, then its rename onto the directory fails
+    target = tmp_path / "d"
+    target.mkdir()
+    assert main(["phi", "--out", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"dmy phi: \[Errno 21\] Is a directory: '%s/\.dmy-tmp-[^/']*' -> '%s'\n"
+                        % (re.escape(str(tmp_path)), re.escape(str(target))), captured.err)
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
 # ----------------------------------------------------------------- spectrum
 
 
@@ -684,13 +696,13 @@ def test_ray_rejects_non_finite_flags(flag, value, capsys):
 
 @pytest.mark.parametrize("radius", ["1e308", "1.7976931348623157e308"])
 def test_ray_radius_near_the_double_range(radius, capsys):
-    # i * radius overflows although every sample radius i * radius / (n - 1) is finite
+    # i * radius overflows although every sample radius is finite; the last
+    # sample lies at --radius exactly
     code, obj = run_strict_json(["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5",
                                  "--radius", radius, "--samples", "11"], capsys)
     assert code in (0, 1)
-    last = math.ldexp(10 * math.ldexp(float(radius), -64) / 10, 64)
-    assert obj["max_sample_radius"] == last <= float(radius)
-    assert obj["max_image_radius"] == 0.5 * last
+    assert obj["max_sample_radius"] == float(radius)
+    assert obj["max_image_radius"] == 0.5 * float(radius)
 
 
 @pytest.mark.parametrize("radius", [1e160, 1e300])
@@ -708,18 +720,21 @@ def test_ray_past_the_squared_range(radius, capsys):
 
 
 def test_ray_sample_radii_match_the_unscaled_formula():
-    # where i * radius / (n - 1) is finite it is the sample radius; near the
-    # double range the scaled fallback gives what an unbounded exponent would
-    from dmy.cli import _sample_radius
-    for radius in (0.1, 15.0, 100.0, 3e307, 1e308, 1.7976931348623157e308):
-        for n in (2, 3, 7, 101):
-            for i in range(n):
-                got = _sample_radius(radius, i, n)
+    # the ray's radii are _lerp(0, radius, i, n): where i * radius / (n - 1)
+    # is finite it is an interior sample radius, near the double range the
+    # scaled fallback gives what an unbounded exponent would, and the last
+    # sample is radius itself, which (n - 1) * radius / (n - 1) can miss
+    from dmy.spectral import _lerp
+    for radius in (0.1, 15.0, 100.0, 191.744, 3e307, 1e308, 1.7976931348623157e308):
+        for n in (2, 3, 7, 11, 101):
+            for i in range(n - 1):
+                got = _lerp(0.0, radius, i, n)
                 plain = i * radius / (n - 1)
                 if math.isfinite(plain):
                     assert got == plain
                 else:
                     assert got == math.ldexp(i * math.ldexp(radius, -64) / (n - 1), 64)
+            assert _lerp(0.0, radius, n - 1, n) == radius
 
 
 # ------------------------------------------------------------ dissipativity
@@ -877,6 +892,24 @@ def test_config_type_errors(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"dmy {sub}: config key {key!r} is a number too large "
                                 f"for a double\n")
+
+
+def test_config_numbers_for_string_flags(tmp_path, capsys):
+    # a JSON number given to a string flag is read as its spelling
+    cfg = tmp_path / "c.json"
+    argv = ["dissipativity", "--map", "ga", "--out"]
+    assert main([*argv, str(tmp_path / "plain.json")]) == 1
+    cfg.write_text('{"radius": 20}')
+    assert main([*argv, str(tmp_path / "cfg.json"), "--config", str(cfg)]) == 1
+    assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    for sub, text, err in [
+            ("dissipativity", '{"radius": 1e400}', "ball radius must be positive and finite, got inf"),
+            ("periodic", '{"seed": 10}', "--seed needs 2 comma-separated numbers, got '10'")]:
+        cfg.write_text(text)
+        assert main([sub, "--map", "ga", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dmy {sub}: {err}\n"
 
 
 # a value of the wrong JSON type for each flag kind, as read off the default

@@ -410,6 +410,29 @@ def test_newton_orbit_leaving_the_doubles_is_a_convergence_error():
     assert exc.value.residual == math.inf
 
 
+class _FarShiftMap(PlanarMap):
+    """f(p) = (1 + 2e-7) p + (1e308, 0): Newton's step from the origin is
+    about -1e308 / 2e-7, past the doubles."""
+
+    def xy(self, x, y):
+        return (1.0 + 2e-7) * x + 1e308, (1.0 + 2e-7) * y
+
+    def jac(self, x, y):
+        return 1.0 + 2e-7, 0.0, 0.0, 1.0 + 2e-7
+
+    def describe(self):
+        return "far-shift"
+
+
+def test_newton_step_leaving_the_doubles_is_a_convergence_error():
+    with pytest.raises(ConvergenceError) as exc:
+        find_periodic(_FarShiftMap(), 1, Point2(0.0, 0.0))
+    assert str(exc.value) == ("newton step diverged: point components must be finite, "
+                              "got (-inf, 0.0)")
+    assert exc.value.last_iterate == Point2(0.0, 0.0)
+    assert exc.value.residual == 1e308
+
+
 def test_newton_jacobian_overflow_raises():
     # the image of (1e100, 1e100) is finite, but its chain-rule Jacobian is not
     with pytest.raises(NumericOverflowError) as exc:
