@@ -27,7 +27,12 @@ every verdict fail: an unbounded spectrum cannot certify a spectrum bound.
 Sups of a Jacobian's spectral radius or norm (``_jacobian_sups``) take the
 exact ``_radius`` or ``_norm`` only at a sample whose pre-test, with no square
 root, does not rule out raising the running sup; sup, witness and count stay
-those of ``_sweep_sup`` bit for bit.
+those of ``_sweep_sup`` bit for bit.  ``sample_spectrum`` pre-tests against its
+running max modulus the same way, with ``_eig``'s complex branch added to
+Jury's test: a sample that passes has a complex pair strictly below the max,
+so it adds no real record, moves no first witness and is no overflow, and
+``_eig`` is not run.  That branch test restates ``_eig``'s only inside Jury's
+bounds, where tr^2 and 4 det are finite.
 
 ``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
 When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
@@ -235,11 +240,18 @@ def _never(*entries) -> bool:
 
 def _pretest(measure, sup: float):
     """A test on Jacobian entries that is True only where their ``measure``
-    (``_radius`` or ``_norm``) is below sup.  It takes no square root.  With
-    c = sup * PRETEST_MARGIN, the radius test is Jury's |det| < c^2 and
-    |tr| < c + det/c.  The norm test asks that both squared singular values,
-    the roots of s^2 - F s + det^2 (F the sum of squared entries), lie below
-    c^2: F <= 2 c^2 and F c^2 < c^4 + det^2.  The margin: near a double root or
+    (``_radius`` or ``_norm``) is below sup, or, for ``_eig``, only where
+    ``_eig`` gives a complex pair of modulus below sup.  It takes no square
+    root.  With c = sup * PRETEST_MARGIN, the radius test is Jury's
+    |det| < c^2 and |tr| < c + det/c.  The ``_eig`` test adds ``_eig``'s
+    complex branch as tr^2 - 4 det < -REAL_DISC_TOL * 4 det, which is that
+    branch exactly only where Jury's bounds hold: there tr^2, 4 det and the
+    discriminant are finite, and a negative discriminant makes 4 det the
+    larger term of max(tr^2, 4 |det|).  Outside them it is not (at
+    (-1, 0, 0, -4.49e307) 4 det overflows and the discriminant is NaN), so it
+    never stands without them.  The norm test asks that both squared singular
+    values, the roots of s^2 - F s + det^2 (F the sum of squared entries), lie
+    below c^2: F <= 2 c^2 and F c^2 < c^4 + det^2.  The margin: near a double root or
     an isotropic matrix, rounding can pass a measure over c by a relative
     ~sqrt(eps), about 2e-8, and ``_eig`` errs by as much there (``_norm`` by a
     few ulps); 2**-20, about 9.5e-7, is over ten times both.  Outside
@@ -251,6 +263,10 @@ def _pretest(measure, sup: float):
     if measure is _radius:  # tr and det in _eig's own expressions
         return lambda a11, a12, a21, a22: (-c2 < (det := a11 * a22 - a12 * a21) < c2
                                            and abs(a11 + a22) < c + det / c)
+    if measure is _eig:
+        return lambda a11, a12, a21, a22: (
+            -c2 < (det := a11 * a22 - a12 * a21) < c2 and abs(tr := a11 + a22) < c + det / c
+            and tr * tr - 4.0 * det < -REAL_DISC_TOL * (4.0 * det))
     two_c2, c4 = 2.0 * c2, c2 * c2
     return lambda a11, a12, a21, a22: (
         (f := a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22) <= two_c2
@@ -382,13 +398,18 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
     max_mod_at = None
     reals = []
     jac = m._jac
+    skip = _never  # True where a complex pair lies below the running max
     for idx, (x, y) in enumerate(points):
         count += 1
         try:
-            is_real, lo, hi = _eig(*jac(x, y))
-            mod = _modulus(is_real, lo, hi)
+            j = jac(x, y)
         except NumericOverflowError:
             mod = math.inf
+        else:
+            if skip(*j):
+                continue
+            is_real, lo, hi = _eig(*j)
+            mod = _modulus(is_real, lo, hi)
         if not math.isfinite(mod):  # finite entries can still overflow tr^2 - 4 det
             overflow += 1
             last_overflow = idx
@@ -396,6 +417,7 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
         if max_mod is None or mod > max_mod:
             max_mod = mod
             max_mod_at = Point2(x, y)
+            skip = _pretest(_eig, mod)
         if is_real:
             reals.append(RealSpectrumSample(lo, hi, x, y, idx))
     if mirror:

@@ -558,10 +558,19 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
     (["spectrum", "--map", "linear", "--matrix", "0.5,0,0,0.25", "--region",
       "-1e308:1e308:-1:1", "--random", "50", "--rng-seed", "3", "--check", "real-free"], 1,
      "82ed81ebd635fb095acedc3eb4adf30ba5fa8a9e2563aec48a51f8f4d98d84fe"),
+    # the README grid and a 40401-draw random sweep, where most samples
+    # cannot move the report and are not measured
+    (["spectrum", "--map", "szlenk", "--k", "1.01", "--region", "-30:30:-30:30", "--grid",
+      "201x201", "--check", "ball:0.8746857", "--check", "interval-free:0.5:0.9"], 0,
+     "09661669d53074e5aebdf091b8aea634bcc7a1d1aa1b680aa4d745f8bc33a425"),
+    (["spectrum", "--map", "ga", "--random", "40401", "--rng-seed", "3", "--check", "ball:0.9",
+      "--check", "real-free"], 0,
+     "756207b90c29039f29eda891d1f62dc012db18a2ee5fbedcd7c772310c882bcf"),
 ], ids=["spectrum-grid", "spectrum-random", "periodic", "ray-1e160", "dissipativity-null",
         "dissipativity-counterexample-tail", "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
         "spectrum-ga-grid", "spectrum-counterexample-grid", "spectrum-strip-1x5",
-        "spectrum-overflow-grid", "spectrum-random-double-range"])
+        "spectrum-overflow-grid", "spectrum-random-double-range", "spectrum-readme-grid",
+        "spectrum-ga-random-40401"])
 def test_report_bytes_are_pinned(argv, code, sha, capsys):
     # one command of each JSON and CSV shape, byte for byte: key order, float
     # spelling, null witnesses and the config header

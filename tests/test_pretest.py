@@ -13,8 +13,8 @@ from dmy import (DampedSzlenkMap, DissipativitySampling, GridStrategy, LinearMap
                  dissipativity_bound, sample_norm_sup)
 from dmy import counterexample as ce
 from dmy import dynamics, spectral
-from dmy.spectral import (PRETEST_MARGIN, _jacobian_sups, _log_radii, _norm, _pretest, _radius,
-                          _ring_points, _sample_points, _sweep_sup)
+from dmy.spectral import (PRETEST_MARGIN, _eig, _jacobian_sups, _log_radii, _norm, _pretest,
+                          _radius, _ring_points, _sample_points, _sweep_sup)
 
 
 def _diag(d1, d2):
@@ -105,13 +105,41 @@ def test_norm_pretest_soundness(shape, scale, offset):
         assert _norm(*j) < sup
 
 
+def _complex_below(j, sup):
+    """What the spectrum pre-test must say: the radius pre-test passes and
+    ``_eig`` gives a complex pair."""
+    return _pretest(_radius, sup)(*j) and not _eig(*j)[0]
+
+
+@settings(deadline=None)
+@given(_shapes, _scales, _offsets)
+def test_spectrum_pretest_soundness(shape, scale, offset):
+    j = _scaled(shape, scale)
+    v = _radius(*j)
+    assume(math.isfinite(v) and v > 0.0)
+    sup = v * offset
+    assert _pretest(_eig, sup)(*j) == _complex_below(j, sup)
+
+
+_any = st.floats()  # inf and NaN included
+
+
+@settings(deadline=None)
+@given(st.tuples(_any, _any, _any, _any), st.floats(min_value=0.0), _offsets)
+def test_spectrum_pretest_soundness_on_any_floats(j, sup, offset):
+    # past Jury's bounds the pre-test's branch test and _eig's may differ (at
+    # (-1, 0, 0, -4.49e307) 4 det overflows), so the bounds must settle it
+    for s in (sup, _radius(*j) * offset):
+        assert _pretest(_eig, s)(*j) == _complex_below(j, s)
+
+
 @settings(deadline=None)
 @given(_shapes, _scales, st.sampled_from([0.0, -0.0, 1e-300, 2.0 ** 300, math.inf, -math.inf]))
 def test_pretest_soundness_where_nothing_may_skip(shape, scale, sup):
     # a sup at or below 0, or one whose bound leaves 2**-240..2**240, skips nothing
     j = _scaled(shape, scale)
-    assert not _pretest(_radius, sup)(*j)
-    assert not _pretest(_norm, sup)(*j)
+    for measure in (_radius, _norm, _eig):
+        assert not _pretest(measure, sup)(*j)
 
 
 @pytest.mark.parametrize("entries", [
@@ -122,8 +150,8 @@ def test_pretest_soundness_on_entries_past_the_doubles(entries):
     # NaN fails every comparison and an overflowing det or square fails the
     # bound, so such a sample is always priced exactly
     for sup in (1.0, 2.0 ** 200):
-        assert not _pretest(_radius, sup)(*entries)
-        assert not _pretest(_norm, sup)(*entries)
+        for measure in (_radius, _norm, _eig):
+            assert not _pretest(measure, sup)(*entries)
 
 
 @settings(deadline=None)
@@ -135,6 +163,15 @@ def test_pretests_pass_where_the_margin_leaves_room(shape, scale):
         v = measure(*j)
         assume(2.0 ** -200 <= v <= 2.0 ** 200)
         assert _pretest(measure, v * (1.0 + 2.0 ** -10))(*j)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 2, 2.5])
+def test_spectrum_pretest_passes_a_complex_pair_below_the_sup(theta):
+    # half a rotation has the complex pair 0.5 e^(+-i theta), far inside 1;
+    # a real pair of the same modulus is always measured
+    c, s = 0.5 * math.cos(theta), 0.5 * math.sin(theta)
+    assert _pretest(_eig, 1.0)(c, -s, s, c)
+    assert not _pretest(_eig, 1.0)(0.5, 0.0, 0.0, 0.5 * math.cos(2.0 * theta))
 
 
 # ------------------------------------------------------------ equivalence

@@ -4,14 +4,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2,
                  NumericOverflowError, ParameterError, Point2, RandomStrategy, Rect,
                  SzlenkMap, check_ball, check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
-from dmy.spectral import (REAL_DISC_TOL, _eig, _lerp, _norm, _radius, _sample_points,
-                          _sweep_sup)
+from dmy import spectral
+from dmy.spectral import (REAL_DISC_TOL, RealSpectrumSample, SpectrumReport, _eig, _lerp,
+                          _modulus, _norm, _radius, _sample_points, _sweep_sup)
 
 
 def _diag(d1, d2):
@@ -63,6 +64,7 @@ entry = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
 @settings(max_examples=300, deadline=None)
 @given(entry, entry, entry, entry)
+@example(100.0, 99.99999999999999, -100.0, -100.0)  # a near double root at 0
 def test_eig_matches_numpy(a, b, c, d):
     m = Mat2(a, b, c, d)
     ours = eig2(m)
@@ -73,7 +75,10 @@ def test_eig_matches_numpy(a, b, c, d):
     # near-zero discriminants are deliberately collapsed to real pairs, which
     # can drop an imaginary part as large as sqrt(tol * disc_scale) / 2
     disc_scale = max(m.trace ** 2, 4.0 * abs(m.det))
-    tol = 1e-9 * scale + math.sqrt(1e-12 * disc_scale)
+    # det = a*d - b*c rounds by up to 3u * max(|a*d|, |b*c|), u = 2**-53, and
+    # near a double root an error delta in det moves a root by up to sqrt(delta)
+    det_err = 3.0 * 2.0 ** -53 * max(abs(a * d), abs(b * c))
+    tol = 1e-9 * scale + math.sqrt(1e-12 * disc_scale) + math.sqrt(det_err)
     for g, w in zip(got, want):
         assert abs(g - w) <= tol
 
@@ -498,6 +503,77 @@ def test_mirrored_grid_evaluates_each_antipodal_pair_once(region, grid, odd, cal
     assert m.calls == calls
     # a map that promises nothing is sampled whole, to the same report
     assert rep == sample_spectrum(SzlenkMap(1.01), region, strategy)
+
+
+def _full_sweep(m, region, strategy):
+    """``sample_spectrum`` as an oracle that measures every sample: ``_eig`` and
+    ``_modulus`` at each one, no mirror and no pre-test."""
+    count = overflow = 0
+    max_mod = max_mod_at = None
+    reals = []
+    for idx, (x, y) in enumerate(_sample_points(region, strategy)):
+        count += 1
+        try:
+            is_real, lo, hi = _eig(*m._jac(x, y))
+            mod = _modulus(is_real, lo, hi)
+        except NumericOverflowError:
+            mod = math.inf
+        if not math.isfinite(mod):
+            overflow += 1
+            continue
+        if max_mod is None or mod > max_mod:
+            max_mod, max_mod_at = mod, Point2(x, y)
+        if is_real:
+            reals.append(RealSpectrumSample(lo, hi, x, y, idx))
+    min_real = max_real = min_real_at = max_real_at = None
+    if reals:
+        first_lo = min(reals, key=lambda s: s.lo)
+        first_hi = max(reals, key=lambda s: s.hi)
+        min_real, min_real_at = first_lo.lo, Point2(first_lo.x, first_lo.y)
+        max_real, max_real_at = first_hi.hi, Point2(first_hi.x, first_hi.y)
+    return SpectrumReport(
+        map=m.describe(), strategy=strategy.describe(), samples=count, overflows=overflow,
+        max_modulus=max_mod, max_modulus_at=max_mod_at, real_count=len(reals),
+        min_real=min_real, min_real_at=min_real_at, max_real=max_real, max_real_at=max_real_at,
+        real_samples=tuple(reals))
+
+
+_ORACLE_MAPS = {
+    "szlenk": SzlenkMap(1.01),
+    "ga": DampedSzlenkMap(1.01, 0.005),
+    "rotation": LinearMap(Mat2(0.0, -1.0, 1.0, 0.0)),   # every modulus ties at 1
+    "nilpotent": LinearMap(Mat2(0.0, 1.0, 0.0, 0.0)),   # every modulus is 0
+    "diagonal": LinearMap(_diag(0.5, -0.75)),            # every pair is real
+}
+
+
+@pytest.mark.parametrize("strategy", [GridStrategy(41, 41), GridStrategy(40, 40),
+                                      GridStrategy(1, 5), RandomStrategy(500, 3)],
+                         ids=["odd-grid", "even-grid", "strip-1x5", "random"])
+@pytest.mark.parametrize("region", ["-30:30:-30:30", "-1e-3:1e-3:-1e-3:1e-3",
+                                    "-1e308:1e308:-1:1", "-1e150:1e150:-1e150:1e150"])
+@pytest.mark.parametrize("name", [*_ORACLE_MAPS, "counterexample"])
+def test_sample_spectrum_equals_a_full_sweep(name, region, strategy, bundle):
+    # the samples the pre-test skips cannot move the report
+    m = bundle.composite if name == "counterexample" else _ORACLE_MAPS[name]
+    region = Rect(*map(float, region.split(":")))
+    assert sample_spectrum(m, region, strategy) == _full_sweep(m, region, strategy)
+
+
+@pytest.mark.parametrize("m, strategy, most", [
+    (SzlenkMap(1.01), GridStrategy(201, 201), 400),
+    (DampedSzlenkMap(1.01, 0.005), RandomStrategy(40401, 3), 100),
+], ids=["szlenk-grid-201x201", "ga-random-40401"])
+def test_sample_spectrum_takes_few_eigenvalues(monkeypatch, m, strategy, most):
+    # the bench's two sweeps: a complex pair below the running max is not
+    # measured, so _eig runs at only a few of their samples
+    region = Rect(-30.0, 30.0, -30.0, 30.0)
+    want = sample_spectrum(m, region, strategy)
+    calls = []
+    eig = spectral._eig
+    monkeypatch.setattr(spectral, "_eig", lambda *j: calls.append(j) or eig(*j))
+    assert sample_spectrum(m, region, strategy) == want
+    assert 0 < len(calls) < most
 
 
 def test_random_draws_past_the_doubles_keep_their_bits():
