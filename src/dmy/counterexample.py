@@ -163,7 +163,7 @@ def _damped_sweep(damped: DampedSzlenkMap):
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
     (sup_norm, _, _), (sup_sr, _, _) = _jacobian_sups(chain([(0.0, 0.0)], grid, rings),
-                                                      damped._jac, (_norm, _radius), 0.0)
+                                                      damped.jac, (_norm, _radius), 0.0)
     return sup_norm, sup_sr
 
 
@@ -174,7 +174,7 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float):
     one-point-longer log grid, with the angles offset by half a step."""
     radii = _log_radii(flat_radius * 1e-6, reach, SweepConfig.sr_radii, 0.5)
     points = chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, 0.5))
-    return _jacobian_sups(points, m._jac, (_radius,))[0]
+    return _jacobian_sups(points, m.jac, (_radius,))[0]
 
 
 def build_counterexample(k: float, a: float = 0.005,

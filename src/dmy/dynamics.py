@@ -383,7 +383,7 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
 
     ball = _log_radii(ball_radius / _BALL_SPAN, ball_radius, cfg.ball_radii)
     [(norm_sup, _, n_ball)] = _jacobian_sups(chain([(0.0, 0.0)], _ring_points(ball, cfg.angles)),
-                                             m._jac, (_norm,))
+                                             m.jac, (_norm,))
     norm_sup_used = max(norm_sup, 1.0)  # threshold formula needs a bound > alpha
     threshold = 2.0 * (norm_sup_used * ball_radius - alpha * ball_radius) / (1.0 - alpha)
     factor = (alpha + 1.0) / 2.0

@@ -10,7 +10,11 @@ Each variant supplies two float kernels: ``xy(x, y)``, the image, and
 ``jac(x, y)``, the row-major Jacobian entries as a 4-tuple.  ``PlanarMap``
 derives the rest from them: ``eval`` and ``jacobian`` run the kernel once and
 check the result for finiteness, and hot loops call the unchecked ``xy``
-itself, so every path shares one arithmetic.
+and ``jac`` themselves, so every path shares one arithmetic.  The Jacobian
+sweeps of ``dmy.spectral`` apply ``_jac``'s finiteness test, ``_finite_jac``,
+only at a sample their pre-test keeps: a non-finite entry fails every
+pre-test, so a sample that passes one has the finite entries ``_jac`` would
+have returned.
 Map objects are immutable and the kernels are pure functions of their
 arguments, so instances can be shared freely across threads or processes.
 
@@ -28,8 +32,9 @@ negated orbit from p.  The Jacobian of an odd map is even, and the ``jac``
 kernel keeps that too: ``jac(-x, -y) == jac(x, y)`` entry for entry, as
 float equality (zero signs are free), by the same symmetry of each
 operation; the composite's chain rule multiplies factors taken at images
-that are exact negations.  So ``_jac`` raises NumericOverflowError at -p
-exactly when it does at p.  The class constant ``odd`` states this promise;
+that are exact negations.  So at -p exactly when at p, ``jac`` raises or
+returns a non-finite entry and ``_jac`` raises NumericOverflowError.  The
+class constant ``odd`` states this promise;
 ``basin_raster`` relies on it to classify each antipodal pair of cells once,
 and ``sample_spectrum`` to evaluate each antipodal pair of grid samples
 once.  It is False on ``PlanarMap``, True on the four leaf variants and,
@@ -72,6 +77,14 @@ def _szlenk_jac(m, x, y):
         k * x * x * (3.0 + x * x + 3.0 * y * y) / d2,
         -2.0 * k * x * x * x * y / d2,
     )
+
+
+def _finite_jac(j11, j12, j21, j22) -> bool:
+    """True when no Jacobian entry is inf or NaN: the check ``PlanarMap._jac``
+    makes, and the one the sweeps make on a raw ``jac`` result that their
+    pre-test did not rule out."""
+    return (math.isfinite(j11) and math.isfinite(j12)
+            and math.isfinite(j21) and math.isfinite(j22))
 
 
 def _chain_product(start, factors):
@@ -131,9 +144,8 @@ class PlanarMap(ABC):
 
     def _jac(self, x: float, y: float) -> tuple[float, float, float, float]:
         """``jac(x, y)``, raising NumericOverflowError on a non-finite entry."""
-        j11, j12, j21, j22 = j = self.jac(x, y)
-        if not (math.isfinite(j11) and math.isfinite(j12)
-                and math.isfinite(j21) and math.isfinite(j22)):
+        j = self.jac(x, y)
+        if not _finite_jac(*j):
             raise NumericOverflowError(
                 f"{self.describe()} Jacobian overflowed at ({x!r}, {y!r})")
         return j

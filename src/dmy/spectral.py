@@ -34,6 +34,11 @@ so it adds no real record, moves no first witness and is no overflow, and
 ``_eig`` is not run.  That branch test restates ``_eig``'s only inside Jury's
 bounds, where tr^2 and 4 det are finite.
 
+Both kinds of Jacobian sweep read a map's unchecked ``jac`` kernel and apply
+``_jac``'s finiteness test (``planar._finite_jac``) only at a sample that
+fails its pre-test, which every non-finite entry does; there a non-finite
+Jacobian is priced +inf, or counted as an overflow.
+
 ``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
 When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
 included) and each axis's coordinate list is its own reversed negation,
@@ -56,7 +61,7 @@ from itertools import islice
 
 from .errors import NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
-from .planar import PlanarMap
+from .planar import PlanarMap, _finite_jac
 
 REAL_DISC_TOL = 1e-12
 
@@ -255,7 +260,12 @@ def _pretest(measure, sup: float):
     an isotropic matrix, rounding can pass a measure over c by a relative
     ~sqrt(eps), about 2e-8, and ``_eig`` errs by as much there (``_norm`` by a
     few ulps); 2**-20, about 9.5e-7, is over ten times both.  Outside
-    2**-240 <= c <= 2**240 the squares could leave the doubles: nothing passes."""
+    2**-240 <= c <= 2**240 the squares could leave the doubles: nothing passes.
+    No test passes an entry that is inf or NaN: each entry enters det, and F,
+    through a product of its own, so det or F is inf or NaN and fails the
+    strict bounds.  A sweep may therefore pre-test raw ``jac`` entries and
+    check finiteness only where the test fails; the measures themselves do not
+    check it (``_eig`` prices (0, 1, -inf, 0) as a double root at 0)."""
     c = sup * PRETEST_MARGIN
     if not 2.0 ** -240 <= c <= 2.0 ** 240:
         return _never
@@ -275,8 +285,14 @@ def _pretest(measure, sup: float):
 
 def _jacobian_sups(points, jac, measures, sup: float = -math.inf):
     """For each measure, ``_radius`` or ``_norm``, what ``_sweep_sup(points,
-    lambda x, y: measure(*jac(x, y)), sup)`` returns, bit for bit, from one
-    pass; a sample that passes the measure's pre-test is not measured."""
+    lambda x, y: measure(*m._jac(x, y)), sup)`` returns, bit for bit, from one
+    pass, where ``jac`` is the unchecked kernel ``m.jac``; a sample that passes
+    the measure's pre-test is not measured.  Finiteness is checked only at a
+    sample that fails its pre-test: a non-finite entry fails every pre-test,
+    so a sample that passes has the finite entries ``_jac`` would return.  The
+    check cannot be dropped where the measure is taken: ``_radius(0, 1, -inf,
+    0)`` is 0, since det is inf and the discriminant -inf is not below the
+    real-pair floor -1e-12 * inf, so ``_eig`` calls it a double root at 0."""
     best = [[sup, None, _pretest(m, sup), m] for m in measures]  # sup, witness, test, measure
     count = 0
     for count, p in enumerate(points, 1):
@@ -289,7 +305,7 @@ def _jacobian_sups(points, jac, measures, sup: float = -math.inf):
                 v = math.inf
             elif b[2](*j):
                 continue
-            elif (v := b[3](*j)) != v:  # NaN
+            elif not _finite_jac(*j) or (v := b[3](*j)) != v:  # non-finite entry or NaN
                 v = math.inf
             if v > b[0]:
                 b[0], b[1], b[2] = v, p, _pretest(b[3], v)
@@ -397,7 +413,7 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
     max_mod = None
     max_mod_at = None
     reals = []
-    jac = m._jac
+    jac = m.jac
     skip = _never  # True where a complex pair lies below the running max
     for idx, (x, y) in enumerate(points):
         count += 1
@@ -408,8 +424,11 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
         else:
             if skip(*j):
                 continue
-            is_real, lo, hi = _eig(*j)
-            mod = _modulus(is_real, lo, hi)
+            if _finite_jac(*j):
+                is_real, lo, hi = _eig(*j)
+                mod = _modulus(is_real, lo, hi)
+            else:  # _jac's overflow; _eig would price (0, 1, -inf, 0) as a double root at 0
+                mod = math.inf
         if not math.isfinite(mod):  # finite entries can still overflow tr^2 - 4 det
             overflow += 1
             last_overflow = idx
@@ -509,4 +528,4 @@ def sample_norm_sup(m: PlanarMap, region: Rect, strategy) -> float:
     Returns inf when any sample overflows: an overflowing Jacobian has no
     finite norm bound, and callers use this value as an upper estimate.
     """
-    return _jacobian_sups(_sample_points(region, strategy), m._jac, (_norm,), 0.0)[0][0]
+    return _jacobian_sups(_sample_points(region, strategy), m.jac, (_norm,), 0.0)[0][0]

@@ -566,11 +566,19 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
     (["spectrum", "--map", "ga", "--random", "40401", "--rng-seed", "3", "--check", "ball:0.9",
       "--check", "real-free"], 0,
      "756207b90c29039f29eda891d1f62dc012db18a2ee5fbedcd7c772310c882bcf"),
+    # a mirrored grid whose four corner samples have raw NaN Jacobians, which
+    # count as overflows, and a damping that is halved once
+    (["spectrum", "--map", "szlenk", "--region", "-1e77:1e77:-1e77:1e77", "--grid", "3x3",
+      "--check", "ball:1"], 1,
+     "1c399ff431a54e1c2ca382551a5f60847db677841d52330da7434af14426e4b6"),
+    (["counterexample", "--k", "1.0108361478612184", "--a", "0.08926466739278938",
+      "--eps-init", "0.05"], 0,
+     "2495c8793b3ecdf9cd6da5fd74280a3774c92218bfa27a25bfea8c8e1cf98653"),
 ], ids=["spectrum-grid", "spectrum-random", "periodic", "ray-1e160", "dissipativity-null",
         "dissipativity-counterexample-tail", "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
         "spectrum-ga-grid", "spectrum-counterexample-grid", "spectrum-strip-1x5",
         "spectrum-overflow-grid", "spectrum-random-double-range", "spectrum-readme-grid",
-        "spectrum-ga-random-40401"])
+        "spectrum-ga-random-40401", "spectrum-nan-corners", "counterexample-halved"])
 def test_report_bytes_are_pinned(argv, code, sha, capsys):
     # one command of each JSON and CSV shape, byte for byte: key order, float
     # spelling, null witnesses and the config header

@@ -8,7 +8,7 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, Point2,
+from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, PlanarMap, Point2,
                  RadialMap, build_counterexample, basin_raster, build_phi, compose,
                  dissipativity_bound, dynamics, find_periodic, phi_eval,
                  verify_counterexample)
@@ -400,16 +400,27 @@ def test_orbit_moved_past_the_doubles_fails_its_check(bundle):
 
 
 class _RecordingMap:
-    """Records every point a Jacobian sweep asks for, answering with the
-    wrapped map's Jacobian, or zeros without one."""
+    """Records every point a Jacobian sweep asks of the raw kernel ``jac``,
+    answering with the wrapped map's raw Jacobian, or zeros without one.  The
+    sweeps check finiteness themselves, so asking for ``_jac`` is an error."""
 
     def __init__(self, inner=None):
         self.points = []
         self.inner = inner
 
-    def _jac(self, x, y):
+    def jac(self, x, y):
         self.points.append((x, y))
-        return (0.0, 0.0, 0.0, 0.0) if self.inner is None else self.inner._jac(x, y)
+        return (0.0, 0.0, 0.0, 0.0) if self.inner is None else self.inner.jac(x, y)
+
+    def _jac(self, x, y):
+        raise AssertionError(f"a sweep asked for the checked Jacobian at ({x!r}, {y!r})")
+
+
+class _CheckedRecordingMap(_RecordingMap):
+    """A ``_RecordingMap`` whose ``_jac`` is the checked form over its recording
+    ``jac``, for the orientation check, which uses every value it asks for."""
+
+    _jac = PlanarMap._jac
 
 
 def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
@@ -429,6 +440,18 @@ def test_verify_spectral_sample_is_disjoint_from_the_build_sample(bundle):
     assert data["max"] < 0.95
 
 
+def test_jacobian_sweeps_make_one_raw_call_per_sample(bundle):
+    # the origin and 400 rings of 32; the origin, half the 81x81 grid with
+    # its center, and 240 rings of 32
+    composite = _RecordingMap(bundle.composite)
+    assert (ce._composite_sr_sweep(composite, bundle.flat_radius, bundle.reach)
+            == ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach))
+    assert len(composite.points) == 12_801
+    damped = _RecordingMap(bundle.damped)
+    assert ce._damped_sweep(damped) == ce._damped_sweep(bundle.damped)
+    assert len(damped.points) == 10_962
+
+
 def test_far_sweeps_end_at_the_reach(monkeypatch):
     # the tail 6.9e59 is inside the tail sampling cap 1e60 while ten tails
     # are not: every far sweep still ends at the one reach
@@ -443,7 +466,7 @@ def test_far_sweeps_end_at_the_reach(monkeypatch):
     b = build_counterexample(1.01, 0.005, 0.041)
     assert b.profile.r_tail < 1e60 < b.reach == 10.0 * b.profile.r_tail
     far = dataclasses.replace(b)
-    orient = _RecordingMap(b.radial)
+    orient = _CheckedRecordingMap(b.radial)
     object.__setattr__(far, "radial", orient)
     envelope = []
     monkeypatch.setattr(ce, "_phi_parts", lambda prof, r: envelope.append(r) or parts(prof, r))

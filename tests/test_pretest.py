@@ -6,7 +6,7 @@ import struct
 from itertools import chain
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dmy import (DampedSzlenkMap, DissipativitySampling, GridStrategy, LinearMap, Mat2,
                  NumericOverflowError, Point2, RandomStrategy, Rect, SzlenkMap,
@@ -142,6 +142,25 @@ def test_pretest_soundness_where_nothing_may_skip(shape, scale, sup):
         assert not _pretest(measure, sup)(*j)
 
 
+def _with_non_finite(entries, i, v):
+    return entries[:i] + (v,) + entries[i + 1:]
+
+
+@settings(deadline=None)
+@example((0.0, 1.0, -math.inf, 0.0), 1.0)  # _eig's double root at 0
+@example((math.inf, 0.0, 0.0, 0.0), 1.0)
+@example((0.0, -0.0, math.nan, -0.0), 1.0)  # the cubic's raw Jacobian at (1.3e77, 0)
+@given(st.builds(_with_non_finite, st.tuples(_any, _any, _any, _any), st.integers(0, 3),
+                 st.sampled_from([math.inf, -math.inf, math.nan])),
+       st.floats(2.0 ** -240, 2.0 ** 240))
+def test_pretest_soundness_on_non_finite_entries(entries, sup):
+    # every entry enters det, and F, through a product of its own, so det or
+    # F is inf or NaN and fails the strict bounds: a sweep may pre-test raw
+    # Jacobian entries and check finiteness only where the test fails
+    for measure in (_radius, _norm, _eig):
+        assert not _pretest(measure, sup)(*entries)
+
+
 @pytest.mark.parametrize("entries", [
     (math.nan, 0.0, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0), (1e300, 1e300, -1e300, 1e300),
     (1e308, 0.0, 0.0, 1.0),  # tr^2 - 4 det is inf - inf: _radius is NaN
@@ -189,13 +208,23 @@ def _assert_same(got, want):
 
 
 def _table_jac(table):
-    """A jac reading each point's entries off a dict; None raises NumericOverflowError."""
+    """A raw jac reading each point's entries off a dict; None raises NumericOverflowError."""
     def jac(x, y):
         j = table[x, y]
         if j is None:
             raise NumericOverflowError(f"no entries at ({x!r}, {y!r})")
         return j
     return jac
+
+
+def _checked(jac):
+    """``jac`` raising NumericOverflowError on a non-finite entry, as ``PlanarMap._jac`` does."""
+    def checked(x, y):
+        j = jac(x, y)
+        if not all(map(math.isfinite, j)):
+            raise NumericOverflowError(f"non-finite entries at ({x!r}, {y!r})")
+        return j
+    return checked
 
 
 _RING = list(chain([(0.0, 0.0)], _ring_points(_log_radii(1e-3, 1e3, 9), 8)))
@@ -208,13 +237,23 @@ _TABLE = {  # a NaN radius, an overflow, and ties in both measures
     (5.0, 0.0): None,
     (6.0, 0.0): (2.0, 0.0, 0.0, 2.0),
 }
+# raw non-finite entries, returned rather than raised: _eig reads (0, 1, -inf, 0)
+# as a double root at 0, so only the finiteness check prices it +inf
+_RAW_TABLE = {
+    (0.0, 0.0): (0.5, 0.0, 0.0, 0.25),
+    (1.0, 0.0): (0.0, 1.0, -math.inf, 0.0),
+    (2.0, 0.0): (0.0, -0.0, math.nan, -0.0),
+    (3.0, 0.0): (2.0, 0.0, 0.0, 2.0),
+}
+# the sweeps' input: each map's raw kernel, compared against its checked form
 _JAC_SETS = {
-    "overflow": (_RING, LinearMap(_diag(1e200, 1e200))._jac),
-    "zero": (_RING, LinearMap(Mat2(0.0, 0.0, 0.0, 0.0))._jac),
-    "ties": (_RING, LinearMap(Mat2(0.0, -0.75, 0.75, 0.0))._jac),
-    "szlenk": (_RING, SzlenkMap(1.01)._jac),
+    "overflow": (_RING, LinearMap(_diag(1e200, 1e200)).jac),
+    "zero": (_RING, LinearMap(Mat2(0.0, 0.0, 0.0, 0.0)).jac),
+    "ties": (_RING, LinearMap(Mat2(0.0, -0.75, 0.75, 0.0)).jac),
+    "szlenk": (_RING, SzlenkMap(1.01).jac),
     "szlenk-overflow": (list(_sample_points(Rect(1e150, 2e180, 1e150, 2e180), GridStrategy(5, 5))),
-                        SzlenkMap(1.01)._jac),
+                        SzlenkMap(1.01).jac),
+    "raw-non-finite": (list(_RAW_TABLE), _table_jac(_RAW_TABLE)),
     "nan-and-ties": (list(_TABLE), _table_jac(_TABLE)),
     "nan-first": (list(_TABLE)[3:], _table_jac(_TABLE)),
     "ties-then-raise": (list(_TABLE)[:3] + [(5.0, 0.0), (6.0, 0.0)], _table_jac(_TABLE)),
@@ -226,13 +265,14 @@ _JAC_SETS = {
 @pytest.mark.parametrize("sup", [-math.inf, 0.0, 0.5])
 def test_jacobian_sups_equal_sweep_sup(name, sup):
     points, jac = _JAC_SETS[name]
+    checked = _checked(jac)
     measures = (_radius, _norm)
     got = _jacobian_sups(iter(points), jac, measures, sup)
     for g, measure in zip(got, measures):
-        _assert_same(g, _sweep_sup(points, lambda x, y: measure(*jac(x, y)), sup))
+        _assert_same(g, _sweep_sup(points, lambda x, y: measure(*checked(x, y)), sup))
     for measure in measures:
         _assert_same(_jacobian_sups(points, jac, (measure,), sup)[0],
-                     _sweep_sup(points, lambda x, y: measure(*jac(x, y)), sup))
+                     _sweep_sup(points, lambda x, y: measure(*checked(x, y)), sup))
 
 
 def test_jacobian_sups_keep_the_first_witness_of_a_tie():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2,
-                 NumericOverflowError, ParameterError, Point2, RandomStrategy, Rect,
+                 NumericOverflowError, ParameterError, PlanarMap, Point2, RandomStrategy, Rect,
                  SzlenkMap, check_ball, check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
 from dmy import spectral
@@ -426,14 +426,18 @@ def _point_loop(m, region, strategy):
 
 
 class _CountingMap:
-    """Counts the Jacobians a sweep asks of the wrapped map."""
+    """Counts the Jacobians a sweep asks of the wrapped map's raw kernel ``jac``;
+    the sweep checks finiteness itself, so asking for ``_jac`` is an error."""
 
     def __init__(self, inner, odd):
         self.inner, self.odd, self.calls = inner, odd, 0
 
-    def _jac(self, x, y):
+    def jac(self, x, y):
         self.calls += 1
-        return self.inner._jac(x, y)
+        return self.inner.jac(x, y)
+
+    def _jac(self, x, y):
+        raise AssertionError(f"the sweep asked for the checked Jacobian at ({x!r}, {y!r})")
 
     def describe(self):
         return self.inner.describe()
@@ -558,6 +562,34 @@ def test_sample_spectrum_equals_a_full_sweep(name, region, strategy, bundle):
     m = bundle.composite if name == "counterexample" else _ORACLE_MAPS[name]
     region = Rect(*map(float, region.split(":")))
     assert sample_spectrum(m, region, strategy) == _full_sweep(m, region, strategy)
+
+
+class _OneNonFiniteSample(PlanarMap):
+    """A quarter turn whose raw Jacobian at ``bad`` is (0, 1, -inf, 0), which
+    ``_eig`` reads as a double root at 0; only a finiteness check makes it an
+    overflow."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def xy(self, x, y):
+        return -y, x
+
+    def jac(self, x, y):
+        return (0.0, 1.0, -math.inf, 0.0) if (x, y) == self.bad else (0.0, -1.0, 1.0, 0.0)
+
+    def describe(self):
+        return f"quarter-turn(non-finite at {self.bad!r})"
+
+
+@pytest.mark.parametrize("bad", [(-1.0, -1.0), (1.0, 0.0)], ids=["first", "after-the-max"])
+def test_sample_spectrum_counts_a_raw_non_finite_jacobian_as_an_overflow(bad):
+    # the first sample meets no pre-test; later ones meet the max's, which
+    # no non-finite entry passes
+    m, region, strategy = _OneNonFiniteSample(bad), Rect(-1.0, 1.0, -1.0, 1.0), GridStrategy(3, 3)
+    rep = sample_spectrum(m, region, strategy)
+    assert (rep.samples, rep.overflows, rep.real_count) == (9, 1, 0)
+    assert rep == _full_sweep(m, region, strategy)
 
 
 @pytest.mark.parametrize("m, strategy, most", [
