@@ -29,24 +29,3 @@ from .counterexample import (K_CEIL, CheckRecord, CounterexampleBundle,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError", "NewtonError", "NumericOverflowError",
-    "ParameterError", "SingularSystemError",
-    "Mat2", "Point2",
-    "K_MAX", "CompositeMap", "DampedSzlenkMap", "LinearMap", "Orbit",
-    "PlanarMap", "RadialMap", "SzlenkMap", "compose", "fd_jacobian",
-    "iterate", "step_function",
-    "PhiProfile", "build_phi", "phi_deriv", "phi_eval", "phi_log_slope",
-    "EigenPair", "GridStrategy", "RandomStrategy", "Rect",
-    "RealSpectrumSample", "SpectrumReport", "Verdict", "check_ball",
-    "check_interval_free", "check_real_free", "eig2", "operator_norm",
-    "sample_norm_sup", "sample_spectrum", "spectral_radius",
-    "BasinGrid", "DissipativityBound", "DissipativitySampling",
-    "NewtonConfig", "OmegaConfig", "OmegaTag", "OmegaVerdict", "PeriodicOrbit",
-    "RayVerdict", "basin_raster", "classify_omega", "dissipativity_bound",
-    "find_periodic", "orbit_multipliers", "resolve_workers",
-    "verify_invariant_ray",
-    "K_CEIL", "CheckRecord", "CounterexampleBundle", "SweepConfig",
-    "VerificationReport", "build_counterexample", "verify_counterexample",
-    "__version__",
-]

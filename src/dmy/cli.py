@@ -411,6 +411,8 @@ def _run_dissipativity(resolved: dict):
             0 if bound.passed else 1)
 
 
+# a flag that fills a config record's field takes the record's default from these
+_OMEGA, _NEWTON, _SAMPLING = OmegaConfig(), NewtonConfig(), DissipativitySampling()
 # name -> (run function, help line, flags); every subcommand also takes the
 # --out and --config flags, appended here
 _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
@@ -431,18 +433,18 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
     ("periodic", _run_periodic, "newton search for a period-n orbit", _MAP_OPTS + [
         ("seed", "10,0", "newton starting point x,y"),
         ("period", 4, "orbit period to search for"),
-        ("tol", 1e-12, "closure residual target"),
-        ("max_steps", 50, "newton step budget"),
+        ("tol", _NEWTON.tol, "closure residual target"),
+        ("max_steps", _NEWTON.max_steps, "newton step budget"),
     ]),
     ("basin", _run_basin, "rasterize omega-limit classes over a window into a PGM image",
      _MAP_OPTS + [
          ("L", 30.0, "window half-width, cells cover [-L,L]^2"),
          ("grid", "256x256", "raster resolution WxH"),
-         ("max_iter", 10_000, "classification budget per cell"),
-         ("origin_tol", 1e-9, "origin-ball radius for convergence"),
-         ("escape_radius", 1e9, "norm beyond which a cell escapes"),
-         ("window", 64, "tail length for cycle detection"),
-         ("cycle_tol", 1e-7, "relative tolerance for cycle detection"),
+         ("max_iter", _OMEGA.max_iter, "classification budget per cell"),
+         ("origin_tol", _OMEGA.origin_tol, "origin-ball radius for convergence"),
+         ("escape_radius", _OMEGA.escape_radius, "norm beyond which a cell escapes"),
+         ("window", _OMEGA.window, "tail length for cycle detection"),
+         ("cycle_tol", _OMEGA.cycle_rel_tol, "relative tolerance for cycle detection"),
          ("workers", 0, "row workers, at most one per CPU; 0 = one per CPU"),
      ]),
     ("counterexample", _run_counterexample,
@@ -467,9 +469,9 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
           "ball radius for the norm bound; 'tail' uses the built profile's tail "
           "radius (counterexample map only)"),
          ("alpha", 0.5, "hypothesis constant, in (0,1)"),
-         ("ball_radii", 64, "radial samples inside the ball"),
-         ("angles", 16, "angular samples per ring"),
-         ("outer_radii", 48, "radial samples outside the ball"),
+         ("ball_radii", _SAMPLING.ball_radii, "radial samples inside the ball"),
+         ("angles", _SAMPLING.angles, "angular samples per ring"),
+         ("outer_radii", _SAMPLING.outer_radii, "radial samples outside the ball"),
      ]),
 ]}
 

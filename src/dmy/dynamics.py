@@ -44,7 +44,7 @@ from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
-from .planar import PlanarMap, _chain_product
+from .planar import PlanarMap, _chain_product, _finite_jac
 from .spectral import (EigenPair, _growth, _jacobian_sups, _log_radii, _norm, _ring_points,
                        _sweep_sup, eig2)
 
@@ -259,7 +259,7 @@ def orbit_multipliers(m: PlanarMap, points) -> EigenPair:
 def _chain_jacobian(m: PlanarMap, pts):
     """D(f^n) along the orbit as floats, from the identity; NumericOverflowError off the doubles."""
     j = _chain_product((1.0, 0.0, 0.0, 1.0), (m._jac(p.x, p.y) for p in pts))
-    if not all(map(math.isfinite, j)):
+    if not _finite_jac(*j):
         raise NumericOverflowError(f"{m.describe()} Jacobian product along the {len(pts)}-point "
                                    f"orbit from ({pts[0].x!r}, {pts[0].y!r}) overflowed")
     return j
@@ -555,12 +555,8 @@ def verify_invariant_ray(m: PlanarMap, samples, tol: float) -> RayVerdict:
                       max_sample_radius=max_r)
 
 
-_TAG_CODE = {
-    OmegaTag.CONVERGES_TO_ORIGIN: 0,
-    OmegaTag.PERIODIC: 1,
-    OmegaTag.ESCAPING: 2,
-    OmegaTag.UNDECIDED: 3,
-}
+# OmegaTag's order is BasinGrid's code order: 0 origin, 1 periodic, 2 escaping, 3 undecided
+_TAG_CODE = {tag: code for code, tag in enumerate(OmegaTag)}
 
 # below this many cells the fork+pickle overhead outweighs the row work
 _SERIAL_CELL_LIMIT = 4096

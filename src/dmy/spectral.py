@@ -246,8 +246,9 @@ def _never(*entries) -> bool:
 def _pretest(measure, sup: float):
     """A test on Jacobian entries that is True only where their ``measure``
     (``_radius`` or ``_norm``) is below sup, or, for ``_eig``, only where
-    ``_eig`` gives a complex pair of modulus below sup.  It takes no square
-    root.  With c = sup * PRETEST_MARGIN, the radius test is Jury's
+    ``_eig`` gives a complex pair of modulus below sup; any other measure gets
+    ``_never``, so every sample is measured.  It takes no square root.
+    With c = sup * PRETEST_MARGIN, the radius test is Jury's
     |det| < c^2 and |tr| < c + det/c.  The ``_eig`` test adds ``_eig``'s
     complex branch as tr^2 - 4 det < -REAL_DISC_TOL * 4 det, which is that
     branch exactly only where Jury's bounds hold: there tr^2, 4 det and the
@@ -277,17 +278,19 @@ def _pretest(measure, sup: float):
         return lambda a11, a12, a21, a22: (
             -c2 < (det := a11 * a22 - a12 * a21) < c2 and abs(tr := a11 + a22) < c + det / c
             and tr * tr - 4.0 * det < -REAL_DISC_TOL * (4.0 * det))
-    two_c2, c4 = 2.0 * c2, c2 * c2
-    return lambda a11, a12, a21, a22: (
-        (f := a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22) <= two_c2
-        and f * c2 < c4 + (det := a11 * a22 - a12 * a21) * det)
+    if measure is _norm:
+        two_c2, c4 = 2.0 * c2, c2 * c2
+        return lambda a11, a12, a21, a22: (
+            (f := a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22) <= two_c2
+            and f * c2 < c4 + (det := a11 * a22 - a12 * a21) * det)
+    return _never
 
 
 def _jacobian_sups(points, jac, measures, sup: float = -math.inf):
-    """For each measure, ``_radius`` or ``_norm``, what ``_sweep_sup(points,
-    lambda x, y: measure(*m._jac(x, y)), sup)`` returns, bit for bit, from one
-    pass, where ``jac`` is the unchecked kernel ``m.jac``; a sample that passes
-    the measure's pre-test is not measured.  Finiteness is checked only at a
+    """For each measure, what ``_sweep_sup(points, lambda x, y:
+    measure(*m._jac(x, y)), sup)`` returns, bit for bit, from one pass, where
+    ``jac`` is the unchecked kernel ``m.jac``; a sample that passes the
+    measure's pre-test is not measured.  Finiteness is checked only at a
     sample that fails its pre-test: a non-finite entry fails every pre-test,
     so a sample that passes has the finite entries ``_jac`` would return.  The
     check cannot be dropped where the measure is taken: ``_radius(0, 1, -inf,

@@ -400,13 +400,30 @@ def test_basin_bytes_at_windows_that_mirror_little(argv, sha, counts, tmp_path, 
     # these centers are antisymmetric for few cells (32 and 50 of 256 are
     # copied), so nearly every cell is classified; the budgets cut through
     # the escape and cycle times, which pins iteration counts as well as tags
+    _assert_basin_bytes(argv, sha, counts, tmp_path)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, sha, counts", [
+    (["--map", "counterexample", "--L", "15.0"],
+     "380124ed8a1d8b6e373b9671341541a1b77d272b3c6bd9a492fe3377fc5cc51e", (188, 68, 0, 0)),
+    (["--map", "szlenk", "--L", "30.0"],
+     "933211a97864112fd47514632f722f1132ea66d039173136c20e998ed807b71f", (80, 0, 176, 0)),
+], ids=["counterexample", "szlenk"])
+def test_basin_bytes_at_the_default_budgets(argv, sha, counts, tmp_path, capsys):
+    # the bench's seed-0 rasters: every OmegaConfig flag at its default
+    _assert_basin_bytes(argv, sha, counts, tmp_path)
+    capsys.readouterr()
+
+
+def _assert_basin_bytes(argv, sha, counts, tmp_path):
+    """A 16x16 one-worker raster of ``argv`` has this sha256 and these shade counts."""
     out = tmp_path / "b.pgm"
     assert main(["basin", *argv, "--grid", "16x16", "--workers", "1", "--out", str(out)]) == 0
     data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha
     body = data[len(b"P5\n16 16\n255\n"):]
     assert tuple(body.count(bytes([shade])) for shade in (0xFF, 0xAA, 0x55, 0x00)) == counts
-    capsys.readouterr()
 
 
 # ----------------------------------------------------------- counterexample

@@ -275,6 +275,21 @@ def test_jacobian_sups_equal_sweep_sup(name, sup):
                      _sweep_sup(points, lambda x, y: measure(*checked(x, y)), sup))
 
 
+def _neg_det(a11, a12, a21, a22):
+    return a12 * a21 - a11 * a22
+
+
+@pytest.mark.parametrize("sup", [-math.inf, 0.0, 2.0])
+def test_jacobian_sups_soundness_for_a_measure_without_a_pretest(sup):
+    # -det has no pre-test, so every sample is measured: the norm pre-test
+    # against sup 2 would pass (1.9, 0, 0, -1.9), whose -det is 3.61
+    table = {(0.0, 0.0): (2.0, 0.0, 0.0, -1.0), (1.0, 0.0): (1.9, 0.0, 0.0, -1.9)}
+    jac = _table_jac(table)
+    [got] = _jacobian_sups(list(table), jac, (_neg_det,), sup)
+    _assert_same(got, _sweep_sup(list(table), lambda x, y: _neg_det(*jac(x, y)), sup))
+    assert got[:2] == (1.9 * 1.9, Point2(1.0, 0.0))
+
+
 def test_jacobian_sups_keep_the_first_witness_of_a_tie():
     points, jac = _JAC_SETS["ties"]
     [(sup, at, count)] = _jacobian_sups(points, jac, (_radius,))
