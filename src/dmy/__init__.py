@@ -12,11 +12,10 @@ from .planar import (K_MAX, CompositeMap, DampedSzlenkMap, LinearMap, Orbit,
                      PlanarMap, RadialMap, SzlenkMap, compose, fd_jacobian,
                      iterate, step_function)
 from .phi import PhiProfile, build_phi, phi_deriv, phi_eval, phi_log_slope
-from .spectral import (EigenPair, GridStrategy, RandomStrategy, Rect,
-                       RealSpectrumSample, SpectrumReport, Verdict, check_ball,
-                       check_interval_free, check_real_free, eig2,
-                       operator_norm, sample_norm_sup, sample_spectrum,
-                       spectral_radius)
+from .spectral import (GridStrategy, RandomStrategy, Rect, RealSpectrumSample,
+                       SpectrumReport, Verdict, check_ball, check_interval_free,
+                       check_real_free, eig2, operator_norm, sample_norm_sup,
+                       sample_spectrum, spectral_radius)
 from .dynamics import (BasinGrid, DissipativityBound,
                        DissipativitySampling, NewtonConfig, OmegaConfig,
                        OmegaTag, OmegaVerdict, PeriodicOrbit, RayVerdict,

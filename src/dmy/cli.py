@@ -50,13 +50,17 @@ from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
 from .phi import _phi_parts, build_phi
 from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
-from .spectral import (EigenPair, GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict,
-                       _lerp, _log_radii, check_ball, check_interval_free, check_real_free,
+from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict, _lerp,
+                       _log_radii, check_ball, check_interval_free, check_real_free,
                        sample_spectrum)
 
 # tokens that begin with a minus and a digit (or a decimal point) are values,
 # not flags, so --region -30:30:-30:30 parses without an equals sign
 _NEG_VALUE = re.compile(r"^-(\d|\.\d).*$")
+
+# --a and --eps-init take build_counterexample's defaults, orbit's --escape-radius iterate's
+_A, _EPS_INIT = build_counterexample.__defaults__
+(_ORBIT_ESCAPE,) = iterate.__defaults__
 
 # a flag row is (dest, default, help); its spelling (``_flag``), its type (the
 # default's, or str for a None or list default) and help's "(default: ...)" are derived
@@ -67,8 +71,8 @@ _MAP_OPTS = [
      "cubic map parameter, in (1, 2/sqrt(3)); the counterexample map takes only "
      "(1, 0.88*2/sqrt(3)), and next to 1 (1.0001, say) its period-4 orbit is too near "
      "neutral and the run exits 2"),
-    ("a", 0.005, "damping subtracted from the identity"),
-    ("eps_init", 0.05, "slope budget of the counterexample map's profile, capped at 0.9/(8C)"),
+    ("a", _A, "damping subtracted from the identity"),
+    ("eps_init", _EPS_INIT, "slope budget of the counterexample map's profile, capped at 0.9/(8C)"),
 ]
 
 _IO_OPTS = [
@@ -248,17 +252,16 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _finite_or_null(v):
-    """v as strict JSON data: a Point2 as [x, y], an EigenPair as
-    [[re, im], [re, im]], any other dataclass as its fields in field order,
-    and every non-finite float as None."""
+    """v as strict JSON data: a Point2 as [x, y], a complex number as [re, im], any
+    other dataclass as its fields in field order, and every non-finite float as None."""
     if isinstance(v, float):
         return v if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _finite_or_null(x) for k, x in v.items()}
     if isinstance(v, (list, tuple, Point2)):
         return [_finite_or_null(x) for x in v]
-    if isinstance(v, EigenPair):
-        return [_finite_or_null([z.real, z.imag]) for z in (v.l1, v.l2)]
+    if isinstance(v, complex):
+        return [_finite_or_null(v.real), _finite_or_null(v.imag)]
     if dataclasses.is_dataclass(v):
         return {f.name: _finite_or_null(getattr(v, f.name)) for f in dataclasses.fields(v)}
     return v
@@ -428,7 +431,7 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
     ("orbit", _run_orbit, "iterate a map and write the orbit as CSV", _MAP_OPTS + [
         ("start", "10,0", "starting point x,y"),
         ("steps", 100, "iterations to record"),
-        ("escape_radius", 1e9, "stop once the orbit norm passes this"),
+        ("escape_radius", _ORBIT_ESCAPE, "stop once the orbit norm passes this"),
     ]),
     ("periodic", _run_periodic, "newton search for a period-n orbit", _MAP_OPTS + [
         ("seed", "10,0", "newton starting point x,y"),

@@ -133,7 +133,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        """Header, then CheckRecords whose Point2 and EigenPair data cli._finite_or_null encodes."""
+        """Header, then CheckRecords whose Point2 and complex data cli._finite_or_null encodes."""
         b = self.bundle
         return {
             "map": b.composite.describe(),
@@ -280,7 +280,7 @@ def _check_periodic_orbit(bundle: CounterexampleBundle):
         residual = max(m.eval(p).dist(q) for p, q in zip(pts, pts[1:] + pts[:1]))
         mults = orbit_multipliers(m, pts)
         orbit = PeriodicOrbit(len(pts), pts, residual, mults)
-        gap = min(abs(abs(mults.l1) - 1.0), abs(abs(mults.l2) - 1.0))
+        gap = min(abs(abs(z) - 1.0) for z in mults)
     except (ArithmeticError, ValueError) as exc:
         return False, f"the stored orbit cannot be checked: {exc}", {}
     norms = [p.norm() for p in orbit.points]

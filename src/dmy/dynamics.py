@@ -45,8 +45,8 @@ from itertools import chain
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2
 from .planar import PlanarMap, _chain_product, _finite_jac
-from .spectral import (EigenPair, _growth, _jacobian_sups, _log_radii, _norm, _ring_points,
-                       _sweep_sup, eig2)
+from .spectral import (_growth, _jacobian_sups, _log_radii, _norm, _ring_points, _sweep_sup,
+                       eig2)
 
 
 class OmegaTag(Enum):
@@ -239,16 +239,14 @@ class PeriodicOrbit:
     period: int
     points: tuple[Point2, ...]
     residual: float
-    multipliers: EigenPair
+    multipliers: tuple[complex, complex]
 
     @property
     def hyperbolic(self) -> bool:
-        m = self.multipliers
-        return (abs(abs(m.l1) - 1.0) > _UNIT_CIRCLE_TOL
-                and abs(abs(m.l2) - 1.0) > _UNIT_CIRCLE_TOL)
+        return all(abs(abs(z) - 1.0) > _UNIT_CIRCLE_TOL for z in self.multipliers)
 
 
-def orbit_multipliers(m: PlanarMap, points) -> EigenPair:
+def orbit_multipliers(m: PlanarMap, points) -> tuple[complex, complex]:
     """Eigenvalues of the ordered Jacobian product along an orbit."""
     pts = tuple(points)
     if not pts:

@@ -120,11 +120,9 @@ def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
           or (u := math.log(r / profile.R)) >= profile.m_target + profile.ramp):
         val, s = profile.floor, 0.0
     else:
-        # the knot walk over 0, ramp and m_target: (m(u), sigma(u))
+        # the knot walk over ramp and m_target: (m(u), sigma(u)); r > R makes u > 0
         w, mt = profile.ramp, profile.m_target
-        if u <= 0.0:
-            m, s = 0.0, 0.0
-        elif u < w:
+        if u < w:
             t = u / w
             m, s = w * _smoothstep_integral(t), _smoothstep(t)
         elif u <= mt:

@@ -66,26 +66,6 @@ from .planar import PlanarMap, _finite_jac
 REAL_DISC_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class EigenPair:
-    """Both eigenvalues of a 2x2 matrix.
-
-    Real pairs are ordered ascending with zero imaginary parts; complex pairs
-    are exact conjugates with the positive imaginary part first.
-    """
-
-    l1: complex
-    l2: complex
-
-    @property
-    def is_real(self) -> bool:
-        return self.l1.imag == 0.0
-
-    @property
-    def max_modulus(self) -> float:
-        return max(abs(self.l1), abs(self.l2))
-
-
 def _eig(a11: float, a12: float, a21: float, a22: float):
     """Eigenvalues of [[a11, a12], [a21, a22]] on floats: ``(True, lo, hi)``
     for a real pair lo <= hi, ``(False, re, im)`` for the pair re +- i*im."""
@@ -105,8 +85,8 @@ def _eig(a11: float, a12: float, a21: float, a22: float):
 
 
 def _modulus(is_real: bool, u: float, v: float) -> float:
-    """Largest eigenvalue modulus of an ``_eig`` result, bit-equal to ``EigenPair.max_modulus``
-    (complex ``abs``, not ``math.hypot``, which can differ in the last bit)."""
+    """Largest eigenvalue modulus of an ``_eig`` result (complex ``abs``, not
+    ``math.hypot``, which can differ in the last bit)."""
     return max(abs(u), abs(v)) if is_real else abs(complex(u, v))
 
 
@@ -120,11 +100,21 @@ def _norm(a11: float, a12: float, a21: float, a22: float) -> float:
     return (h1 + h2) / 2.0
 
 
-def eig2(m: Mat2) -> EigenPair:
-    is_real, u, v = _eig(m.a11, m.a12, m.a21, m.a22)
+def eig2(m: Mat2) -> tuple[complex, complex]:
+    """Both eigenvalues of m: a real pair ascending with zero imaginary parts, a
+    complex pair as exact conjugates, positive imaginary part first.  Where tr^2 or
+    det overflows, the pair is redone at the scale 2**-e, e the largest entry's
+    exponent (exact for normal floats), and scaled back by products, which give inf
+    where ``math.ldexp`` or ``2.0 ** 1024`` would raise."""
+    entries = (m.a11, m.a12, m.a21, m.a22)
+    is_real, u, v = _eig(*entries)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        e = math.frexp(max(map(abs, entries)))[1]
+        is_real, u, v = _eig(*(math.ldexp(a, -e) for a in entries))
+        u, v = u * 2.0 ** (e - 2) * 4.0, v * 2.0 ** (e - 2) * 4.0
     if is_real:
-        return EigenPair(complex(u, 0.0), complex(v, 0.0))
-    return EigenPair(complex(u, v), complex(u, -v))
+        return complex(u, 0.0), complex(v, 0.0)
+    return complex(u, v), complex(u, -v)
 
 
 def spectral_radius(m: Mat2) -> float:

@@ -343,6 +343,23 @@ def test_periodic_jacobian_overflow_exits_one(capsys):
     assert err == "dmy periodic: szlenk(k=1.01) Jacobian overflowed at (1e+100, 1e+100)\n"
 
 
+@pytest.mark.parametrize("matrix, mults", [
+    ("1e200,0,0,1e200", [[1e200, 0.0], [1e200, 0.0]]),       # det overflows
+    ("1.7e308,0,0,-1.7e308", [[-1.7e308, 0.0], [1.7e308, 0.0]]),
+    ("1e300,2e300,-3e300,1e300",
+     [[1e300, 2.4494897427831783e+300], [1e300, -2.4494897427831783e+300]]),
+    ("1e308,1e308,1e308,1e308", [[0.0, 0.0], [None, 0.0]]),  # the eigenvalue 2e308 is inf
+])
+def test_periodic_multipliers_where_the_discriminant_overflows(matrix, mults, capsys):
+    # the fixed point 0 closes at once; tr^2 or det of the multiplier matrix
+    # overflows, but its eigenvalues are reported as they are, off the unit circle
+    code, obj = run_strict_json(["periodic", "--map", "linear", "--matrix", matrix,
+                                 "--period", "1", "--seed", "0,0"], capsys)
+    assert code == 0
+    assert obj["multipliers"] == mults
+    assert obj["hyperbolic"] is True
+
+
 # -------------------------------------------------------------------- basin
 
 
@@ -543,6 +560,10 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
      "e8a070bfea338edb15a4a9092d1b57e42f2760c7077e18a82c15f3b171489930"),
     (["periodic", "--map", "counterexample"], 0,
      "905867785c5a95cc8b3004a94de3eba2087084e8bf023b24f98cea45a727bde5"),
+    # a rotation's fixed point, whose multipliers are the complex pair +-i
+    (["periodic", "--map", "linear", "--matrix", "0,-1,1,0", "--period", "1",
+      "--seed", "3,1"], 0,
+     "10eb2a6a483333a48981b8440ba9dc38c9b6dd694896363459a9c2ee264bbb32"),
     (["ray", "--map", "linear", "--matrix", "0.5,0,0,0.5", "--radius", "1e160",
       "--samples", "11"], 0,
      "027223a641784dd7ebfe3111c082a2dd3d1bbd08ab558e16985a5ef8610158d5"),
@@ -591,8 +612,8 @@ def test_report_config_round_trip(argv, tmp_path, capsys):
     (["counterexample", "--k", "1.0108361478612184", "--a", "0.08926466739278938",
       "--eps-init", "0.05"], 0,
      "2495c8793b3ecdf9cd6da5fd74280a3774c92218bfa27a25bfea8c8e1cf98653"),
-], ids=["spectrum-grid", "spectrum-random", "periodic", "ray-1e160", "dissipativity-null",
-        "dissipativity-counterexample-tail", "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
+], ids=["spectrum-grid", "spectrum-random", "periodic", "periodic-complex", "ray-1e160",
+        "dissipativity-null", "dissipativity-counterexample-tail", "counterexample", "phi", "orbit", "spectrum-linear-grid", "spectrum-szlenk-200x201",
         "spectrum-ga-grid", "spectrum-counterexample-grid", "spectrum-strip-1x5",
         "spectrum-overflow-grid", "spectrum-random-double-range", "spectrum-readme-grid",
         "spectrum-ga-random-40401", "spectrum-nan-corners", "counterexample-halved"])
@@ -753,6 +774,16 @@ def test_ray_past_the_squared_range(radius, capsys):
         assert code == 0 and obj["passed"] is True and obj["max_deviation"] == 0.0
 
 
+def test_ray_with_segments_whose_squares_underflow(capsys):
+    # the images of a ray of radius 1e-160 reach 1e40, so each of its
+    # segments has a squared length that underflows to 0 and is measured as a point
+    code, obj = run_strict_json(["ray", "--map", "linear", "--matrix", "1e200,0,0,1e200",
+                                 "--radius", "1e-160", "--samples", "101"], capsys)
+    assert code == 1
+    assert obj["max_deviation"] == 9.999999999999999e+39
+    assert obj["passed"] is False and obj["radius_ok"] is False
+
+
 def test_ray_sample_radii_match_the_unscaled_formula():
     # the ray's radii are _lerp(0, radius, i, n): where i * radius / (n - 1)
     # is finite it is an interior sample radius, near the double range the
@@ -847,7 +878,9 @@ def test_dissipativity_single_ball_radius(capsys):
 
 def test_dissipativity_tail_needs_counterexample_map(capsys):
     assert main(["dissipativity", "--map", "szlenk", "--radius", "tail"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dmy dissipativity: --radius tail needs --map counterexample\n"
 
 
 # ------------------------------------------------------------------- config
@@ -1025,3 +1058,4 @@ def test_basin_window_near_the_double_range(tmp_path, capsys):
                  "--grid", "4x4", "--out", str(out)]) == 0
     assert out.read_bytes() == b"P5\n4 4\n255\n" + b"\x55" * 16
     assert capsys.readouterr().err == ""
+

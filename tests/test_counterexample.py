@@ -359,8 +359,8 @@ def test_bundle_keeps_the_build_orbit_and_verify_checks_it(bundle):
     assert rec["data"]["points"] == [[p.x, p.y] for p in orbit.points]
     assert rec["data"]["residual"] == orbit.residual
     mults = orbit.multipliers
-    assert rec["data"]["multipliers"] == [[mults.l1.real, mults.l1.imag],
-                                          [mults.l2.real, mults.l2.imag]]
+    assert rec["data"]["multipliers"] == [[mults[0].real, mults[0].imag],
+                                          [mults[1].real, mults[1].imag]]
     assert rec["data"]["hyperbolic"] is orbit.hyperbolic is True
 
 

@@ -121,6 +121,14 @@ def test_classify_overflowing_orbit_escapes():
     assert v.tag is OmegaTag.ESCAPING
 
 
+def test_classify_step_that_raises_escapes(bundle):
+    # the damped step from (1e160, 0) gives (-5.05e157, nan), since d
+    # overflows, and the radial factor refuses the NaN radius with
+    # ParameterError: the raw step raises, and the point escapes at step 1
+    v = classify_omega(bundle.composite, Point2(1e160, 0.0), OmegaConfig(escape_radius=1e300))
+    assert (v.tag, v.iterations, v.final_norm) == (OmegaTag.ESCAPING, 1, math.inf)
+
+
 def test_omega_config_validation():
     with pytest.raises(ParameterError):
         OmegaConfig(max_iter=0)
@@ -357,7 +365,7 @@ def test_newton_fixed_point_of_contraction_is_origin():
     assert orb.period == 1
     assert orb.points == (Point2(0.0, 0.0),)
     assert orb.residual == 0.0
-    assert orb.multipliers.l1 == 0.5 and orb.multipliers.l2 == 0.5
+    assert orb.multipliers[0] == 0.5 and orb.multipliers[1] == 0.5
     assert orb.hyperbolic
 
 
@@ -366,7 +374,7 @@ def test_newton_cubic_axis_orbit_from_nearby_seed():
     p0 = orb.points[0]
     assert math.hypot(p0.x - 10.0, p0.y) < 1e-8
     assert orb.residual < 1e-10
-    mods = sorted((abs(orb.multipliers.l1), abs(orb.multipliers.l2)))
+    mods = sorted((abs(orb.multipliers[0]), abs(orb.multipliers[1])))
     assert mods[0] == 0.0
     assert mods[1] == pytest.approx(1.0815918439522445, rel=1e-12)
     assert orb.hyperbolic
@@ -378,7 +386,7 @@ def test_newton_from_exact_cycle_point():
     assert orb.points[0] == Point2(10.0, 0.0)
     # chain-rule multiplier equals the fourth power of the axis coupling
     c = 1.01 * 100.0 * 103.0 / 101.0 ** 2
-    big = max(abs(orb.multipliers.l1), abs(orb.multipliers.l2))
+    big = max(abs(orb.multipliers[0]), abs(orb.multipliers[1]))
     assert big == pytest.approx(c ** 4, rel=1e-13)
 
 
@@ -451,11 +459,11 @@ def test_newton_validation():
 
 def test_orbit_multipliers_cyclic_invariance():
     orb = find_periodic(SZLENK, 4, Point2(9.5, 0.1))
-    base = sorted((abs(orb.multipliers.l1), abs(orb.multipliers.l2)))
+    base = sorted((abs(orb.multipliers[0]), abs(orb.multipliers[1])))
     for shift in range(1, 4):
         rolled = orb.points[shift:] + orb.points[:shift]
         pair = orbit_multipliers(SZLENK, rolled)
-        got = sorted((abs(pair.l1), abs(pair.l2)))
+        got = sorted((abs(pair[0]), abs(pair[1])))
         for g, b in zip(got, base):
             assert g == pytest.approx(b, abs=1e-8)
 
@@ -524,7 +532,7 @@ def _outcome(search, *args):
         return (type(exc), str(exc), last and _bits(last.x, last.y),
                 _bits(getattr(exc, "residual", None) or 0.0))
     return (_bits(*(c for p in pts for c in (p.x, p.y))), _bits(res),
-            _bits(mults.l1, mults.l2))
+            _bits(mults[0], mults[1]))
 
 
 def _float_search(*args):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dmy import (DampedSzlenkMap, EigenPair, GridStrategy, LinearMap, Mat2,
+from dmy import (DampedSzlenkMap, GridStrategy, LinearMap, Mat2,
                  NumericOverflowError, ParameterError, PlanarMap, Point2, RandomStrategy, Rect,
                  SzlenkMap, check_ball, check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
@@ -21,42 +21,42 @@ def _diag(d1, d2):
 
 def test_eig_diagonal_real_pair_ascending():
     pair = eig2(_diag(0.5, 0.3))
-    assert pair.is_real
-    assert pair.l1.real == pytest.approx(0.3, abs=1e-12)
-    assert pair.l2.real == pytest.approx(0.5, abs=1e-12)
-    assert pair.l1.real <= pair.l2.real
+    assert pair[0].imag == 0.0
+    assert pair[0].real == pytest.approx(0.3, abs=1e-12)
+    assert pair[1].real == pytest.approx(0.5, abs=1e-12)
+    assert pair[0].real <= pair[1].real
 
 
 def test_eig_rotation_complex_pair():
     pair = eig2(Mat2(0.0, -1.0, 1.0, 0.0))
-    assert not pair.is_real
-    assert pair.l1 == 1j and pair.l2 == -1j  # positive imaginary part first
-    assert pair.max_modulus == 1.0
+    assert not pair[0].imag == 0.0
+    assert pair[0] == 1j and pair[1] == -1j  # positive imaginary part first
+    assert max(map(abs, pair)) == 1.0
 
 
 def test_eig_nilpotent_is_double_zero():
     pair = eig2(Mat2(0.0, 0.0, 7.25, 0.0))
-    assert pair.is_real
-    assert pair.l1 == 0.0 and pair.l2 == 0.0
-    assert pair.max_modulus == 0.0
+    assert pair[0].imag == 0.0
+    assert pair[0] == 0.0 and pair[1] == 0.0
+    assert max(map(abs, pair)) == 0.0
 
 
 def test_eig_tiny_eigenvalue_avoids_cancellation():
     # the quadratic formula loses the small root entirely; the det/big form keeps it
     pair = eig2(_diag(1.0, 1e-18))
-    assert pair.l1.real == 1e-18
-    assert pair.l2.real == 1.0
+    assert pair[0].real == 1e-18
+    assert pair[1].real == 1.0
 
 
 def test_eig_near_degenerate_discriminant_treated_real():
     m = Mat2(1.0, 1e-9, 1e-9, 1.0)
     pair = eig2(m)
-    assert pair.is_real
+    assert pair[0].imag == 0.0
 
 
 def test_spectral_radius_matches_pair():
     m = Mat2(0.3, -1.2, 0.7, 0.4)
-    assert spectral_radius(m) == eig2(m).max_modulus
+    assert spectral_radius(m) == max(map(abs, eig2(m)))
 
 
 entry = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -69,7 +69,7 @@ def test_eig_matches_numpy(a, b, c, d):
     m = Mat2(a, b, c, d)
     ours = eig2(m)
     ref = np.linalg.eigvals(np.array([[a, b], [c, d]]))
-    got = sorted((ours.l1, ours.l2), key=lambda z: (z.real, z.imag))
+    got = sorted((ours[0], ours[1]), key=lambda z: (z.real, z.imag))
     want = sorted((complex(ref[0]), complex(ref[1])), key=lambda z: (z.real, z.imag))
     scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
     # near-zero discriminants are deliberately collapsed to real pairs, which
@@ -256,8 +256,8 @@ def test_damped_spectrum_is_shifted_szlenk_spectrum(x, y):
     slack = 1e-12
     for j in (jf, jg):
         slack += math.sqrt(1e-12 * max(j.trace ** 2, 4.0 * abs(j.det))) / 2.0
-    assert abs(eg.l1 - (ef.l1 - a)) <= slack
-    assert abs(eg.l2 - (ef.l2 - a)) <= slack
+    assert abs(eg[0] - (ef[0] - a)) <= slack
+    assert abs(eg[1] - (ef[1] - a)) <= slack
 
 
 def test_szlenk_spectrum_stays_in_theory_ball():
@@ -267,10 +267,10 @@ def test_szlenk_spectrum_stays_in_theory_ball():
     assert rep.max_modulus < math.sqrt(3.0) * 1.05 / 2.0
 
 
-# ------------------------------------------------- float core vs EigenPair
+# ------------------------------------------------------ float core vs eig2
 
 
-def _eig2_reference(m: Mat2) -> EigenPair:
+def _eig2_reference(m: Mat2) -> tuple[complex, complex]:
     """eig2 as written on Mat2 properties, before the float core."""
     tr = m.trace
     det = m.det
@@ -279,35 +279,51 @@ def _eig2_reference(m: Mat2) -> EigenPair:
         s = math.sqrt(disc) if disc > 0.0 else 0.0
         big = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
         if big == 0.0:
-            return EigenPair(complex(0.0, 0.0), complex(0.0, 0.0))
+            return complex(0.0, 0.0), complex(0.0, 0.0)
         other = det / big
         lo, hi = (other, big) if other <= big else (big, other)
-        return EigenPair(complex(lo, 0.0), complex(hi, 0.0))
+        return complex(lo, 0.0), complex(hi, 0.0)
     re = tr / 2.0
     im = math.sqrt(-disc) / 2.0
-    return EigenPair(complex(re, im), complex(re, -im))
+    return complex(re, im), complex(re, -im)
 
 
-def _bits(*vals):
-    """Bit patterns of floats, NaN of either sign as one value."""
-    return tuple("nan" if math.isnan(v) else struct.pack("<d", v) for v in vals)
+def _bits(*vs):
+    return struct.pack(f"<{len(vs)}d", *vs)
+
+
+def _parts(pair):
+    return [x for z in pair for x in (z.real, z.imag)]
+
+
+def _ldexp_or_inf(x, e):
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _assert_core_matches(entries):
     m = Mat2(*entries)
     ref = _eig2_reference(m)
-    pair = eig2(m)
-    assert _bits(pair.l1.real, pair.l1.imag, pair.l2.real, pair.l2.imag) == \
-        _bits(ref.l1.real, ref.l1.imag, ref.l2.real, ref.l2.imag)
     is_real, u, v = _eig(*entries)
-    assert is_real == ref.is_real
+    assert is_real == (ref[0].imag == 0.0)
     if is_real:
-        assert _bits(u, v) == _bits(ref.l1.real, ref.l2.real)
+        assert _bits(u, v) == _bits(ref[0].real, ref[1].real)
     else:
-        assert _bits(u, v) == _bits(ref.l1.real, ref.l1.imag)
-    assert _bits(_radius(*entries)) == _bits(ref.max_modulus) == \
-        _bits(pair.max_modulus) == _bits(spectral_radius(m))
+        assert _bits(u, v) == _bits(ref[0].real, ref[0].imag)
+    assert _bits(_radius(*entries)) == _bits(max(map(abs, ref))) == _bits(spectral_radius(m))
     assert _bits(_norm(*entries)) == _bits(operator_norm(m))
+    pair = eig2(m)
+    if math.isfinite(u) and math.isfinite(v):
+        assert _bits(*_parts(pair)) == _bits(*_parts(ref))
+        assert _bits(max(map(abs, pair))) == _bits(_radius(*entries))
+    else:
+        # tr^2 or det overflowed: eig2 is the pair of the entries scaled by
+        # 2**-e, e the exponent of the largest |entry|, scaled back
+        e = math.frexp(max(map(abs, entries)))[1]
+        small = _eig2_reference(Mat2(*(math.ldexp(a, -e) for a in entries)))
+        assert _bits(*_parts(pair)) == _bits(*(_ldexp_or_inf(x, e) for x in _parts(small)))
     return is_real
 
 
@@ -366,6 +382,25 @@ def test_float_core_matches_eigen_pair_on_drawn_matrices(a, b, c, d):
     _assert_core_matches((a, b, c, d))
 
 
+# entries of order 1, none so small that a product of two leaves the normal
+# range, so scaling by 2**k below 2**1000 is exact through _eig
+unit_entry = st.floats(min_value=-4.0, max_value=4.0).filter(
+    lambda v: v == 0.0 or abs(v) >= 2.0 ** -64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_entry, unit_entry, unit_entry, unit_entry, st.integers(0, 1000))
+@example(1.0, 0.0, 0.0, 1.0, 700)   # a double root whose tr^2 overflows
+@example(1.0, 2.0, -3.0, 1.0, 997)  # a complex pair whose det overflows
+@example(1.0, 0.0, 0.0, -1.0, 1000)
+def test_eig2_commutes_with_power_of_two_scaling(a, b, c, d, k):
+    # past k of about 510 tr^2 overflows, and eig2 redoes the pair at a
+    # power-of-two scale; no eigenvalue of A * 2**k leaves the doubles
+    s = 2.0 ** k
+    pair = eig2(Mat2(a * s, b * s, c * s, d * s))
+    assert _bits(*_parts(pair)) == _bits(*(x * s for x in _parts(eig2(Mat2(a, b, c, d)))))
+
+
 @pytest.mark.parametrize("m, strategy", [
     (SzlenkMap(1.01), GridStrategy(41, 41)),
     (DampedSzlenkMap(1.01, 0.005), RandomStrategy(2000, 5)),
@@ -384,10 +419,10 @@ def test_sample_spectrum_matches_point_loop(m, strategy):
     reals = []
     for idx, p in enumerate(pts):
         pair = eig2(m.jacobian(p))
-        if best is None or pair.max_modulus > best[0]:
-            best = (pair.max_modulus, p)
-        if pair.is_real:
-            reals.append((pair.l1.real, pair.l2.real, p.x, p.y, idx))
+        if best is None or max(map(abs, pair)) > best[0]:
+            best = (max(map(abs, pair)), p)
+        if pair[0].imag == 0.0:
+            reals.append((pair[0].real, pair[1].real, p.x, p.y, idx))
     assert (rep.max_modulus, rep.max_modulus_at) == best
     assert [(s.lo, s.hi, s.x, s.y, s.index) for s in rep.real_samples] == reals
     assert rep.real_count == len(reals)
@@ -396,10 +431,6 @@ def test_sample_spectrum_matches_point_loop(m, strategy):
         hi = max(reals, key=lambda r: r[1])
         assert (rep.min_real, rep.min_real_at) == (lo[0], Point2(lo[2], lo[3]))
         assert (rep.max_real, rep.max_real_at) == (hi[1], Point2(hi[2], hi[3]))
-
-
-def _bits(*vs):
-    return struct.pack(f"<{len(vs)}d", *vs)
 
 
 def _point_loop(m, region, strategy):
@@ -414,13 +445,13 @@ def _point_loop(m, region, strategy):
         except NumericOverflowError:
             overflow += 1
             continue
-        if not math.isfinite(pair.max_modulus):
+        if not math.isfinite(max(map(abs, pair))):
             overflow += 1
             continue
-        if best is None or pair.max_modulus > best[0]:
-            best = (pair.max_modulus, _bits(x, y))
-        if pair.is_real:
-            reals.append((pair.l1.real, pair.l2.real, _bits(x, y), idx))
+        if best is None or max(map(abs, pair)) > best[0]:
+            best = (max(map(abs, pair)), _bits(x, y))
+        if pair[0].imag == 0.0:
+            reals.append((pair[0].real, pair[1].real, _bits(x, y), idx))
     mirrored = xs == [-v for v in reversed(xs)] and ys == [-v for v in reversed(ys)]
     return [_bits(*p) for p in points], overflow, best, reals, mirrored
 
