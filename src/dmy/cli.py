@@ -42,14 +42,14 @@ import re
 import sys
 import tempfile
 
-from .counterexample import build_counterexample, verify_counterexample
+from .counterexample import DEFAULT_A, DEFAULT_EPS_INIT, build_counterexample, verify_counterexample
 from .dynamics import (_MAX_CELLS, BasinGrid, NewtonConfig, OmegaConfig,
                        DissipativitySampling, basin_raster, dissipativity_bound, find_periodic,
                        verify_invariant_ray)
 from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
 from .phi import _phi_parts, build_phi
-from .planar import (DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
+from .planar import (ESCAPE_RADIUS, DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
 from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict, _lerp,
                        _log_radii, check_ball, check_interval_free, check_real_free,
                        sample_spectrum)
@@ -57,10 +57,6 @@ from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdi
 # tokens that begin with a minus and a digit (or a decimal point) are values,
 # not flags, so --region -30:30:-30:30 parses without an equals sign
 _NEG_VALUE = re.compile(r"^-(\d|\.\d).*$")
-
-# --a and --eps-init take build_counterexample's defaults, orbit's --escape-radius iterate's
-_A, _EPS_INIT = build_counterexample.__defaults__
-(_ORBIT_ESCAPE,) = iterate.__defaults__
 
 # a flag row is (dest, default, help); its spelling (``_flag``), its type (the
 # default's, or str for a None or list default) and help's "(default: ...)" are derived
@@ -71,8 +67,9 @@ _MAP_OPTS = [
      "cubic map parameter, in (1, 2/sqrt(3)); the counterexample map takes only "
      "(1, 0.88*2/sqrt(3)), and next to 1 (1.0001, say) its period-4 orbit is too near "
      "neutral and the run exits 2"),
-    ("a", _A, "damping subtracted from the identity"),
-    ("eps_init", _EPS_INIT, "slope budget of the counterexample map's profile, capped at 0.9/(8C)"),
+    ("a", DEFAULT_A, "damping subtracted from the identity"),
+    ("eps_init", DEFAULT_EPS_INIT,
+     "slope budget of the counterexample map's profile, capped at 0.9/(8C)"),
 ]
 
 _IO_OPTS = [
@@ -431,7 +428,7 @@ _COMMANDS = {name: (run, hlp, opts + _IO_OPTS) for name, run, hlp, opts in [
     ("orbit", _run_orbit, "iterate a map and write the orbit as CSV", _MAP_OPTS + [
         ("start", "10,0", "starting point x,y"),
         ("steps", 100, "iterations to record"),
-        ("escape_radius", _ORBIT_ESCAPE, "stop once the orbit norm passes this"),
+        ("escape_radius", ESCAPE_RADIUS, "stop once the orbit norm passes this"),
     ]),
     ("periodic", _run_periodic, "newton search for a period-n orbit", _MAP_OPTS + [
         ("seed", "10,0", "newton starting point x,y"),

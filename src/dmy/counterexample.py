@@ -48,6 +48,7 @@ from .spectral import (_growth, _half_grid, _jacobian_sups, _lerp, _log_radii, _
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
 K_CEIL = K_MAX * 0.88
+DEFAULT_A, DEFAULT_EPS_INIT = 0.005, 0.05  # build_counterexample's; the CLI's --a and --eps-init
 
 
 class SweepConfig:
@@ -177,8 +178,8 @@ def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float):
     return _jacobian_sups(points, m.jac, (_radius,))[0]
 
 
-def build_counterexample(k: float, a: float = 0.005,
-                         eps_init: float = 0.05) -> CounterexampleBundle:
+def build_counterexample(k: float, a: float = DEFAULT_A,
+                         eps_init: float = DEFAULT_EPS_INIT) -> CounterexampleBundle:
     """Build the composed map for the given cubic parameter and damping.
 
     One loop over dampings, each at the one slope budget min(eps_init,

@@ -54,6 +54,7 @@ from .geometry import Mat2, Point2
 from .phi import PhiProfile, _phi_parts, phi_eval
 
 K_MAX = 2.0 / math.sqrt(3.0)  # Szlenk parameter lives in the open interval (1, K_MAX)
+ESCAPE_RADIUS = 1e9  # iterate's default, also the CLI's orbit --escape-radius
 
 
 def _szlenk_xy(m, x, y):
@@ -342,7 +343,7 @@ class Orbit:
         return self.points[-1]
 
 
-def iterate(m: PlanarMap, p: Point2, n: int, escape_radius: float = 1e9) -> Orbit:
+def iterate(m: PlanarMap, p: Point2, n: int, escape_radius: float = ESCAPE_RADIUS) -> Orbit:
     if n < 0:
         raise ParameterError(f"iteration count must be >= 0, got {n!r}")
     if not escape_radius > 0.0:

@@ -4,8 +4,10 @@ Eigenvalues come from the characteristic polynomial l^2 - tr*l + det.  The
 discriminant decides real versus conjugate-complex; a pair counts as real
 when tr^2 - 4*det >= -1e-12 * max(tr^2, 4*|det|), a floor relative to the
 terms that formed it, so an exactly-nilpotent Jacobian survives rounding as
-the real double root it is.  The real branch uses the cancellation-free form
-(larger root first, companion via det / root).
+the real double root it is.  A discriminant of -inf (4*det overflowed) meets
+that floor, -inf too, but is read as complex, so where tr^2 or 4*det overflows
+the largest modulus is never finite.  The real branch uses the cancellation-free
+form (larger root first, companion via det / root).
 
 The operator norm is the exact 2x2 singular-value identity
 
@@ -72,9 +74,9 @@ def _eig(a11: float, a12: float, a21: float, a22: float):
     tr = a11 + a22
     det = a11 * a22 - a12 * a21
     disc = tr * tr - 4.0 * det
-    # a slightly negative disc is rounding noise only relative to the terms
-    # that formed it; an absolute floor would misread tiny-entry matrices
-    if disc >= -REAL_DISC_TOL * max(tr * tr, 4.0 * abs(det)):
+    # a slightly negative disc is rounding noise only relative to the terms that formed
+    # it (an absolute floor misreads tiny entries); disc = -inf is 4 det overflowing
+    if -math.inf < disc >= -REAL_DISC_TOL * max(tr * tr, 4.0 * abs(det)):
         s = math.sqrt(disc) if disc > 0.0 else 0.0
         big = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
         if big == 0.0:  # tr == s == 0 forces det == 0: double root at zero
@@ -103,9 +105,9 @@ def _norm(a11: float, a12: float, a21: float, a22: float) -> float:
 def eig2(m: Mat2) -> tuple[complex, complex]:
     """Both eigenvalues of m: a real pair ascending with zero imaginary parts, a
     complex pair as exact conjugates, positive imaginary part first.  Where tr^2 or
-    det overflows, the pair is redone at the scale 2**-e, e the largest entry's
-    exponent (exact for normal floats), and scaled back by products, which give inf
-    where ``math.ldexp`` or ``2.0 ** 1024`` would raise."""
+    4 det overflows, ``_eig``'s result is not finite, so the pair is redone at the
+    scale 2**-e, e the largest entry's exponent (exact for normal floats), and scaled
+    back by products, which give inf where ``math.ldexp`` or ``2.0 ** 1024`` raise."""
     entries = (m.a11, m.a12, m.a21, m.a22)
     is_real, u, v = _eig(*entries)
     if not (math.isfinite(u) and math.isfinite(v)):
@@ -255,8 +257,7 @@ def _pretest(measure, sup: float):
     No test passes an entry that is inf or NaN: each entry enters det, and F,
     through a product of its own, so det or F is inf or NaN and fails the
     strict bounds.  A sweep may therefore pre-test raw ``jac`` entries and
-    check finiteness only where the test fails; the measures themselves do not
-    check it (``_eig`` prices (0, 1, -inf, 0) as a double root at 0)."""
+    check finiteness only where the test fails."""
     c = sup * PRETEST_MARGIN
     if not 2.0 ** -240 <= c <= 2.0 ** 240:
         return _never
@@ -283,9 +284,8 @@ def _jacobian_sups(points, jac, measures, sup: float = -math.inf):
     measure's pre-test is not measured.  Finiteness is checked only at a
     sample that fails its pre-test: a non-finite entry fails every pre-test,
     so a sample that passes has the finite entries ``_jac`` would return.  The
-    check cannot be dropped where the measure is taken: ``_radius(0, 1, -inf,
-    0)`` is 0, since det is inf and the discriminant -inf is not below the
-    real-pair floor -1e-12 * inf, so ``_eig`` calls it a double root at 0."""
+    check stays where the measure is taken, since a measure need not price a
+    non-finite entry as +inf (a12 * a21 - a11 * a22 is -inf at (0, 1, -inf, 0))."""
     best = [[sup, None, _pretest(m, sup), m] for m in measures]  # sup, witness, test, measure
     count = 0
     for count, p in enumerate(points, 1):
@@ -420,7 +420,7 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
             if _finite_jac(*j):
                 is_real, lo, hi = _eig(*j)
                 mod = _modulus(is_real, lo, hi)
-            else:  # _jac's overflow; _eig would price (0, 1, -inf, 0) as a double root at 0
+            else:  # _jac's overflow
                 mod = math.inf
         if not math.isfinite(mod):  # finite entries can still overflow tr^2 - 4 det
             overflow += 1

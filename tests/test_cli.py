@@ -349,6 +349,8 @@ def test_periodic_jacobian_overflow_exits_one(capsys):
     ("1e300,2e300,-3e300,1e300",
      [[1e300, 2.4494897427831783e+300], [1e300, -2.4494897427831783e+300]]),
     ("1e308,1e308,1e308,1e308", [[0.0, 0.0], [None, 0.0]]),  # the eigenvalue 2e308 is inf
+    ("0,-1e154,1e154,0", [[0.0, 1e154], [0.0, -1e154]]),       # 4 det overflows, tr^2 is 0
+    ("1,-1e154,1e154,1", [[1.0, 1e154], [1.0, -1e154]]),
 ])
 def test_periodic_multipliers_where_the_discriminant_overflows(matrix, mults, capsys):
     # the fixed point 0 closes at once; tr^2 or det of the multiplier matrix

@@ -147,7 +147,7 @@ def _with_non_finite(entries, i, v):
 
 
 @settings(deadline=None)
-@example((0.0, 1.0, -math.inf, 0.0), 1.0)  # _eig's double root at 0
+@example((0.0, 1.0, -math.inf, 0.0), 1.0)  # det inf, discriminant -inf
 @example((math.inf, 0.0, 0.0, 0.0), 1.0)
 @example((0.0, -0.0, math.nan, -0.0), 1.0)  # the cubic's raw Jacobian at (1.3e77, 0)
 @given(st.builds(_with_non_finite, st.tuples(_any, _any, _any, _any), st.integers(0, 3),
@@ -237,8 +237,8 @@ _TABLE = {  # a NaN radius, an overflow, and ties in both measures
     (5.0, 0.0): None,
     (6.0, 0.0): (2.0, 0.0, 0.0, 2.0),
 }
-# raw non-finite entries, returned rather than raised: _eig reads (0, 1, -inf, 0)
-# as a double root at 0, so only the finiteness check prices it +inf
+# raw non-finite entries, returned rather than raised, which the finiteness
+# check prices +inf
 _RAW_TABLE = {
     (0.0, 0.0): (0.5, 0.0, 0.0, 0.25),
     (1.0, 0.0): (0.0, 1.0, -math.inf, 0.0),

@@ -275,7 +275,7 @@ def _eig2_reference(m: Mat2) -> tuple[complex, complex]:
     tr = m.trace
     det = m.det
     disc = tr * tr - 4.0 * det
-    if disc >= -REAL_DISC_TOL * max(tr * tr, 4.0 * abs(det)):
+    if -math.inf < disc >= -REAL_DISC_TOL * max(tr * tr, 4.0 * abs(det)):
         s = math.sqrt(disc) if disc > 0.0 else 0.0
         big = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
         if big == 0.0:
@@ -373,6 +373,19 @@ def test_radius_is_nan_when_discriminant_is_inf_minus_inf():
     assert math.isnan(_radius(1e308, 0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("entries", [(0.0, -2.0 ** 511, 2.0 ** 511, 0.0),
+                                     (1.0, -1e154, 1e154, 1.0)])
+def test_discriminant_of_minus_inf_is_no_real_pair(entries):
+    # 4 det overflows with tr^2 finite: the discriminant -inf meets the floor
+    # -1e-12 * inf, but the pair is complex and its modulus is no finite number
+    assert _eig(*entries) == (False, entries[0], math.inf)
+    assert _radius(*entries) == math.inf
+    rep = sample_spectrum(LinearMap(Mat2(*entries)), Rect(-1.0, 1.0, -1.0, 1.0),
+                          GridStrategy(3, 3))
+    assert (rep.samples, rep.overflows, rep.max_modulus) == (9, 9, None)
+    assert not check_ball(rep, 1.0).passed
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -393,6 +406,7 @@ unit_entry = st.floats(min_value=-4.0, max_value=4.0).filter(
 @example(1.0, 0.0, 0.0, 1.0, 700)   # a double root whose tr^2 overflows
 @example(1.0, 2.0, -3.0, 1.0, 997)  # a complex pair whose det overflows
 @example(1.0, 0.0, 0.0, -1.0, 1000)
+@example(0.0, -1.0, 1.0, 0.0, 511)  # 4 det overflows while tr^2 is 0
 def test_eig2_commutes_with_power_of_two_scaling(a, b, c, d, k):
     # past k of about 510 tr^2 overflows, and eig2 redoes the pair at a
     # power-of-two scale; no eigenvalue of A * 2**k leaves the doubles
