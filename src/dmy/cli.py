@@ -8,7 +8,7 @@ Maps are selected with ``--map {linear|szlenk|ga|counterexample}`` plus
 variant parameters (``--matrix a11,a12,a21,a22``, ``--k``, ``--a``).
 Regions are ``xmin:xmax:ymin:ymax``, grids are ``NxM``.  Reports are strict
 JSON written by one encoder, ``_finite_or_null`` (a point as [x, y], a
-result dataclass as its fields, a non-finite number as null), tables are CSV with
+result record as its fields, a non-finite number as null), tables are CSV with
 17-significant-digit floats, basin images are binary PGM; every file is
 written atomically (temporary file, then rename).
 
@@ -33,7 +33,6 @@ exit codes.  A report's keys are its result record's field names (but not
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -250,7 +249,7 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 def _finite_or_null(v):
     """v as strict JSON data: a Point2 as [x, y], a complex number as [re, im], any
-    other dataclass as its fields in field order, and every non-finite float as None."""
+    other record as its fields in field order, and every non-finite float as None."""
     if isinstance(v, float):
         return v if math.isfinite(v) else None
     if isinstance(v, dict):
@@ -259,8 +258,8 @@ def _finite_or_null(v):
         return [_finite_or_null(x) for x in v]
     if isinstance(v, complex):
         return [_finite_or_null(v.real), _finite_or_null(v.imag)]
-    if dataclasses.is_dataclass(v):
-        return {f.name: _finite_or_null(getattr(v, f.name)) for f in dataclasses.fields(v)}
+    if hasattr(v, "_fields"):
+        return {name: _finite_or_null(getattr(v, name)) for name in v._fields}
     return v
 
 
@@ -313,8 +312,7 @@ def _run_spectrum(resolved: dict):
     report = sample_spectrum(m, region, strategy)
     verdicts = [_run_spectrum_check(report, spec) for spec in resolved["check"]]
     passed = all(v.passed for v in verdicts)
-    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
-              if f.name != "real_samples"}
+    fields = {name: getattr(report, name) for name in report._fields if name != "real_samples"}
     return {**fields, "checks": verdicts, "passed": passed}, 0 if passed else 1
 
 

@@ -32,13 +32,12 @@ verifier fails those three checks and tail contraction unsampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
 from .errors import NewtonError, ParameterError
-from .geometry import Point2
+from .geometry import DERIVED, Point2, record, replace
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
@@ -81,7 +80,7 @@ class SweepConfig:
     newton = NewtonConfig(tol=1e-12, max_steps=60)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CounterexampleBundle:
     """One constructed map with everything needed to verify it.
 
@@ -94,8 +93,8 @@ class CounterexampleBundle:
     profile: PhiProfile  # built for the norm bound c_used = 1.05 * max(c_raw, 1)
     c_raw: float   # sampled sup of the damped map's Jacobian norm
     orbit: tuple[Point2, ...]  # the build's period-4 orbit of the composite, p0 first
-    radial: RadialMap = field(init=False)
-    composite: CompositeMap = field(init=False)
+    radial: RadialMap = DERIVED
+    composite: CompositeMap = DERIVED
 
     def __post_init__(self):
         radial = RadialMap(self.profile)
@@ -114,7 +113,7 @@ class CounterexampleBundle:
         return SweepConfig.sr_span * r_tail if r_tail < SweepConfig.tail_r_max else None
 
 
-@dataclass(frozen=True)
+@record
 class CheckRecord:
     name: str
     passed: bool
@@ -122,7 +121,7 @@ class CheckRecord:
     data: dict
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """The verdicts on one bundle; the report header is read off the bundle."""
 

@@ -38,12 +38,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
-from .geometry import Mat2, Point2
+from .geometry import Mat2, Point2, record
 from .planar import PlanarMap, _chain_product, _finite_jac
 from .spectral import (_growth, _jacobian_sups, _log_radii, _norm, _ring_points, _sweep_sup,
                        eig2)
@@ -60,7 +59,7 @@ class OmegaTag(Enum):
 _MAX_WINDOW = 4096
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OmegaConfig:
     """Budgets for orbit classification.
 
@@ -89,7 +88,7 @@ class OmegaConfig:
                 raise ParameterError(f"{name} must be positive and finite, got {v!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OmegaVerdict:
     """Outcome of one classification run.
 
@@ -210,7 +209,7 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
     return OmegaVerdict(OmegaTag.UNDECIDED, max_iter, nn)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NewtonConfig:
     tol: float = 1e-12
     max_steps: int = 50
@@ -225,7 +224,7 @@ class NewtonConfig:
 _UNIT_CIRCLE_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PeriodicOrbit:
     """A numerically closed period-n orbit.
 
@@ -322,7 +321,7 @@ _BALL_SPAN = 1e48     # the ball sweep covers [radius / span, radius]
 _OUTER_SPAN = 100.0   # the outer sweeps end at span * threshold
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DissipativitySampling:
     ball_radii: int = 64
     angles: int = 16
@@ -333,7 +332,7 @@ class DissipativitySampling:
             raise ParameterError("sampling resolution too small")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DissipativityBound:
     """Sampled certificate that a map is eventually norm-contracting.
 
@@ -412,7 +411,7 @@ def dissipativity_bound(m: PlanarMap, ball_radius: float, alpha: float,
         samples=n_ball + n_hyp + n_con)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RayVerdict:
     """Outcome of an invariant-ray check.
 
@@ -563,7 +562,7 @@ _SERIAL_CELL_LIMIT = 4096
 _MAX_CELLS = 4096 * 4096
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BasinGrid:
     """Row-major cell classification over [-L, L]^2, top row first.
 

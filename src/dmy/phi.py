@@ -43,12 +43,12 @@ derivative of the Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ParameterError
+from .geometry import DERIVED, record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PhiProfile:
     """One squashing profile: set by R, C and eps, which are validated first;
     the other four constants are derived from them and cannot be set."""
@@ -56,10 +56,10 @@ class PhiProfile:
     R: float         # inner flat radius: phi == 1 on [0, R]
     C: float         # Jacobian norm bound being squashed; tail value is 1/(2C)
     eps: float       # slope budget; must satisfy 0 < eps < 1/(8C)
-    floor: float = field(init=False)     # 1/(2C)
-    m_target: float = field(init=False)  # total decay needed, in log-radius units
-    r_tail: float = field(init=False)    # phi == floor for all r >= r_tail
-    ramp: float = field(init=False)      # smoothstep width in log-radius (1 unless m_target < 1)
+    floor: float = DERIVED     # 1/(2C)
+    m_target: float = DERIVED  # total decay needed, in log-radius units
+    r_tail: float = DERIVED    # phi == floor for all r >= r_tail
+    ramp: float = DERIVED      # smoothstep width in log-radius (1 unless m_target < 1)
 
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 0.0):

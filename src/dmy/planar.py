@@ -11,7 +11,7 @@ Each variant supplies two float kernels: ``xy(x, y)``, the image, and
 derives the rest from them: ``eval`` and ``jacobian`` run the kernel once and
 check the result for finiteness, and hot loops call the unchecked ``xy``
 and ``jac`` themselves, so every path shares one arithmetic.  The Jacobian
-sweeps of ``dmy.spectral`` apply ``_jac``'s finiteness test, ``_finite_jac``,
+sup sweeps of ``dmy.spectral`` apply ``_jac``'s finiteness test, ``_finite_jac``,
 only at a sample their pre-test keeps: a non-finite entry fails every
 pre-test, so a sample that passes one has the finite entries ``_jac`` would
 have returned.
@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from .errors import NumericOverflowError, ParameterError
-from .geometry import Mat2, Point2
+from .geometry import Mat2, Point2, record
 from .phi import PhiProfile, _phi_parts, phi_eval
 
 K_MAX = 2.0 / math.sqrt(3.0)  # Szlenk parameter lives in the open interval (1, K_MAX)
@@ -155,7 +154,7 @@ class PlanarMap(ABC):
 # Every variant binds ``eval`` and ``jacobian`` in its own class body, so
 # they can be wrapped or patched one variant at a time.
 
-@dataclass(frozen=True, slots=True)
+@record
 class LinearMap(PlanarMap):
     matrix: Mat2
 
@@ -182,7 +181,7 @@ def _check_k(k: float) -> None:
             f"szlenk parameter must satisfy 1 < k < 2/sqrt(3) ~= {K_MAX:.10f}, got {k!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SzlenkMap(PlanarMap):
     k: float
 
@@ -199,7 +198,7 @@ class SzlenkMap(PlanarMap):
         return f"szlenk(k={self.k!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DampedSzlenkMap(PlanarMap):
     """Szlenk map minus a times the identity."""
 
@@ -229,7 +228,7 @@ class DampedSzlenkMap(PlanarMap):
         return f"ga(k={self.k!r}, a={self.a!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RadialMap(PlanarMap):
     """Scale p by phi(|p|): identity on the flat disc, times the floor far out."""
 
@@ -262,7 +261,7 @@ class RadialMap(PlanarMap):
         return f"radial(R={pr.R!r}, C={pr.C!r}, eps={pr.eps!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CompositeMap(PlanarMap):
     """``outer`` after ``inner``; longer chains nest."""
 
@@ -329,7 +328,7 @@ def fd_jacobian(m: PlanarMap, p: Point2, h: float) -> Mat2:
                 (fxp.y - fxm.y) * inv, (fyp.y - fym.y) * inv)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Orbit:
     """A finite orbit segment.  ``escaped`` marks early termination, either
     because the norm passed the escape radius (the offending point is kept as

@@ -36,10 +36,10 @@ so it adds no real record, moves no first witness and is no overflow, and
 ``_eig`` is not run.  That branch test restates ``_eig``'s only inside Jury's
 bounds, where tr^2 and 4 det are finite.
 
-Both kinds of Jacobian sweep read a map's unchecked ``jac`` kernel and apply
-``_jac``'s finiteness test (``planar._finite_jac``) only at a sample that
-fails its pre-test, which every non-finite entry does; there a non-finite
-Jacobian is priced +inf, or counted as an overflow.
+Both kinds of Jacobian sweep read a map's unchecked ``jac`` kernel, which no
+pre-test passes with a non-finite entry.  Where it fails, a sup prices a
+Jacobian that fails ``planar._finite_jac`` +inf; ``sample_spectrum`` counts
+an overflow on ``_eig``'s modulus alone, which is not finite for such a Jacobian.
 
 ``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
 When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
@@ -58,11 +58,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import islice
 
 from .errors import NumericOverflowError, ParameterError
-from .geometry import Mat2, Point2
+from .geometry import Mat2, Point2, record
 from .planar import PlanarMap, _finite_jac
 
 REAL_DISC_TOL = 1e-12
@@ -127,7 +126,7 @@ def operator_norm(m: Mat2) -> float:
     return _norm(m.a11, m.a12, m.a21, m.a22)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Rect:
     xmin: float
     xmax: float
@@ -144,7 +143,7 @@ class Rect:
                 f"y [{self.ymin!r}, {self.ymax!r}]")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GridStrategy:
     nx: int
     ny: int
@@ -157,7 +156,7 @@ class GridStrategy:
         return f"grid {self.nx}x{self.ny}"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RandomStrategy:
     count: int
     seed: int
@@ -353,7 +352,7 @@ def _sample_points(region: Rect, strategy):
     raise ParameterError(f"unknown sampling strategy: {strategy!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RealSpectrumSample:
     """One sample whose eigenvalue pair was real (lo <= hi)."""
 
@@ -364,7 +363,7 @@ class RealSpectrumSample:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Verdict:
     name: str
     passed: bool
@@ -373,7 +372,7 @@ class Verdict:
     witness_at: Point2 | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SpectrumReport:
     """The ``spectrum`` report's keys in order, then ``real_samples``: the
     per-sample records that the checks read and the report omits."""
@@ -417,12 +416,9 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
         else:
             if skip(*j):
                 continue
-            if _finite_jac(*j):
-                is_real, lo, hi = _eig(*j)
-                mod = _modulus(is_real, lo, hi)
-            else:  # _jac's overflow
-                mod = math.inf
-        if not math.isfinite(mod):  # finite entries can still overflow tr^2 - 4 det
+            is_real, lo, hi = _eig(*j)
+            mod = _modulus(is_real, lo, hi)
+        if not math.isfinite(mod):  # a non-finite entry, or tr^2 - 4 det overflowed
             overflow += 1
             last_overflow = idx
             continue

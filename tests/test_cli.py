@@ -1044,6 +1044,16 @@ def test_serial_raster_loads_no_pool_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_imports_no_dataclasses():
+    # pytest itself loads dataclasses, so the import runs in a fresh process
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = "import sys, dmy.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_installed_entry_point_smoke():
     exe = shutil.which("dmy")
     cmd = [exe] if exe else [sys.executable, "-m", "dmy.cli"]

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +13,7 @@ from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, PlanarMap, Poin
                  verify_counterexample)
 from dmy import counterexample as ce
 from dmy.cli import _finite_or_null, main
+from dmy.geometry import replace
 from dmy.spectral import _lerp, _log_radii, _norm, _radius, _ring_points
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
@@ -176,9 +176,9 @@ def test_verified_orbit_near_axis_cycle(bundle):
 
 def test_tampered_profile_fails_verification(bundle):
     # force an illegally steep decay profile past the constructor checks
-    bad_profile = dataclasses.replace(bundle.profile)
+    bad_profile = replace(bundle.profile)
     object.__setattr__(bad_profile, "eps", 3.0)
-    tampered = dataclasses.replace(bundle, profile=bad_profile)
+    tampered = replace(bundle, profile=bad_profile)
     report = verify_counterexample(tampered)
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
@@ -188,7 +188,7 @@ def test_tampered_profile_fails_verification(bundle):
 
 def _eps_forced(profile, eps):
     # a profile whose eps no longer matches its derived constants
-    bad = dataclasses.replace(profile)
+    bad = replace(profile)
     object.__setattr__(bad, "eps", eps)
     return bad
 
@@ -198,16 +198,16 @@ def test_bundle_composes_its_own_map(bundle):
     # they are composed from
     bad_radial = RadialMap(_eps_forced(bundle.profile, 3.0))
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(bundle, composite=compose(bad_radial, bundle.damped))
+        replace(bundle, composite=compose(bad_radial, bundle.damped))
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(bundle, radial=bad_radial)
+        replace(bundle, radial=bad_radial)
     with pytest.raises(TypeError):
         ce.CounterexampleBundle(bundle.damped, bundle.profile, bundle.c_raw, bundle.orbit,
                                 composite=bundle.composite)
 
 
 def test_tampered_profile_reports_the_map_it_verifies(bundle):
-    tampered = dataclasses.replace(bundle, profile=_eps_forced(bundle.profile, 3.0))
+    tampered = replace(bundle, profile=_eps_forced(bundle.profile, 3.0))
     assert tampered.composite.outer == RadialMap(tampered.profile)
     assert tampered.composite.inner == bundle.damped
     report = verify_counterexample(tampered)
@@ -222,7 +222,7 @@ def test_tampered_profile_reports_the_map_it_verifies(bundle):
 def test_bundle_reads_its_header_off_its_parts(bundle):
     assert bundle.c_used == bundle.profile.C
     assert bundle.flat_radius == bundle.profile.R
-    other = dataclasses.replace(bundle, damped=DampedSzlenkMap(1.005, 0.01),
+    other = replace(bundle, damped=DampedSzlenkMap(1.005, 0.01),
                                 profile=build_phi(bundle.flat_radius, 2.0, 0.05))
     assert (other.k, other.a, other.c_used, other.c_raw) == (1.005, 0.01, 2.0, bundle.c_raw)
     d = verify_counterexample(other).to_dict()
@@ -234,7 +234,7 @@ def test_spectral_sweep_overflow_is_a_failed_check(bundle):
     # at eps 0.02 a sweep out to 10 * r_tail passes where the cubic Jacobian's
     # d*d overflows: each such sample counts as radius infinity, not an
     # exception
-    steep = dataclasses.replace(
+    steep = replace(
         bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.02))
     span = ce.SweepConfig.sr_span * steep.profile.r_tail
     sup, _, count = ce._composite_sr_sweep(steep.composite, steep.flat_radius, span)
@@ -253,7 +253,7 @@ def test_spectral_sweep_overflow_is_a_failed_check(bundle):
 def test_sweep_span_overflow_is_a_failed_check(bundle):
     # the tail radius 9.48e307 is finite, but the sweeps' end 10 * r_tail is
     # not: the spectral-radius check fails unsampled, it does not raise
-    huge = dataclasses.replace(
+    huge = replace(
         bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.0077792))
     assert math.isfinite(huge.profile.r_tail)
     assert not math.isfinite(ce.SweepConfig.sr_span * huge.profile.r_tail)
@@ -268,7 +268,7 @@ def test_sweep_span_overflow_is_a_failed_check(bundle):
 def test_bundle_without_reach_fails_the_far_checks_unsampled(bundle):
     # sr_span * r_tail overflows here: the envelope and orientation sweeps
     # once passed on 7 and 4,097 samples that never reached the tail
-    huge = dataclasses.replace(
+    huge = replace(
         bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.0077792))
     assert huge.reach is None
     checks = {c.name: c for c in verify_counterexample(huge).checks}
@@ -366,7 +366,7 @@ def test_bundle_keeps_the_build_orbit_and_verify_checks_it(bundle):
 
 def test_orbit_shifted_off_the_cycle_fails_its_check(bundle):
     for dx in (1e-3, 1e-9):
-        shifted = dataclasses.replace(
+        shifted = replace(
             bundle, orbit=tuple(Point2(p.x + dx, p.y) for p in bundle.orbit))
         rec = _orbit_record(shifted)
         assert not rec.passed
@@ -374,7 +374,7 @@ def test_orbit_shifted_off_the_cycle_fails_its_check(bundle):
     # one point off the cycle is enough: every gap around it is checked
     pts = list(bundle.orbit)
     pts[2] = Point2(pts[2].x, pts[2].y + 1e-6)
-    assert not _orbit_record(dataclasses.replace(bundle, orbit=tuple(pts))).passed
+    assert not _orbit_record(replace(bundle, orbit=tuple(pts))).passed
 
 
 def test_orbit_collapsed_onto_the_origin_fails_its_check(bundle):
@@ -382,7 +382,7 @@ def test_orbit_collapsed_onto_the_origin_fails_its_check(bundle):
     # the identity to first order: they close up and are far from neutral,
     # so only the puncture about the origin tells them from a cycle
     pts = tuple(Point2(1e-20 * (-0.005) ** i, 0.0) for i in range(4))
-    rec = _orbit_record(dataclasses.replace(bundle, orbit=pts))
+    rec = _orbit_record(replace(bundle, orbit=pts))
     assert rec.data["residual"] < 1e-10 and rec.data["unit_circle_gap"] > 0.99
     assert not rec.passed
     assert rec.detail.endswith(f"inside disc of {bundle.flat_radius!r}: False")
@@ -390,7 +390,7 @@ def test_orbit_collapsed_onto_the_origin_fails_its_check(bundle):
 
 def test_orbit_moved_past_the_doubles_fails_its_check(bundle):
     for scale in (1e200, 1e300):
-        far = dataclasses.replace(
+        far = replace(
             bundle, orbit=tuple(Point2(p.x * scale, p.y * scale) for p in bundle.orbit))
         report = verify_counterexample(far)
         rec = next(c for c in report.checks if c.name == "period-4-orbit")
@@ -465,7 +465,7 @@ def test_far_sweeps_end_at_the_reach(monkeypatch):
     monkeypatch.setattr(ce, "_composite_sr_sweep", recording_sweep)
     b = build_counterexample(1.01, 0.005, 0.041)
     assert b.profile.r_tail < 1e60 < b.reach == 10.0 * b.profile.r_tail
-    far = dataclasses.replace(b)
+    far = replace(b)
     orient = _CheckedRecordingMap(b.radial)
     object.__setattr__(far, "radial", orient)
     envelope = []

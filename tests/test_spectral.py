@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -384,6 +385,19 @@ def test_discriminant_of_minus_inf_is_no_real_pair(entries):
                           GridStrategy(3, 3))
     assert (rep.samples, rep.overflows, rep.max_modulus) == (9, 9, None)
     assert not check_ball(rep, 1.0).passed
+
+
+def test_a_non_finite_entry_gives_a_non_finite_modulus():
+    # sample_spectrum counts a sample as an overflow on _eig's modulus alone,
+    # with no finiteness test of the entries: every Jacobian over these values
+    # with an inf or NaN entry must give a modulus that is not finite
+    values = (0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, 2.0 ** 511,
+              math.inf, -math.inf, math.nan)
+    cases = [j for j in itertools.product(values, repeat=4)
+             if not all(map(math.isfinite, j))]
+    assert len(cases) == 14_175
+    for j in cases:
+        assert not math.isfinite(_modulus(*_eig(*j))), j
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
