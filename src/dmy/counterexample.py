@@ -32,7 +32,6 @@ verifier fails those three checks and tail contraction unsampled.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 
 from .dynamics import NewtonConfig, PeriodicOrbit, find_periodic, orbit_multipliers
@@ -296,6 +295,12 @@ def _check_periodic_orbit(bundle: CounterexampleBundle):
              "hyperbolic": orbit.hyperbolic})
 
 
+def _exact_product_gt(a: float, b: float, c: float, d: float) -> bool:
+    """a * b > c * d between the exact rationals of four finite floats."""
+    (na, da), (nb, db), (nc, dc), (nd, dd) = (v.as_integer_ratio() for v in (a, b, c, d))
+    return na * nb * dc * dd > nc * nd * da * db
+
+
 def _check_envelope(bundle: CounterexampleBundle):
     prof, reach = bundle.profile, bundle.reach
     slope_budget = prof.eps / 8.0
@@ -316,8 +321,7 @@ def _check_envelope(bundle: CounterexampleBundle):
         if prev_r > 0.0:
             # the radial map sends radius r to val * r; rounding can tie the
             # products of adjacent radii, and such a tie is settled exactly
-            stretch_ok &= (val * r > prev_val * prev_r
-                           or Fraction(val) * Fraction(r) > Fraction(prev_val) * Fraction(prev_r))
+            stretch_ok &= val * r > prev_val * prev_r or _exact_product_gt(val, r, prev_val, prev_r)
         prev_val, prev_r = val, r
     slope_ok = not max_slope > slope_budget
     ok = range_ok and monotone_ok and slope_ok and flat_ok and floor_ok and stretch_ok

@@ -22,15 +22,18 @@ Four questions about a planar map, answered by finite computation:
 ``basin_raster`` runs the classifier over a pixel grid and is the one
 parallel entry point.  Each task is a row and its mirror row: every map in
 ``dmy.planar`` is odd (``PlanarMap.odd``), so a cell whose center is exactly
-minus a classified cell's center takes that cell's code, and a window with
-antisymmetric centers classifies each antipodal pair of cells once.  A
-raster of more than 4096 cells with more than one worker sends its tasks to
-a process pool, and only then are ``multiprocessing`` and
-``concurrent.futures`` imported; smaller rasters and one worker run the
-tasks in process.  The rows are reassembled in row order, so the raster is
-a deterministic function of its inputs no matter the worker count (the
-``workers`` argument, never more than one per CPU the process may run on:
-its affinity set where the platform reports one, else ``os.cpu_count()``).
+minus a classified cell's center takes that cell's verdict, and a cell whose
+orbit meets the negated orbit of its mirror cell takes that cell's verdict
+from the meeting on (``_near_mirror``).  Either way most antipodal pairs of
+cells cost one classification, whether or not the window's centers are
+exactly antisymmetric.  A raster of more than 4096 cells with more than one
+worker sends its tasks to a process pool, and only then are
+``multiprocessing`` and ``concurrent.futures`` imported; smaller rasters and
+one worker run the tasks in process.  The rows are reassembled in row order,
+so the raster is a deterministic function of its inputs no matter the worker
+count (the ``workers`` argument, never more than one per CPU the process may
+run on: its affinity set where the platform reports one, else
+``os.cpu_count()``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from enum import Enum
 from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
-from .geometry import Mat2, Point2, record
+from .geometry import Mat2, Point2, record, replace
 from .planar import PlanarMap, _chain_product, _finite_jac
 from .spectral import (_growth, _jacobian_sups, _log_radii, _norm, _ring_points, _sweep_sup,
                        eig2)
@@ -620,26 +623,67 @@ def _center(start: float, step: float, i: int, n: int) -> float:
     return (start / s + (2 * i + 1) * (step / s) / n) * s
 
 
+def _negated(v: OmegaVerdict) -> OmegaVerdict:
+    """For an odd map, the verdict at -p given the verdict v at p."""
+    rep = v.representative
+    if rep is None:
+        return v
+    return OmegaVerdict(v.tag, v.iterations, v.final_norm, v.period, Point2(-rep.x, -rep.y))
+
+
+def _near_mirror(m: PlanarMap, p: Point2, q: Point2, vq: OmegaVerdict,
+                 cfg: OmegaConfig) -> OmegaVerdict:
+    """classify_omega(m, p, cfg) for an odd map, given q's verdict vq.
+
+    The orbits of p and q are stepped together up to step
+    ``vq.iterations - window``.  At the first step s where p's iterate is
+    minus q's (float ==, the odd promise), every later iterate is too, so
+    from step s + window on p's window, origin run, escape test and revisit
+    search are q's negated: a run on p with budget s + window either decides,
+    or p's verdict is vq with the representative negated.  Orbits that never
+    meet are classified in full."""
+    step = m.xy
+    window = cfg.window
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    for s in range(vq.iterations - window + 1):
+        if px == -qx and py == -qy:
+            v = classify_omega(m, p, replace(cfg, max_iter=s + window))
+            return _negated(vq) if v.tag is OmegaTag.UNDECIDED else v
+        try:
+            px, py = step(px, py)
+            qx, qy = step(qx, qy)
+        except (ArithmeticError, ValueError):
+            break
+    return classify_omega(m, p, cfg)
+
+
 def _basin_rows(task):
     """Codes of the rows at the task's heights, in order.
 
-    When the map is odd, a cell whose center is exactly minus the center of
-    a cell the task has already done takes that cell's code: its orbit is
-    that orbit negated, norm for norm.  The test is made per cell, so a
-    window whose centers are not exactly antisymmetric still classifies
-    every cell it cannot copy."""
+    When the map is odd, a cell whose mirror-index cell (column W-1-i of the
+    mirror row) is done takes its verdict from that cell: at once where the
+    two centers are exact negations, as the orbit from -p is the orbit from
+    p negated, norm for norm; otherwise once the two orbits meet
+    (``_near_mirror``).  Every verdict is the one ``classify_omega`` gives
+    the cell alone, so a window whose centers are not antisymmetric gets
+    every code right."""
     m, xs, heights, omega = task
-    seen = {}  # cell center -> code; 0.0 and -0.0 are one key, as they are equal
-    rows = []
-    for y in heights:
-        row = bytearray(len(xs))
+    cfg = omega or OmegaConfig()
+    odd = m.odd
+    w = len(xs)
+    rows = [[None] * w for _ in heights]
+    for k, y in enumerate(heights):
+        row, mirror, my = rows[k], rows[-1 - k], heights[-1 - k]
         for i, x in enumerate(xs):
-            code = seen.get((-x, -y)) if m.odd else None
-            if code is None:
-                code = _TAG_CODE[classify_omega(m, Point2(x, y), omega).tag]
-            seen[(x, y)] = row[i] = code
-        rows.append(bytes(row))
-    return rows
+            vq = mirror[w - 1 - i] if odd else None
+            mx = xs[w - 1 - i]
+            if vq is None:
+                row[i] = classify_omega(m, Point2(x, y), cfg)
+            elif x == -mx and y == -my:  # 0.0 and -0.0 are equal, as the odd promise allows
+                row[i] = _negated(vq)
+            else:
+                row[i] = _near_mirror(m, Point2(x, y), Point2(mx, my), vq, cfg)
+    return [bytes(_TAG_CODE[v.tag] for v in row) for row in rows]
 
 
 def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
@@ -647,10 +691,14 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
     """Classify every cell center of a width x height grid over [-L, L]^2.
 
     Cell (i, r) has center (-L + (2i+1) L / width, L - (2r+1) L / height).
-    Row r and its mirror row height-1-r form one task; for an odd map
+    Row r and its mirror row height-1-r form one task.  For an odd map
     (``m.odd``) a cell whose center is exactly minus an already classified
-    center copies that cell's code instead of being classified again, which
-    halves the work on windows whose centers are antisymmetric.
+    center copies that cell's verdict instead of being classified again, and
+    a cell whose orbit meets the negated orbit of its mirror cell (column
+    width-1-i of row height-1-r) takes that cell's verdict from the meeting
+    on.  Every code is the one classifying the cell alone gives, and most
+    cells of the mirror row are classified only up to the meeting plus one
+    window, whether or not the window's centers are exactly antisymmetric.
 
     ``workers`` None means one per CPU, and any count is clamped to the
     CPUs the process may run on; the pool forks only for more than 4096

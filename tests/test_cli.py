@@ -435,6 +435,23 @@ def test_basin_bytes_at_the_default_budgets(argv, sha, counts, tmp_path, capsys)
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, sha, counts", [
+    (["--map", "counterexample", "--L", "14.958257401071155"],
+     "6ab3c3ff4da4c550af1c2c9076a7c770f819255d18f46c00534b17d118fb40cb", (192, 64, 0, 0)),
+    (["--map", "szlenk", "--L", "30.23361586000888"],
+     "933211a97864112fd47514632f722f1132ea66d039173136c20e998ed807b71f", (80, 0, 176, 0)),
+    (["--map", "counterexample", "--L", "14.962779822789347"],
+     "6ab3c3ff4da4c550af1c2c9076a7c770f819255d18f46c00534b17d118fb40cb", (192, 64, 0, 0)),
+    (["--map", "szlenk", "--L", "29.905831719714854"],
+     "933211a97864112fd47514632f722f1132ea66d039173136c20e998ed807b71f", (80, 0, 176, 0)),
+], ids=["counterexample-seed1", "szlenk-seed1", "counterexample-seed3", "szlenk-seed3"])
+def test_basin_bytes_at_the_bench_jittered_windows(argv, sha, counts, tmp_path, capsys):
+    # the bench's seed-1 and seed-3 windows at the default budgets, where few
+    # centers are exact negations and most cells share a near-mirror verdict
+    _assert_basin_bytes(argv, sha, counts, tmp_path)
+    capsys.readouterr()
+
+
 def _assert_basin_bytes(argv, sha, counts, tmp_path):
     """A 16x16 one-worker raster of ``argv`` has this sha256 and these shade counts."""
     out = tmp_path / "b.pgm"
@@ -1052,6 +1069,16 @@ def test_cli_imports_no_dataclasses():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_imports_neither_fractions_nor_decimal():
+    # pytest itself may load both, so the import runs in a fresh process
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = "import sys, dmy.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_installed_entry_point_smoke():

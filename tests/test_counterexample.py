@@ -104,6 +104,27 @@ def test_every_built_bundle_passes_its_report(k, a, eps_init):
     assert report.passed, [c.detail for c in report.checks if not c.passed]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(1e-300, 1e300), min_size=4, max_size=4))
+@example([1.0 / 3.0, 3.0, 1.0, 1.0])
+@example([1.0, 1.0, 1.0 / 3.0, 3.0])
+@example([0.1, 3.0, 0.3, 1.0])
+def test_exact_product_comparison_settles_float_ties(xs):
+    # the envelope's stretch tie-break: a * b > c * d between the exact rationals
+    from fractions import Fraction
+    a, b, c, d = xs
+    assert ce._exact_product_gt(a, b, c, d) == (Fraction(a) * Fraction(b) > Fraction(c) * Fraction(d))
+
+
+def test_exact_product_comparison_where_the_float_products_tie():
+    # 1/3 rounds down, so (1/3) * 3 is 1.0 in floats and just under 1 exactly
+    third = 1.0 / 3.0
+    assert third * 3.0 == 1.0 * 1.0
+    assert not ce._exact_product_gt(third, 3.0, 1.0, 1.0)
+    assert ce._exact_product_gt(1.0, 1.0, third, 3.0)
+    assert not ce._exact_product_gt(1.0, 1.0, 1.0, 1.0)
+
+
 def test_build_halves_oversized_slope_budget():
     b = build_counterexample(1.01, eps_init=0.2)
     assert b.profile.eps == pytest.approx(0.07072078012616964, rel=1e-9)

@@ -996,6 +996,149 @@ def test_basin_raster_classifies_each_antipodal_pair_once(monkeypatch):
         assert width * (height // 2) < len(calls) < width * height
 
 
+# --------------------------------------------------- near-mirror basin cells
+
+
+def _same_verdict(v, w):
+    """Field by field, with the final norm's bits and the representative's floats."""
+    rv, rw = v.representative, w.representative
+    return ((v.tag, v.iterations, v.period) == (w.tag, w.iterations, w.period)
+            and struct.pack("<d", v.final_norm) == struct.pack("<d", w.final_norm)
+            and (rv is None) == (rw is None)
+            and (rv is None or (rv.x, rv.y) == (rw.x, rw.y)))
+
+
+def _spy_budgets(monkeypatch):
+    """Record the budget of every classify_omega call the dynamics module makes."""
+    budgets = []
+
+    def spy(m, p, cfg=None):
+        budgets.append((cfg or OmegaConfig()).max_iter)
+        return classify_omega(m, p, cfg)
+
+    monkeypatch.setattr(dynamics, "classify_omega", spy)
+    return budgets
+
+
+@pytest.mark.parametrize("window", [8, 16, 64])
+def test_near_mirror_verdict_is_classify_omega(bundle, window, monkeypatch):
+    # jittered windows, so a mirror-index cell's center is -p only to
+    # within rounding; both parities of width and height
+    cases = [(bundle.composite, 15.0 * 0.9972, 9, 8, 500),
+             (bundle.composite, 15.0 * 1.0031, 8, 7, 3000),
+             (SZLENK, 30.0 * 1.0078, 8, 7, 3000),
+             (DampedSzlenkMap(1.01, 0.005), 30.0 * 0.9931, 9, 8, 3000),
+             (DampedSzlenkMap(1.012, 0.05), 12.0 * 1.0043, 8, 7, 500)]
+    shared = set()
+    for m, L, width, height, budget in cases:
+        cfg = OmegaConfig(max_iter=budget, window=window)
+        xs = [dynamics._center(-L, L, i, width) for i in range(width)]
+        ys = [dynamics._center(L, -L, r, height) for r in range(height)]
+        for r in range(height):
+            for i in range(width):
+                p = Point2(xs[i], ys[r])
+                q = Point2(xs[width - 1 - i], ys[height - 1 - r])
+                want = classify_omega(m, p, cfg)
+                budgets = _spy_budgets(monkeypatch)
+                got = dynamics._near_mirror(m, p, q, classify_omega(m, q, cfg), cfg)
+                monkeypatch.undo()
+                assert _same_verdict(got, want), (m.describe(), L, p, q)
+                assert len(budgets) == 1
+                if budgets[0] < budget:
+                    shared.add(got.tag)
+    # the orbits met for cells of every outcome
+    assert shared == set(OmegaTag)
+
+
+def test_near_mirror_verdict_decided_within_the_prefix(monkeypatch):
+    # a projection onto the x axis: the orbits of p and q meet at step 1,
+    # and with a one-step window q cycles at step 2, within the prefix budget
+    # of 1 + 1
+    proj = LinearMap(Mat2(1.0, 0.0, 0.0, 0.0))
+    p, q = Point2(-2.0, 0.5), Point2(2.0, -0.25)
+    cfg = OmegaConfig(window=1)
+    vq = classify_omega(proj, q, cfg)
+    assert (vq.tag, vq.iterations, vq.period) == (OmegaTag.PERIODIC, 2, 1)
+    budgets = _spy_budgets(monkeypatch)
+    got = dynamics._near_mirror(proj, p, q, vq, cfg)
+    assert budgets == [2]
+    assert _same_verdict(got, classify_omega(proj, p, cfg))
+    assert (got.representative.x, got.representative.y) == (-2.0, 0.0)
+    # a halving projection: q falls into the origin ball, while p starts
+    # past the escape radius, so the prefix run's verdict is not q's
+    half = LinearMap(Mat2(0.5, 0.0, 0.0, 0.0))
+    p, q = Point2(-1.0, 20.0), Point2(1.0, 0.0)
+    cfg = OmegaConfig(escape_radius=10.0, window=8)
+    vq = classify_omega(half, q, cfg)
+    assert vq.tag is OmegaTag.CONVERGES_TO_ORIGIN
+    budgets.clear()
+    got = dynamics._near_mirror(half, p, q, vq, cfg)
+    assert budgets == [9]
+    assert _same_verdict(got, classify_omega(half, p, cfg))
+    assert (got.tag, got.iterations) == (OmegaTag.ESCAPING, 0)
+
+
+@pytest.mark.parametrize("L, parent_iterations", [(14.958257401071155, 142_704),
+                                                  (30.23361586000888, 286_258)],
+                         ids=["composite", "szlenk"])
+def test_basin_raster_at_the_bench_seed_1_windows(bundle, L, parent_iterations, monkeypatch):
+    # the bench's seed-1 windows at the default budgets: the raster is the
+    # cell-by-cell one, and the classify_omega runs it makes step at most
+    # 2/3 as often as classifying every cell not copied whole
+    m = bundle.composite if L < 20.0 else SZLENK
+    want = _classify_every_cell(m, L, 16, 16)
+    iterations = []
+
+    def counting(m, p, cfg=None):
+        v = classify_omega(m, p, cfg)
+        iterations.append(v.iterations)
+        return v
+
+    monkeypatch.setattr(dynamics, "classify_omega", counting)
+    assert basin_raster(m, L, 16, 16, workers=1).codes == want
+    assert sum(iterations) <= parent_iterations * 2 // 3
+
+
+def test_basin_serial_and_pooled_agree_at_a_jittered_window(monkeypatch):
+    # more cells than the serial limit, an odd width and height, and centers
+    # that are exact negations for few cells
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 2)
+    omega = OmegaConfig(max_iter=500)
+    serial = basin_raster(SZLENK, 30.17, 65, 67, omega, workers=1)
+    pooled = basin_raster(SZLENK, 30.17, 65, 67, omega, workers=2)
+    assert 65 * 67 > dynamics._SERIAL_CELL_LIMIT
+    assert serial.codes == pooled.codes
+    assert len(set(serial.codes)) > 1
+
+
+class UnpromisedSzlenk(PlanarMap):
+    """The cubic map's kernels without the odd promise: ``odd`` stays False."""
+
+    def xy(self, x, y):
+        return SZLENK.xy(x, y)
+
+    def jac(self, x, y):
+        return SZLENK.jac(x, y)
+
+    def describe(self):
+        return "unpromised szlenk"
+
+
+def test_maps_that_are_not_odd_never_share_a_verdict(monkeypatch):
+    m = UnpromisedSzlenk()
+    assert not m.odd
+    omega = OmegaConfig(max_iter=3000)
+    want = _classify_every_cell(m, 30.17, 16, 15, omega)
+    mirrored = []
+    monkeypatch.setattr(dynamics, "_near_mirror", lambda *args: mirrored.append(args))
+    budgets = _spy_budgets(monkeypatch)
+    assert basin_raster(m, 30.17, 16, 15, omega).codes == want
+    assert mirrored == [] and budgets == [3000] * (16 * 15)
+    # the same kernels with the promise give the same raster
+    monkeypatch.undo()
+    assert basin_raster(SZLENK, 30.17, 16, 15, omega).codes == want
+
+
 def test_cell_centers_near_the_double_range():
     # (2i + 1) * L overflows; the centers are redone at a power-of-two scale
     assert [dynamics._center(-1e308, 1e308, i, 4) for i in range(4)] == [
