@@ -12,8 +12,9 @@ result record as its fields, a non-finite number as null), tables are CSV with
 17-significant-digit floats, basin images are binary PGM; every file is
 written atomically (temporary file, then rename).
 
-Exit codes: 0 all checks passed, 1 a verdict failed or a search did not
-converge, 2 usage or parameter error, 3 I/O error.
+Exit codes: 0 all checks passed, 1 a verdict failed, a Newton search failed
+(``NewtonError``) or a value overflowed (``NumericOverflowError``), 2 usage or
+parameter error (``ParameterError``), 3 I/O error (``OSError``).
 
 A ``--config file.json`` supplies defaults for any flag of the subcommand
 (keys are flag names with underscores); flags given on the command line win.
@@ -25,9 +26,9 @@ line and flags, each flag a ``(dest, default, help)`` row.  A run function
 maps the resolved flags to its output (a JSON report as a dict, CSV text or
 PGM bytes) and an exit code; ``main`` alone heads a report with ``config``,
 encodes it once, writes the output to stdout or ``--out`` and maps errors to
-exit codes.  A report's keys are its result record's field names (but not
-``SpectrumReport.real_samples``) plus ``map``, ``checks``, ``passed`` and
-``hyperbolic`` where they apply.
+exit codes in one ``except`` clause.  A report's keys are its result record's
+field names (but not ``SpectrumReport.real_samples``) plus ``map``,
+``checks``, ``passed`` and ``hyperbolic`` where they apply.
 """
 
 from __future__ import annotations
@@ -203,12 +204,14 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return nx, ny
 
 
-def _capped(resolved: dict, dest: str) -> int:
-    """The count flag ``dest``, rejected above the 4096x4096 cell cap before it sizes a list."""
+def _capped(resolved: dict, dest: str, least: int | None = None) -> int:
+    """The count flag ``dest``, refused above the 4096x4096 cell cap, then below ``least``."""
     n = resolved[dest]
     if n > _MAX_CELLS:
         raise ParameterError(f"{_flag(dest)} must be at most {_MAX_CELLS} "
                              f"(the 4096x4096 cell cap), got {n!r}")
+    if least is not None and n < least:
+        raise ParameterError(f"{_flag(dest)} must be >= {least}, got {n!r}")
     return n
 
 
@@ -263,14 +266,10 @@ def _finite_or_null(v):
     return v
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -319,10 +318,7 @@ def _run_spectrum(resolved: dict):
 def _run_orbit(resolved: dict):
     m, _ = _make_map(resolved)
     start = _parse_point(resolved["start"], "--start")
-    steps = _capped(resolved, "steps")
-    if steps < 0:
-        raise ParameterError(f"--steps must be >= 0, got {steps!r}")
-    orbit = iterate(m, start, steps, resolved["escape_radius"])
+    orbit = iterate(m, start, _capped(resolved, "steps", 0), resolved["escape_radius"])
     rows = ((i, p.x, p.y, p.norm()) for i, p in enumerate(orbit.points))
     return _csv(["step", "x", "y", "norm"], rows), 0
 
@@ -360,9 +356,7 @@ def _run_phi(resolved: dict):
     if (lo := profile.R / 10.0) == 0.0:
         raise ParameterError(f"--R {profile.R!r} is too small: the table starts at R / 10, "
                              f"which underflows to 0")
-    n = _capped(resolved, "log_samples")
-    if n < 2:
-        raise ParameterError(f"--log-samples must be >= 2, got {n!r}")
+    n = _capped(resolved, "log_samples", 2)
     if not math.isfinite(hi := 10.0 * profile.r_tail):
         raise ParameterError(f"profile tail radius {profile.r_tail!r} times 10 overflows a "
                              f"double, so the table has no end; pick a smaller --R or a "
@@ -373,9 +367,7 @@ def _run_phi(resolved: dict):
 
 def _run_ray(resolved: dict):
     m, _ = _make_map(resolved)
-    n = _capped(resolved, "samples")
-    if n < 2:
-        raise ParameterError(f"--samples must be >= 2, got {n!r}")
+    n = _capped(resolved, "samples", 2)
     radius, angle = resolved["radius"], resolved["angle"]
     if not (math.isfinite(radius) and radius > 0.0):
         raise ParameterError(f"--radius must be positive and finite, got {radius!r}")
@@ -499,15 +491,10 @@ def main(argv=None) -> int:
             _write_atomic(resolved["out"],
                           output if isinstance(output, bytes) else output.encode("utf-8"))
         return code
-    except ParameterError as exc:
+    except (ParameterError, NewtonError, NumericOverflowError, OSError) as exc:
         print(f"dmy {sub}: {exc}", file=sys.stderr)
-        return 2
-    except (NewtonError, NumericOverflowError) as exc:
-        print(f"dmy {sub}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"dmy {sub}: {exc}", file=sys.stderr)
-        return 3
+        return (2 if isinstance(exc, ParameterError)
+                else 1 if isinstance(exc, (NewtonError, NumericOverflowError)) else 3)
 
 
 if __name__ == "__main__":

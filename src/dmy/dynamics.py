@@ -46,7 +46,7 @@ from itertools import chain
 
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2, record, replace
-from .planar import PlanarMap, _chain_product, _finite_jac
+from .planar import ESCAPE_RADIUS, PlanarMap, _chain_product, _finite_jac
 from .spectral import (_growth, _jacobian_sups, _log_radii, _norm, _ring_points, _sweep_sup,
                        eig2)
 
@@ -75,7 +75,7 @@ class OmegaConfig:
 
     max_iter: int = 10_000
     origin_tol: float = 1e-9
-    escape_radius: float = 1e9
+    escape_radius: float = ESCAPE_RADIUS
     window: int = 64
     cycle_rel_tol: float = 1e-7
 
@@ -613,14 +613,14 @@ def resolve_workers(requested: int | None = None) -> int:
 
 def _center(start: float, step: float, i: int, n: int) -> float:
     """start + (2i + 1) * step / n, the center of cell i of n, with start and
-    step +-L.  A window near the double range overflows (2i + 1) * L although
-    every center is finite: that center is redone with L scaled down by a
-    power of two, exact for normal floats, and scaled back up."""
+    step +-L for a finite L.  A window near the double range overflows
+    (2i + 1) * L although every center is finite: that center is redone with
+    L scaled down by a power of two, exact for normal floats, and scaled back up."""
     c = start + (2 * i + 1) * step / n
     if math.isfinite(c):
         return c
     s = 2.0 ** (2 * n).bit_length()
-    return (start / s + (2 * i + 1) * (step / s) / n) * s
+    return _center(start / s, step / s, i, n) * s
 
 
 def _negated(v: OmegaVerdict) -> OmegaVerdict:
@@ -718,8 +718,8 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
     xs = [_center(-half_width, half_width, i, width) for i in range(width)]
     ys = [_center(half_width, -half_width, r, height) for r in range(height)]
     # row r and its mirror row, or the middle row of an odd height alone
-    pairs = [sorted({r, height - 1 - r}) for r in range((height + 1) // 2)]
-    tasks = [(m, xs, [ys[r] for r in pair], omega) for pair in pairs]
+    tasks = [(m, xs, [ys[r], ys[-1 - r]] if 2 * r + 1 < height else [ys[r]], omega)
+             for r in range((height + 1) // 2)]
     if workers == 1 or width * height <= _SERIAL_CELL_LIMIT:
         done = [_basin_rows(t) for t in tasks]
     else:
@@ -733,9 +733,7 @@ def basin_raster(m: PlanarMap, half_width: float, width: int, height: int,
             ctx = multiprocessing.get_context()
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
             done = list(pool.map(_basin_rows, tasks))
-    rows = [b""] * height
-    for pair, codes in zip(pairs, done):
-        for r, row in zip(pair, codes):
-            rows[r] = row
+    # the first rows run down to the middle, the mirror rows on from it
+    rows = [codes[0] for codes in done] + [codes[1] for codes in reversed(done) if len(codes) == 2]
     return BasinGrid(half_width=half_width, width=width, height=height,
                      codes=b"".join(rows))

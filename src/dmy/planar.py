@@ -53,7 +53,9 @@ from .geometry import Mat2, Point2, record
 from .phi import PhiProfile, _phi_parts, phi_eval
 
 K_MAX = 2.0 / math.sqrt(3.0)  # Szlenk parameter lives in the open interval (1, K_MAX)
-ESCAPE_RADIUS = 1e9  # iterate's default, also the CLI's orbit --escape-radius
+# iterate's and OmegaConfig's default, so also classify_omega's and the CLI's
+# orbit --escape-radius and basin --escape-radius
+ESCAPE_RADIUS = 1e9
 
 
 def _szlenk_xy(m, x, y):

@@ -177,10 +177,10 @@ def _lerp(lo: float, hi: float, i: int, n: int) -> float:
     v = ((n - 1 - i) * lo + i * hi) / (n - 1)
     if math.isfinite(v):
         return v
-    # bounds near the double range: redo with the bounds scaled down by a
-    # power of two, which is exact for normal floats, and scale back up
+    # finite bounds near the double range: redo with them scaled down by a power
+    # of two, exact for normal floats, to where no sum overflows; scale back up
     s = 2.0 ** ((n - 1).bit_length() + 1)
-    return ((n - 1 - i) * (lo / s) + i * (hi / s)) / (n - 1) * s
+    return _lerp(lo / s, hi / s, i, n) * s
 
 
 def _redraw(v: float, lo: float, hi: float, u: float) -> float:

@@ -147,6 +147,20 @@ def test_parameter_errors_print_one_line(argv, err, tmp_path, capsys):
     assert captured.err == f"dmy {argv[0]}: {err.format(array=array)}\n"
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["phi", "--log-samples", "1"], 2, r"--log-samples must be >= 2, got 1"),
+    (["phi", "--out", "{missing}"], 3, r"\[Errno 2\] No such file or directory: .*"),
+], ids=["count-below-least", "out-in-missing-dir"])
+def test_phi_refusals_print_one_line_with_their_code(argv, code, err, tmp_path, capsys):
+    # a ParameterError exits 2 and an OSError 3, each as one stderr line
+    # headed by the subcommand and with nothing on stdout
+    argv = [a.format(missing=tmp_path / "missing" / "x.csv") for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"dmy phi: {err}\n", captured.err)
+
+
 def test_unwritable_out_exits_three(capsys):
     code = main(["phi", "--out", "/no-such-dir-anywhere/x.csv"])
     assert code == 3
@@ -417,8 +431,10 @@ def test_basin_runs_are_bitwise_identical(tmp_path, capsys):
 ], ids=["szlenk", "counterexample"])
 def test_basin_bytes_at_windows_that_mirror_little(argv, sha, counts, tmp_path, capsys):
     # these centers are antisymmetric for few cells (32 and 50 of 256 are
-    # copied), so nearly every cell is classified; the budgets cut through
-    # the escape and cycle times, which pins iteration counts as well as tags
+    # copied); most other cells of the mirror rows (71 and 57) are classified
+    # only up to where their orbit meets their mirror cell's negated orbit,
+    # plus one window; the budgets cut through the escape and cycle times,
+    # which pins iteration counts as well as tags
     _assert_basin_bytes(argv, sha, counts, tmp_path)
     capsys.readouterr()
 

@@ -1139,6 +1139,31 @@ def test_maps_that_are_not_odd_never_share_a_verdict(monkeypatch):
     assert basin_raster(SZLENK, 30.17, 16, 15, omega).codes == want
 
 
+_MAX_DOUBLE = 1.7976931348623157e308
+
+
+def _near_max(ulps):
+    """The double ``ulps`` steps below the largest one."""
+    v = _MAX_DOUBLE
+    for _ in range(ulps):
+        v = math.nextafter(v, 0.0)
+    return v
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((-1.0, 1.0)), st.integers(0, 8), st.integers(2, 4096), st.data())
+def test_cell_centers_near_the_double_range_are_the_scaled_formula(sign, ulps, n, data):
+    # oracle: the plain formula, or where it overflows the same formula with
+    # start and step scaled down by a power of two and the result scaled back up
+    start, step = -sign * _near_max(ulps), sign * _near_max(ulps)
+    i = data.draw(st.integers(0, n - 1))
+    want = start + (2 * i + 1) * step / n
+    if not math.isfinite(want):
+        s = 2.0 ** (2 * n).bit_length()
+        want = (start / s + (2 * i + 1) * (step / s) / n) * s
+    assert struct.pack("<d", dynamics._center(start, step, i, n)) == struct.pack("<d", want)
+
+
 def test_cell_centers_near_the_double_range():
     # (2i + 1) * L overflows; the centers are redone at a power-of-two scale
     assert [dynamics._center(-1e308, 1e308, i, 4) for i in range(4)] == [

@@ -714,6 +714,40 @@ def test_sample_points_span_the_double_range_exactly():
                    (-1.7976931348623157e308, 1.0), (0.0, 1.0), (1.7976931348623157e308, 1.0)]
 
 
+_MAX_DOUBLE = 1.7976931348623157e308
+
+
+def _near_max(ulps):
+    """The double ``ulps`` steps below the largest one."""
+    v = _MAX_DOUBLE
+    for _ in range(ulps):
+        v = math.nextafter(v, 0.0)
+    return v
+
+
+# a bound within a few ulps of +-1.7976931348623157e308
+_near_max_bound = st.builds(lambda sign, ulps: sign * _near_max(ulps),
+                            st.sampled_from((-1.0, 1.0)), st.integers(0, 8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_max_bound, _near_max_bound, st.integers(2, 4096), st.data())
+def test_lerp_near_the_double_range_is_the_scaled_formula(lo, hi, n, data):
+    # oracle: the plain formula, or where it overflows the same formula with
+    # the bounds scaled down by a power of two and the result scaled back up
+    i = data.draw(st.integers(0, n - 1))
+    if i == 0:
+        want = lo
+    elif i == n - 1:
+        want = hi
+    else:
+        want = ((n - 1 - i) * lo + i * hi) / (n - 1)
+        if not math.isfinite(want):
+            s = 2.0 ** ((n - 1).bit_length() + 1)
+            want = ((n - 1 - i) * (lo / s) + i * (hi / s)) / (n - 1) * s
+    assert struct.pack("<d", _lerp(lo, hi, i, n)) == struct.pack("<d", want)
+
+
 def test_sample_points_keep_their_bits_on_ordinary_regions():
     # pinned bits: ordinary regions never take the overflow fallback
     grid = list(_sample_points(Rect(-1.1, 2.3, -0.7, 1e-3), GridStrategy(7, 4)))
