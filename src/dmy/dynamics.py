@@ -643,17 +643,17 @@ def _near_mirror(m: PlanarMap, p: Point2, q: Point2, vq: OmegaVerdict,
     or p's verdict is vq with the representative negated.  Orbits that never
     meet are classified in full."""
     step = m.xy
-    window = cfg.window
     px, py, qx, qy = p.x, p.y, q.x, q.y
-    for s in range(vq.iterations - window + 1):
+    for s in range(vq.iterations - cfg.window + 1):
+        if s:  # no step follows the last check
+            try:
+                px, py = step(px, py)
+                qx, qy = step(qx, qy)
+            except (ArithmeticError, ValueError):
+                break
         if px == -qx and py == -qy:
-            v = classify_omega(m, p, replace(cfg, max_iter=s + window))
+            v = classify_omega(m, p, replace(cfg, max_iter=s + cfg.window))
             return _negated(vq) if v.tag is OmegaTag.UNDECIDED else v
-        try:
-            px, py = step(px, py)
-            qx, qy = step(qx, qy)
-        except (ArithmeticError, ValueError):
-            break
     return classify_omega(m, p, cfg)
 
 

@@ -4,10 +4,10 @@ Eigenvalues come from the characteristic polynomial l^2 - tr*l + det.  The
 discriminant decides real versus conjugate-complex; a pair counts as real
 when tr^2 - 4*det >= -1e-12 * max(tr^2, 4*|det|), a floor relative to the
 terms that formed it, so an exactly-nilpotent Jacobian survives rounding as
-the real double root it is.  A discriminant of -inf (4*det overflowed) meets
-that floor, -inf too, but is read as complex, so where tr^2 or 4*det overflows
-the largest modulus is never finite.  The real branch uses the cancellation-free
-form (larger root first, companion via det / root).
+the real double root it is.  Where tr^2 or 4*det overflows at finite entries,
+the pair is redone at the entries scaled by a power of two and scaled back, so
+an eigenvalue is inf only where it lies past the doubles.  The real branch uses
+the cancellation-free form (larger root first, companion via det / root).
 
 The operator norm is the exact 2x2 singular-value identity
 
@@ -39,7 +39,8 @@ bounds, where tr^2 and 4 det are finite.
 Both kinds of Jacobian sweep read a map's unchecked ``jac`` kernel, which no
 pre-test passes with a non-finite entry.  Where it fails, a sup prices a
 Jacobian that fails ``planar._finite_jac`` +inf; ``sample_spectrum`` counts
-an overflow on ``_eig``'s modulus alone, which is not finite for such a Jacobian.
+an overflow on ``_eig``'s modulus alone, which is not finite only where an
+entry is not finite or an eigenvalue lies past the doubles.
 
 ``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
 When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
@@ -73,8 +74,14 @@ def _eig(a11: float, a12: float, a21: float, a22: float):
     tr = a11 + a22
     det = a11 * a22 - a12 * a21
     disc = tr * tr - 4.0 * det
+    if not -math.inf < disc < math.inf and _finite_jac(a11, a12, a21, a22):
+        # tr^2 or 4 det overflowed: redo once at 2**-e, e the largest entry's exponent
+        # (exact for normal floats); scale back by products, inf where ldexp would raise
+        e = math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))[1]
+        is_real, u, v = _eig(*(math.ldexp(a, -e) for a in (a11, a12, a21, a22)))
+        return is_real, u * 2.0 ** (e - 2) * 4.0, v * 2.0 ** (e - 2) * 4.0
     # a slightly negative disc is rounding noise only relative to the terms that formed
-    # it (an absolute floor misreads tiny entries); disc = -inf is 4 det overflowing
+    # it (an absolute floor misreads tiny entries); disc = -inf needs a non-finite entry
     if -math.inf < disc >= -REAL_DISC_TOL * max(tr * tr, 4.0 * abs(det)):
         s = math.sqrt(disc) if disc > 0.0 else 0.0
         big = (tr + s) / 2.0 if tr >= 0.0 else (tr - s) / 2.0
@@ -102,17 +109,10 @@ def _norm(a11: float, a12: float, a21: float, a22: float) -> float:
 
 
 def eig2(m: Mat2) -> tuple[complex, complex]:
-    """Both eigenvalues of m: a real pair ascending with zero imaginary parts, a
-    complex pair as exact conjugates, positive imaginary part first.  Where tr^2 or
-    4 det overflows, ``_eig``'s result is not finite, so the pair is redone at the
-    scale 2**-e, e the largest entry's exponent (exact for normal floats), and scaled
-    back by products, which give inf where ``math.ldexp`` or ``2.0 ** 1024`` raise."""
-    entries = (m.a11, m.a12, m.a21, m.a22)
-    is_real, u, v = _eig(*entries)
-    if not (math.isfinite(u) and math.isfinite(v)):
-        e = math.frexp(max(map(abs, entries)))[1]
-        is_real, u, v = _eig(*(math.ldexp(a, -e) for a in entries))
-        u, v = u * 2.0 ** (e - 2) * 4.0, v * 2.0 ** (e - 2) * 4.0
+    """Both eigenvalues of m, ``_eig``'s pair packed: a real pair ascending with zero
+    imaginary parts, a complex pair as exact conjugates, positive imaginary part
+    first.  A part is inf only where that eigenvalue lies past the doubles."""
+    is_real, u, v = _eig(m.a11, m.a12, m.a21, m.a22)
     if is_real:
         return complex(u, 0.0), complex(v, 0.0)
     return complex(u, v), complex(u, -v)
@@ -418,7 +418,7 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
                 continue
             is_real, lo, hi = _eig(*j)
             mod = _modulus(is_real, lo, hi)
-        if not math.isfinite(mod):  # a non-finite entry, or tr^2 - 4 det overflowed
+        if not math.isfinite(mod):  # a non-finite entry, or an eigenvalue past the doubles
             overflow += 1
             last_overflow = idx
             continue

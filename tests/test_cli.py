@@ -222,8 +222,18 @@ def test_spectrum_random_strategy(capsys):
 
 
 def test_spectrum_eigenvalue_overflow_is_counted(capsys):
-    # finite Jacobian entries, but tr^2 - 4 det overflows to inf - inf
+    # tr^2 - 4 det overflows to inf - inf, yet the eigenvalues 1e308 and 1 are
+    # doubles: no sample overflows, and the ball check fails on its modulus
     code, obj = run_strict_json(["spectrum", "--map", "linear", "--matrix", "1e308,0,0,1",
+                                 "--region", "1:2:1:2", "--grid", "3x3",
+                                 "--check", "ball:1"], capsys)
+    assert code == 1
+    assert obj["samples"] == 9 and obj["overflows"] == 0
+    assert obj["max_modulus"] == 1e308 and obj["max_modulus_at"] == [1.0, 1.0]
+    assert obj["checks"][0]["passed"] is False
+    # finite entries whose eigenvalue 3e308 lies past the doubles: every sample overflows
+    code, obj = run_strict_json(["spectrum", "--map", "linear",
+                                 "--matrix", "1.5e308,1.5e308,1.5e308,1.5e308",
                                  "--region", "1:2:1:2", "--grid", "3x3",
                                  "--check", "ball:1"], capsys)
     assert code == 1

@@ -1078,6 +1078,42 @@ def test_near_mirror_verdict_decided_within_the_prefix(monkeypatch):
     assert (got.tag, got.iterations) == (OmegaTag.ESCAPING, 0)
 
 
+class _CountingContract(PlanarMap):
+    """CONTRACT's kernels with a count of ``xy`` calls, and its odd promise."""
+
+    odd = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def xy(self, x, y):
+        self.calls += 1
+        return CONTRACT.xy(x, y)
+
+    def jac(self, x, y):
+        return CONTRACT.jac(x, y)
+
+    def describe(self):
+        return "counting contract"
+
+
+def test_near_mirror_steps_no_further_than_its_last_check(monkeypatch):
+    # under diag(0.5, 0.3) an orbit on the x axis never meets the negated
+    # orbit on the y axis; the meeting is checked at steps 0..N, N the mirror's
+    # iterations less the window, so each orbit is stepped N times, not N + 1
+    m = _CountingContract()
+    cfg = OmegaConfig(window=8)
+    p, q = Point2(1.0, 0.0), Point2(0.0, 1.0)
+    vq = classify_omega(m, q, cfg)
+    n = vq.iterations - cfg.window
+    assert n > 0
+    want = classify_omega(m, p, cfg)
+    monkeypatch.setattr(dynamics, "classify_omega", lambda *args: want)
+    m.calls = 0
+    assert dynamics._near_mirror(m, p, q, vq, cfg) is want
+    assert m.calls == 2 * n
+
+
 @pytest.mark.parametrize("L, parent_iterations", [(14.958257401071155, 142_704),
                                                   (30.23361586000888, 286_258)],
                          ids=["composite", "szlenk"])

@@ -228,7 +228,7 @@ def _checked(jac):
 
 
 _RING = list(chain([(0.0, 0.0)], _ring_points(_log_radii(1e-3, 1e3, 9), 8)))
-_TABLE = {  # a NaN radius, an overflow, and ties in both measures
+_TABLE = {  # an overflowing discriminant, an overflow, and ties in both measures
     (0.0, 0.0): (0.5, 0.0, 0.0, 0.25),
     (1.0, 0.0): (0.0, -0.5, 0.5, 0.0),
     (2.0, 0.0): (0.5, 0.0, 0.0, -0.5),
@@ -298,8 +298,12 @@ def test_jacobian_sups_keep_the_first_witness_of_a_tie():
     # three matrices of radius and norm 0.5: diagonal, rotation, reflection
     assert _jacobian_sups(points[:3], jac, (_radius, _norm)) == [(0.5, Point2(0.0, 0.0), 3)] * 2
     (r, r_at, _), (n, n_at, _) = _jacobian_sups(points, jac, (_radius, _norm))
-    # at (1e308, 0, 0, 1) the radius is NaN and the norm's sum of hypots overflows
-    assert (r, r_at) == (n, n_at) == (math.inf, Point2(3.0, 0.0))
+    # at (1e308, 0, 0, 1) the radius is the eigenvalue 1e308, though tr^2 - 4 det
+    # is inf - inf, and the norm's sum of hypots overflows; the raising Jacobian
+    # at (5, 0) is the radius's first +inf
+    assert (r, r_at) == (math.inf, Point2(5.0, 0.0))
+    assert (n, n_at) == (math.inf, Point2(3.0, 0.0))
+    assert _radius(*jac(3.0, 0.0)) == 1e308 and _norm(*jac(3.0, 0.0)) == math.inf
 
 
 _MAPS = {

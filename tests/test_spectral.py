@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -307,6 +308,12 @@ def _ldexp_or_inf(x, e):
 def _assert_core_matches(entries):
     m = Mat2(*entries)
     ref = _eig2_reference(m)
+    if not all(map(math.isfinite, _parts(ref))):
+        # tr^2 or det overflowed: the core's pair is the pair of the entries
+        # scaled by 2**-e, e the exponent of the largest |entry|, scaled back
+        e = math.frexp(max(map(abs, entries)))[1]
+        small = _eig2_reference(Mat2(*(math.ldexp(a, -e) for a in entries)))
+        ref = tuple(complex(_ldexp_or_inf(z.real, e), _ldexp_or_inf(z.imag, e)) for z in small)
     is_real, u, v = _eig(*entries)
     assert is_real == (ref[0].imag == 0.0)
     if is_real:
@@ -316,15 +323,8 @@ def _assert_core_matches(entries):
     assert _bits(_radius(*entries)) == _bits(max(map(abs, ref))) == _bits(spectral_radius(m))
     assert _bits(_norm(*entries)) == _bits(operator_norm(m))
     pair = eig2(m)
-    if math.isfinite(u) and math.isfinite(v):
-        assert _bits(*_parts(pair)) == _bits(*_parts(ref))
-        assert _bits(max(map(abs, pair))) == _bits(_radius(*entries))
-    else:
-        # tr^2 or det overflowed: eig2 is the pair of the entries scaled by
-        # 2**-e, e the exponent of the largest |entry|, scaled back
-        e = math.frexp(max(map(abs, entries)))[1]
-        small = _eig2_reference(Mat2(*(math.ldexp(a, -e) for a in entries)))
-        assert _bits(*_parts(pair)) == _bits(*(_ldexp_or_inf(x, e) for x in _parts(small)))
+    assert _bits(*_parts(pair)) == _bits(*_parts(ref))
+    assert _bits(max(map(abs, pair))) == _bits(_radius(*entries))
     return is_real
 
 
@@ -366,24 +366,27 @@ def test_float_core_at_relative_disc_tolerance(scale):
     (1e200, 0.0, 0.0, -1e200),
 ])
 def test_float_core_when_discriminant_is_not_finite(entries):
+    # the unscaled pair leaves the doubles, so the core takes its scaled redo
+    assert not all(map(math.isfinite, _parts(_eig2_reference(Mat2(*entries)))))
     _assert_core_matches(entries)
 
 
-def test_radius_is_nan_when_discriminant_is_inf_minus_inf():
-    # sample_spectrum counts such a sample as an overflow
-    assert math.isnan(_radius(1e308, 0.0, 0.0, 1.0))
+def test_radius_is_finite_when_discriminant_is_inf_minus_inf():
+    # tr^2 - 4 det is inf - inf, yet both eigenvalues, 1e308 and 1, are doubles
+    assert _radius(1e308, 0.0, 0.0, 1.0) == 1e308
 
 
 @pytest.mark.parametrize("entries", [(0.0, -2.0 ** 511, 2.0 ** 511, 0.0),
                                      (1.0, -1e154, 1e154, 1.0)])
 def test_discriminant_of_minus_inf_is_no_real_pair(entries):
     # 4 det overflows with tr^2 finite: the discriminant -inf meets the floor
-    # -1e-12 * inf, but the pair is complex and its modulus is no finite number
-    assert _eig(*entries) == (False, entries[0], math.inf)
-    assert _radius(*entries) == math.inf
+    # -1e-12 * inf, but the pair, redone at a power-of-two scale, is complex
+    # with its finite modulus, and no sample overflows
+    assert _eig(*entries) == (False, entries[0], entries[2])
+    assert _radius(*entries) == abs(complex(entries[0], entries[2]))
     rep = sample_spectrum(LinearMap(Mat2(*entries)), Rect(-1.0, 1.0, -1.0, 1.0),
                           GridStrategy(3, 3))
-    assert (rep.samples, rep.overflows, rep.max_modulus) == (9, 9, None)
+    assert (rep.samples, rep.overflows, rep.max_modulus) == (9, 0, _radius(*entries))
     assert not check_ball(rep, 1.0).passed
 
 
@@ -422,11 +425,36 @@ unit_entry = st.floats(min_value=-4.0, max_value=4.0).filter(
 @example(1.0, 0.0, 0.0, -1.0, 1000)
 @example(0.0, -1.0, 1.0, 0.0, 511)  # 4 det overflows while tr^2 is 0
 def test_eig2_commutes_with_power_of_two_scaling(a, b, c, d, k):
-    # past k of about 510 tr^2 overflows, and eig2 redoes the pair at a
+    # past k of about 510 tr^2 overflows, and _eig redoes the pair at a
     # power-of-two scale; no eigenvalue of A * 2**k leaves the doubles
     s = 2.0 ** k
     pair = eig2(Mat2(a * s, b * s, c * s, d * s))
     assert _bits(*_parts(pair)) == _bits(*(x * s for x in _parts(eig2(Mat2(a, b, c, d)))))
+
+
+def _normal(x):
+    return x == 0.0 or sys.float_info.min <= abs(x) < math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_entry, unit_entry, unit_entry, unit_entry,
+       st.integers(-300, 1020), st.integers(-300, 1020))
+@example(1.0, 0.0, 0.0, 1.0, 0, 700)         # a double root whose tr^2 overflows at one scale
+@example(1.0, 2.0, -3.0, 1.0, 997, 1020)     # a complex pair whose det overflows at both
+@example(4.0, 4.0, 4.0, 4.0, 1020, -300)     # the eigenvalue 2**1023, the largest reachable
+@example(0.0, -1.0, 1.0, 0.0, 511, 3)        # 4 det overflows while tr^2 is 0
+@example(1.0, 2.0 ** -64, -(2.0 ** -64), 1.0, -300, 1000)
+def test_float_core_commutes_with_power_of_two_scaling(a, b, c, d, i, j):
+    # |entries| <= 4, so no eigenvalue of 2**i A passes 2**(i + 3) <= 2**1023:
+    # the core's modulus is finite at every scale, and where both pairs are
+    # normal, the pair at 2**j is the pair at 2**i times 2**(j - i), bit for bit
+    cores = [_eig(*(math.ldexp(x, k) for x in (a, b, c, d))) for k in (i, j)]
+    for core in cores:
+        assert math.isfinite(_modulus(*core)), core
+    (real_i, u_i, v_i), (real_j, u_j, v_j) = cores
+    if all(map(_normal, (u_i, v_i, u_j, v_j))):
+        assert real_i == real_j
+        assert _bits(math.ldexp(u_i, j - i), math.ldexp(v_i, j - i)) == _bits(u_j, v_j)
 
 
 @pytest.mark.parametrize("m, strategy", [
