@@ -50,7 +50,7 @@ from .errors import NewtonError, NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2
 from .phi import _phi_parts, build_phi
 from .planar import (ESCAPE_RADIUS, DampedSzlenkMap, LinearMap, PlanarMap, SzlenkMap, iterate)
-from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict, _lerp,
+from .spectral import (GridStrategy, RandomStrategy, Rect, SpectrumReport, Verdict, _lerps,
                        _log_radii, check_ball, check_interval_free, check_real_free,
                        sample_spectrum)
 
@@ -375,7 +375,7 @@ def _run_ray(resolved: dict):
         raise ParameterError(f"--angle must be finite, got {angle!r}")
     t = math.radians(angle)
     cx, cy = math.cos(t), math.sin(t)
-    radii = [_lerp(0.0, radius, i, n) for i in range(n)]
+    radii = _lerps(0.0, radius, n)
     pts = [Point2(cx * r, cy * r) for r in radii]
     verdict = verify_invariant_ray(m, pts, resolved["tol"])
     return {"map": m.describe(), **_finite_or_null(verdict)}, 0 if verdict.passed else 1

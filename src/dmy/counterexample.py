@@ -40,7 +40,7 @@ from .geometry import DERIVED, Point2, record, replace
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import (_growth, _half_grid, _jacobian_sups, _lerp, _log_radii, _norm, _radius,
+from .spectral import (_growth, _half_grid, _jacobian_sups, _lerps, _log_radii, _norm, _radius,
                        _ring_points, _sweep_sup)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
@@ -157,7 +157,7 @@ def _damped_sweep(damped: DampedSzlenkMap):
     hw = SweepConfig.norm_half_width
     # the grid's axes are mirrored and the damped Jacobian is exactly even,
     # so grid points up to the center see every value the mirrored half would
-    axis = [_lerp(-hw, hw, i, g) for i in range(g)]
+    axis = _lerps(-hw, hw, g)
     grid = _half_grid(axis, axis)
     rings = _ring_points(_log_radii(1e-2, SweepConfig.norm_r_max, SweepConfig.norm_radii),
                          SweepConfig.norm_angles)
@@ -303,25 +303,31 @@ def _exact_product_gt(a: float, b: float, c: float, d: float) -> bool:
 
 def _check_envelope(bundle: CounterexampleBundle):
     prof, reach = bundle.profile, bundle.reach
+    R, floor, r_tail = prof.R, prof.floor, prof.r_tail
     slope_budget = prof.eps / 8.0
     # the log grid, the origin, the reach exactly, the knot walk's knots R,
     # R e^ramp and R e^m_target, and the tail radius
-    knots = (prof.R, prof.R * math.exp(prof.ramp), prof.R * math.exp(prof.m_target), prof.r_tail)
-    radii = sorted({0.0, *knots, reach, *_log_radii(prof.R * 1e-3, reach, SweepConfig.phi_samples)})
+    knots = (R, R * math.exp(prof.ramp), R * math.exp(prof.m_target), r_tail)
+    radii = sorted({0.0, *knots, reach, *_log_radii(R * 1e-3, reach, SweepConfig.phi_samples)})
     max_slope = 0.0
     range_ok = monotone_ok = flat_ok = floor_ok = stretch_ok = True
     prev_val, prev_r = math.inf, 0.0
     for r in radii:
         val, ls = _phi_parts(prof, r)
-        max_slope = max(max_slope, abs(ls))
-        range_ok &= prof.floor <= val <= 1.0
-        monotone_ok &= not val > prev_val
-        flat_ok &= not (r <= prof.R and val != 1.0)
-        floor_ok &= not (r >= prof.r_tail and val != prof.floor)
-        if prev_r > 0.0:
-            # the radial map sends radius r to val * r; rounding can tie the
-            # products of adjacent radii, and such a tie is settled exactly
-            stretch_ok &= val * r > prev_val * prev_r or _exact_product_gt(val, r, prev_val, prev_r)
+        if abs(ls) > max_slope:
+            max_slope = abs(ls)
+        if not floor <= val <= 1.0:
+            range_ok = False
+        if val > prev_val:
+            monotone_ok = False
+        if r <= R and val != 1.0:
+            flat_ok = False
+        if r >= r_tail and val != floor:
+            floor_ok = False
+        # the radial map sends radius r to val * r; rounding can tie the
+        # products of adjacent radii, and such a tie is settled exactly
+        if prev_r > 0.0 and not val * r > prev_val * prev_r:
+            stretch_ok &= _exact_product_gt(val, r, prev_val, prev_r)
         prev_val, prev_r = val, r
     slope_ok = not max_slope > slope_budget
     ok = range_ok and monotone_ok and slope_ok and flat_ok and floor_ok and stretch_ok

@@ -30,8 +30,9 @@ because sigma stays in [0, 1].
 There is one evaluation path: ``_phi_parts`` gives phi(r) and phi'(r) * r
 together from one range check, one log and one walk over the knots, and
 ``phi_eval``, ``phi_log_slope`` and ``phi_deriv`` are projections of it.
-``phi_eval``, which ``RadialMap.xy`` calls on every step outside the flat
-disc, takes the walk's value-only path and skips the slope.
+On the flat disc and the floor tail it returns before the walk.
+``RadialMap.xy`` calls its value-only path directly on every step outside
+the flat disc, which skips the slope.
 
 A knot-by-knot construction of an equivalent envelope would need about
 exp(m_target) knots (around 1e40 at desk parameters), which is why the
@@ -111,29 +112,27 @@ def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
     """
     if not r >= 0.0:
         raise ParameterError(f"radius must be >= 0, got {r!r}")
-    e8 = profile.eps / 8.0
     if r <= profile.R:
-        val, s = 1.0, 0.0
+        return (1.0, 0.0) if slope else 1.0
     # compare against r_tail directly: log rounding must not push the exact
     # tail value off the floor branch
-    elif (r >= profile.r_tail
-          or (u := math.log(r / profile.R)) >= profile.m_target + profile.ramp):
-        val, s = profile.floor, 0.0
+    if r >= profile.r_tail or (u := math.log(r / profile.R)) >= profile.m_target + profile.ramp:
+        return (profile.floor, 0.0) if slope else profile.floor
+    # the knot walk over ramp and m_target: (m(u), sigma(u)); r > R makes u > 0
+    w, mt = profile.ramp, profile.m_target
+    if u < w:
+        t = u / w
+        m, s = w * _smoothstep_integral(t), _smoothstep(t)
+    elif u <= mt:
+        m, s = u - 0.5 * w, 1.0
     else:
-        # the knot walk over ramp and m_target: (m(u), sigma(u)); r > R makes u > 0
-        w, mt = profile.ramp, profile.m_target
-        if u < w:
-            t = u / w
-            m, s = w * _smoothstep_integral(t), _smoothstep(t)
-        elif u <= mt:
-            m, s = u - 0.5 * w, 1.0
-        else:
-            t = (mt + w - u) / w
-            m, s = mt - w * _smoothstep_integral(t), _smoothstep(t)
-        val = 1.0 - e8 * m
-        # rounding may graze the floor just before the tail branch takes over
-        if not val > profile.floor:
-            val = profile.floor
+        t = (mt + w - u) / w
+        m, s = mt - w * _smoothstep_integral(t), _smoothstep(t)
+    e8 = profile.eps / 8.0
+    val = 1.0 - e8 * m
+    # rounding may graze the floor just before the tail branch takes over
+    if not val > profile.floor:
+        val = profile.floor
     if not slope:
         return val
     return val, -e8 * s if s else 0.0

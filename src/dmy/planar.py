@@ -14,7 +14,8 @@ and ``jac`` themselves, so every path shares one arithmetic.  The Jacobian
 sup sweeps of ``dmy.spectral`` apply ``_jac``'s finiteness test, ``_finite_jac``,
 only at a sample their pre-test keeps: a non-finite entry fails every
 pre-test, so a sample that passes one has the finite entries ``_jac`` would
-have returned.
+have returned.  ``_mul`` is the one ordered 2x2 product on floats: the
+composite's chain rule and Newton's (``_chain_product``, a fold) use it.
 Map objects are immutable and the kernels are pure functions of their
 arguments, so instances can be shared freely across threads or processes.
 
@@ -50,7 +51,7 @@ from abc import ABC, abstractmethod
 
 from .errors import NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2, record
-from .phi import PhiProfile, _phi_parts, phi_eval
+from .phi import PhiProfile, _phi_parts
 
 K_MAX = 2.0 / math.sqrt(3.0)  # Szlenk parameter lives in the open interval (1, K_MAX)
 # iterate's and OmegaConfig's default, so also classify_omega's and the CLI's
@@ -89,15 +90,19 @@ def _finite_jac(j11, j12, j21, j22) -> bool:
             and math.isfinite(j21) and math.isfinite(j22))
 
 
+def _mul(a, b):
+    """a b for row-major 4-tuples, by ``Mat2.__matmul__``'s formulas (+ and * only)."""
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
 def _chain_product(start, factors):
-    """F_n ... F_1 start for row-major 4-tuples, each factor put on the left by
-    ``Mat2.__matmul__``'s formulas, which need only + and *.  Starting from the
-    identity instead of F_1 can flip the sign of a zero entry."""
-    b11, b12, b21, b22 = start
-    for a11, a12, a21, a22 in factors:
-        b11, b12, b21, b22 = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                              a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-    return b11, b12, b21, b22
+    """F_n ... F_1 start, each factor put on the left by ``_mul``.  Starting
+    from the identity instead of F_1 can flip the sign of a zero entry."""
+    for f in factors:
+        start = _mul(f, start)
+    return start
 
 
 class PlanarMap(ABC):
@@ -241,7 +246,7 @@ class RadialMap(PlanarMap):
         r = math.hypot(x, y)
         if r <= prof.R:
             return x, y  # phi == 1.0 on the flat disc, and 1.0 * x is x
-        f = phi_eval(prof, r)
+        f = _phi_parts(prof, r, False)
         return f * x, f * y
 
     def jac(self, x, y):
@@ -252,7 +257,8 @@ class RadialMap(PlanarMap):
             # flat zones, the origin included: exactly f times the identity
             return f, 0.0, 0.0, f
         s = fp / r
-        return f + s * x * x, s * x * y, s * x * y, f + s * y * y
+        sxy = s * x * y
+        return f + s * x * x, sxy, sxy, f + s * y * y
 
     odd = True
     eval = PlanarMap.eval
@@ -292,7 +298,7 @@ class CompositeMap(PlanarMap):
         inner = self.inner
         first = inner.jac(x, y)
         x, y = inner._image(x, y)
-        return _chain_product(first, (self.outer.jac(x, y),))
+        return _mul(self.outer.jac(x, y), first)
 
     @property
     def odd(self):

@@ -13,18 +13,20 @@ The operator norm is the exact 2x2 singular-value identity
 
     2 * sigma_max = hypot(a11 - a22, a12 + a21) + hypot(a11 + a22, a12 - a21),
 
-which returns exact values on diagonal and shear matrices.
+which returns exact values on diagonal and shear matrices; where the sum
+overflows at finite entries, it is redone at ``_eig``'s scale.
 
 Region sweeps are deterministic.  Grid strategies enumerate row-major from
 the lower edge, x fastest.  The first and last samples on each axis are the
 region's bounds themselves, and interior ones use the lerp form
-((n-1-i)*lo + i*hi)/(n-1), so a symmetric zero lands exactly on the axes
-too.  The random strategy derives every sample from one explicit seed
-recorded in the report.  Where a lerp or draw overflows for finite bounds
-near the double range, it is redone with the bounds scaled down by a power
-of two and scaled back.  A sample whose Jacobian or eigenvalue modulus
-overflows is counted and flagged, never raised, and any flagged sample makes
-every verdict fail: an unbounded spectrum cannot certify a spectrum bound.
+((n-1-i)*lo + i*hi)/(n-1) of ``_lerps``, which spaces every axis, log grid
+and ray, so a symmetric zero lands exactly on the axes too.  The random
+strategy derives every sample from one explicit seed recorded in the report.
+Where a lerp or draw overflows for finite bounds near the double range, it is
+redone with the bounds scaled down by a power of two and scaled back.  A
+sample whose Jacobian or eigenvalue modulus overflows is counted and flagged,
+never raised, and any flagged sample makes every verdict fail: an unbounded
+spectrum cannot certify a spectrum bound.
 
 Sups of a Jacobian's spectral radius or norm (``_jacobian_sups``) take the
 exact ``_radius`` or ``_norm`` only at a sample whose pre-test, with no square
@@ -103,9 +105,11 @@ def _radius(a11: float, a12: float, a21: float, a22: float) -> float:
 
 
 def _norm(a11: float, a12: float, a21: float, a22: float) -> float:
-    h1 = math.hypot(a11 - a22, a12 + a21)
-    h2 = math.hypot(a11 + a22, a12 - a21)
-    return (h1 + h2) / 2.0
+    h = math.hypot(a11 - a22, a12 + a21) + math.hypot(a11 + a22, a12 - a21)
+    if h == math.inf and _finite_jac(a11, a12, a21, a22):  # redo at _eig's scale 2**-e
+        e = math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))[1]
+        return _norm(*(math.ldexp(a, -e) for a in (a11, a12, a21, a22))) * 2.0 ** (e - 2) * 4.0
+    return h / 2.0
 
 
 def eig2(m: Mat2) -> tuple[complex, complex]:
@@ -169,18 +173,18 @@ class RandomStrategy:
         return f"random n={self.count} seed={self.seed}"
 
 
-def _lerp(lo: float, hi: float, i: int, n: int) -> float:
-    if i == 0:
-        return lo
-    if i == n - 1:
-        return hi
-    v = ((n - 1 - i) * lo + i * hi) / (n - 1)
-    if math.isfinite(v):
-        return v
-    # finite bounds near the double range: redo with them scaled down by a power
-    # of two, exact for normal floats, to where no sum overflows; scale back up
-    s = 2.0 ** ((n - 1).bit_length() + 1)
-    return _lerp(lo / s, hi / s, i, n) * s
+def _lerps(lo: float, hi: float, n: int, offset: float = 0.0) -> list[float]:
+    """n points ((d - t) * lo + t * hi) / d: t = i over d = n - 1 steps, ending on
+    lo and hi exactly, or t = i + 0.5 over d = n steps with offset 0.5."""
+    d = n if offset else n - 1
+    ts = [i + offset for i in range(n)] if offset else range(1, n - 1)
+    vs = [((d - t) * lo + t * hi) / d for t in ts]
+    if not all(map(math.isfinite, vs)):
+        # near the double range: redo at lo/s and hi/s (exact for normal floats), times s
+        s = 2.0 ** (d.bit_length() + 1)
+        vs = [v if math.isfinite(v) else ((d - t) * (lo / s) + t * (hi / s)) / d * s
+              for t, v in zip(ts, vs)]
+    return vs if offset else [lo, *vs, hi][:n]
 
 
 def _redraw(v: float, lo: float, hi: float, u: float) -> float:
@@ -194,8 +198,7 @@ def _log_radii(lo: float, hi: float, n: int, offset: float = 0.0) -> list[float]
     Offset 0.5 takes the n midpoints of the one-point-longer log grid instead."""
     if n == 1:
         return [hi]
-    llo, lhi = math.log(lo), math.log(hi)
-    return [math.exp(_lerp(llo, lhi, i + offset, n + 1 if offset else n)) for i in range(n)]
+    return list(map(math.exp, _lerps(math.log(lo), math.log(hi), n, offset)))
 
 
 def _ring_points(radii, angles: int, phase: float = 0.0):
@@ -311,8 +314,8 @@ def _growth(m: PlanarMap):
 
 def _grid_axes(region: Rect, strategy: GridStrategy):
     """The grid's x and y coordinate lists; a non-finite one raises ParameterError."""
-    xs = [_lerp(region.xmin, region.xmax, ix, strategy.nx) for ix in range(strategy.nx)]
-    ys = [_lerp(region.ymin, region.ymax, iy, strategy.ny) for iy in range(strategy.ny)]
+    xs = _lerps(region.xmin, region.xmax, strategy.nx)
+    ys = _lerps(region.ymin, region.ymax, strategy.ny)
     if not all(map(math.isfinite, xs + ys)):
         for y in ys:
             for x in xs:

@@ -830,21 +830,22 @@ def test_ray_with_segments_whose_squares_underflow(capsys):
 
 
 def test_ray_sample_radii_match_the_unscaled_formula():
-    # the ray's radii are _lerp(0, radius, i, n): where i * radius / (n - 1)
+    # the ray's radii are _lerps(0, radius, n): where i * radius / (n - 1)
     # is finite it is an interior sample radius, near the double range the
     # scaled fallback gives what an unbounded exponent would, and the last
     # sample is radius itself, which (n - 1) * radius / (n - 1) can miss
-    from dmy.spectral import _lerp
+    from dmy.spectral import _lerps
     for radius in (0.1, 15.0, 100.0, 191.744, 3e307, 1e308, 1.7976931348623157e308):
         for n in (2, 3, 7, 11, 101):
+            radii = _lerps(0.0, radius, n)
             for i in range(n - 1):
-                got = _lerp(0.0, radius, i, n)
+                got = radii[i]
                 plain = i * radius / (n - 1)
                 if math.isfinite(plain):
                     assert got == plain
                 else:
                     assert got == math.ldexp(i * math.ldexp(radius, -64) / (n - 1), 64)
-            assert _lerp(0.0, radius, n - 1, n) == radius
+            assert radii[n - 1] == radius
 
 
 # ------------------------------------------------------------ dissipativity
@@ -897,6 +898,16 @@ def test_dissipativity_product_overflow_writes_failing_report(capsys):
     assert obj["hypothesis_ok"] is False and obj["hypothesis_max_ratio"] is None
     assert obj["contraction_ok"] is False and obj["contraction_max_ratio"] is None
     assert obj["passed"] is False
+
+
+def test_dissipativity_reports_a_norm_whose_sum_of_hypots_overflows(capsys):
+    # the norm of diag(1e308, 1) is 1e308, though its two hypots sum to 2e308;
+    # the threshold 2 * (1e308 * 10 - 5) / 0.5 then leaves the doubles
+    code, obj = run_strict_json(["dissipativity", "--map", "linear", "--matrix",
+                                 "1e308,0,0,1", "--radius", "10"], capsys)
+    assert code == 1
+    assert obj["norm_sup"] == 1e308 and obj["norm_sup_used"] == 1e308
+    assert obj["threshold_radius"] is None and obj["passed"] is False
 
 
 def test_dissipativity_ball_sweep_start_underflow(capsys):

@@ -14,7 +14,7 @@ from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, PlanarMap, Poin
 from dmy import counterexample as ce
 from dmy.cli import _finite_or_null, main
 from dmy.geometry import replace
-from dmy.spectral import _lerp, _log_radii, _norm, _radius, _ring_points
+from dmy.spectral import _lerps, _log_radii, _norm, _radius, _ring_points
 
 EXPECTED_CHECKS = ["origin-fixed", "spectral-radius-bound", "tail-contraction",
                    "radial-orientation", "period-4-orbit", "profile-envelope"]
@@ -212,6 +212,44 @@ def _eps_forced(profile, eps):
     bad = replace(profile)
     object.__setattr__(bad, "eps", eps)
     return bad
+
+
+def _envelope_record(max_slope, budget, range_ok, monotone_ok, slope_ok, stretch_ok):
+    # flat disc and floor tail hold in every case below
+    return (range_ok and monotone_ok and slope_ok and stretch_ok,
+            f"range {range_ok}, monotone {monotone_ok}, slope {slope_ok} "
+            f"(max {max_slope!r} vs budget {budget!r}), flat disc True, "
+            f"floor tail True, radius stretch strictly increasing {stretch_ok}",
+            {"samples": 10_006, "max_abs_log_slope": max_slope, "slope_budget": budget,
+             "range_ok": range_ok, "monotone_ok": monotone_ok, "flat_ok": True,
+             "floor_ok": True, "stretch_ok": stretch_ok})
+
+
+@pytest.mark.parametrize("field, value, want", [
+    (None, None, _envelope_record(0.00625, 0.00625, True, True, True, True)),
+    # a slope of -3/8 in log radius: where phi is below 3/8, near the floor,
+    # phi(r) * r falls as r grows
+    ("eps", 3.0, _envelope_record(0.375, 0.375, True, True, True, False)),
+    # a floor above 1: the flat disc's 1 lies under it, and the decay is
+    # clamped up to it
+    ("floor", 1.5, _envelope_record(0.00625, 0.00625, False, False, True, True)),
+    # at the knot R e^0.25, u rounds just under the quarter-unit ramp and the
+    # quintic rounds just past 1
+    ("ramp", 0.25, _envelope_record(0.006250000000000005, 0.00625, True, True, False, True)),
+    # the decay ends at phi 0.6875, and the floor branch then drops phi to
+    # 1/(2C) at once
+    ("m_target", 50.0, _envelope_record(0.00625, 0.00625, True, True, True, False)),
+    # a negative budget lifts phi above 1 past the flat disc, and the floor
+    # branch then drops it to 1/(2C)
+    ("eps", -0.05, _envelope_record(0.00625, -0.00625, False, False, False, False)),
+])
+def test_envelope_flags_on_tampered_profiles(bundle, field, value, want):
+    # each flag of the streaming envelope check, pinned on the paper bundle and
+    # on profiles tampered past the constructor's checks
+    profile = replace(bundle.profile)
+    if field is not None:
+        object.__setattr__(profile, field, value)
+    assert ce._check_envelope(replace(bundle, profile=profile)) == want
 
 
 def test_bundle_composes_its_own_map(bundle):
@@ -588,8 +626,8 @@ def test_damped_sweep_half_grid_sees_the_whole_grid():
     assert g * g // 2 + 1 == 3281
     for k, a in ((1.01, 0.005), (1.15, 0.3), (1.004, 0.02)):
         damped = DampedSzlenkMap(k, a)
-        full = [damped._jac(_lerp(-hw, hw, ix, g), _lerp(-hw, hw, iy, g))
-                for iy in range(g) for ix in range(g)]
+        axis = _lerps(-hw, hw, g)
+        full = [damped._jac(axis[ix], axis[iy]) for iy in range(g) for ix in range(g)]
         rings = _ring_points(_log_radii(1e-2, cfg.norm_r_max, cfg.norm_radii), cfg.norm_angles)
         full += [damped._jac(x, y) for x, y in rings]
         want = (max(0.0, *(_norm(*j) for j in full)), max(0.0, *(_radius(*j) for j in full)))

@@ -299,11 +299,11 @@ def test_jacobian_sups_keep_the_first_witness_of_a_tie():
     assert _jacobian_sups(points[:3], jac, (_radius, _norm)) == [(0.5, Point2(0.0, 0.0), 3)] * 2
     (r, r_at, _), (n, n_at, _) = _jacobian_sups(points, jac, (_radius, _norm))
     # at (1e308, 0, 0, 1) the radius is the eigenvalue 1e308, though tr^2 - 4 det
-    # is inf - inf, and the norm's sum of hypots overflows; the raising Jacobian
-    # at (5, 0) is the radius's first +inf
+    # is inf - inf, and the norm is 1e308, though its sum of hypots overflows;
+    # the raising Jacobian at (5, 0) is the first +inf of both
     assert (r, r_at) == (math.inf, Point2(5.0, 0.0))
-    assert (n, n_at) == (math.inf, Point2(3.0, 0.0))
-    assert _radius(*jac(3.0, 0.0)) == 1e308 and _norm(*jac(3.0, 0.0)) == math.inf
+    assert (n, n_at) == (math.inf, Point2(5.0, 0.0))
+    assert _radius(*jac(3.0, 0.0)) == 1e308 and _norm(*jac(3.0, 0.0)) == 1e308
 
 
 _MAPS = {

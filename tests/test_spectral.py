@@ -13,8 +13,8 @@ from dmy import (DampedSzlenkMap, GridStrategy, LinearMap, Mat2,
                  SzlenkMap, check_ball, check_interval_free, check_real_free, eig2, operator_norm,
                  sample_norm_sup, sample_spectrum, spectral_radius)
 from dmy import spectral
-from dmy.spectral import (REAL_DISC_TOL, RealSpectrumSample, SpectrumReport, _eig, _lerp,
-                          _modulus, _norm, _radius, _sample_points, _sweep_sup)
+from dmy.spectral import (REAL_DISC_TOL, RealSpectrumSample, SpectrumReport, _eig, _lerps,
+                          _log_radii, _modulus, _norm, _radius, _sample_points, _sweep_sup)
 
 
 def _diag(d1, d2):
@@ -96,6 +96,36 @@ def test_operator_norm_matches_numpy_svd(a, b, c, d):
 def test_operator_norm_exact_on_scaled_identity():
     assert operator_norm(_diag(0.6, 0.6)) == 0.6
     assert operator_norm(_diag(2.0, 2.0)) == 2.0
+
+
+def _norm_formula(a, b, c, d):
+    return (math.hypot(a - d, b + c) + math.hypot(a + d, b - c)) / 2.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+@example(1e308, 0.0, 0.0, 1.0)                         # the hypots sum to 2e308
+@example(1e308, -1e308, 1e308, 1e308)                  # a hypot overflows alone
+@example(1.5e308, 1.5e308, 1.5e308, 1.5e308)           # the norm 3e308 itself overflows
+@example(-1.7976931348623157e308, 0.0, 0.0, 1.7976931348623157e308)
+def test_norm_redoes_an_overflowing_sum_at_a_power_of_two_scale(a, b, c, d):
+    # a norm the formula gives finite keeps its bits; where the sum of hypots
+    # overflows, the norm is the formula at the entries scaled by 2**-e (e the
+    # exponent of the largest |entry|), scaled back, inf only past the doubles
+    want = _norm_formula(a, b, c, d)
+    if not math.isfinite(want):
+        e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+        want = _ldexp_or_inf(_norm_formula(*(math.ldexp(x, -e) for x in (a, b, c, d))), e)
+    assert _bits(_norm(a, b, c, d)) == _bits(want) == _bits(operator_norm(Mat2(a, b, c, d)))
+
+
+def test_operator_norm_near_the_double_range():
+    assert operator_norm(Mat2(1e308, 0.0, 0.0, 1.0)) == 1e308
+    assert operator_norm(Mat2(0.0, -1e308, 1e308, 0.0)) == 1e308
+    assert operator_norm(Mat2(1.5e308, 1.5e308, 1.5e308, 1.5e308)) == math.inf
+    # a non-finite entry is not redone
+    assert math.isnan(_norm(math.nan, 0.0, 0.0, 1.0))
+    assert _norm(math.inf, 0.0, 0.0, 1.0) == math.inf
 
 
 def test_operator_norm_dominates_unit_vectors():
@@ -491,8 +521,8 @@ def test_sample_spectrum_matches_point_loop(m, strategy):
 
 def _point_loop(m, region, strategy):
     """The report fields of a sweep that evaluates every grid sample."""
-    xs = [_lerp(region.xmin, region.xmax, i, strategy.nx) for i in range(strategy.nx)]
-    ys = [_lerp(region.ymin, region.ymax, i, strategy.ny) for i in range(strategy.ny)]
+    xs = _lerps(region.xmin, region.xmax, strategy.nx)
+    ys = _lerps(region.ymin, region.ymax, strategy.ny)
     points = [(x, y) for y in ys for x in xs]
     overflow, best, reals = 0, None, []
     for idx, (x, y) in enumerate(points):
@@ -773,7 +803,48 @@ def test_lerp_near_the_double_range_is_the_scaled_formula(lo, hi, n, data):
         if not math.isfinite(want):
             s = 2.0 ** ((n - 1).bit_length() + 1)
             want = ((n - 1 - i) * (lo / s) + i * (hi / s)) / (n - 1) * s
-    assert struct.pack("<d", _lerp(lo, hi, i, n)) == struct.pack("<d", want)
+    assert struct.pack("<d", _lerps(lo, hi, n)[i]) == struct.pack("<d", want)
+
+
+def _lerp(lo, hi, i, n):
+    """The per-point form that ``_lerps`` replaced, kept as its oracle."""
+    if i == 0:
+        return lo
+    if i == n - 1:
+        return hi
+    v = ((n - 1 - i) * lo + i * hi) / (n - 1)
+    if math.isfinite(v):
+        return v
+    s = 2.0 ** ((n - 1).bit_length() + 1)
+    return _lerp(lo / s, hi / s, i, n) * s
+
+
+def _raw_list(vs):
+    return [struct.pack("<d", v) for v in vs]
+
+
+_ordinary_bound = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_ordinary_bound, _ordinary_bound),
+                 st.tuples(_near_max_bound, _near_max_bound)),
+       st.integers(0, 600), st.sampled_from((0.0, 0.5)))
+def test_lerps_is_the_per_point_lerp(bounds, n, offset):
+    lo, hi = bounds
+    want = [_lerp(lo, hi, i + offset, n + 1 if offset else n) for i in range(n)]
+    assert _raw_list(_lerps(lo, hi, n, offset)) == _raw_list(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(1, 600),
+       st.sampled_from((0.0, 0.5)))
+@example(1.0, 4.3236123788165254e+36, 5, 0.0)
+def test_log_radii_are_the_per_point_lerp_in_log_radius(lo, hi, n, offset):
+    llo, lhi = math.log(lo), math.log(hi)
+    want = [hi] if n == 1 else [math.exp(_lerp(llo, lhi, i + offset, n + 1 if offset else n))
+                                for i in range(n)]
+    assert _raw_list(_log_radii(lo, hi, n, offset)) == _raw_list(want)
 
 
 def test_sample_points_keep_their_bits_on_ordinary_regions():
