@@ -27,6 +27,39 @@ damped-map (norm and radius in one pass) and composite sweeps run through
 at the bundle's ``reach``, ``sr_span`` tail radii.  A tail at or past
 ``tail_r_max`` has no reach: the build refuses it before the search, and the
 verifier fails those three checks and tail contraction unsampled.
+
+The composite sweep skips far rings by a proved bound.  Write DF = (k/d^2) M
+for the cubic's Jacobian, d = 1 + x^2 + y^2, Fr = ||M||_F^2 and D = det M.
+In A = x^2 and B = y^2, Q = (9/2) d^4 - Fr has positive coefficients, and
+P = (81/4) d^8 - 9 d^4 Fr + 4 D^2 has positive coefficients in each of its
+homogeneous parts of degree 0 to 7 and the degree-8 part
+(9/4) (A - B)^2 (A + B)^4 (5A^2 + 6AB + 5B^2) >= 0 (tests/test_counterexample.py
+expands both exactly).  So s = 9 d^4 / 4 lies past the vertex Fr/2 of
+t^2 - Fr t + D^2, whose roots are M's squared singular values, and the
+quadratic is positive there: ||M|| < 3 d^2 / 2, ||DF|| < 3k/2 and
+||DG_a|| < 3k/2 + a everywhere.  The bound is tight far out on the diagonal.
+The radial factor at q = G_a(p) is phi I + l u u^T with l = phi'(|q|) |q| in
+[-eps/8, 0]; its norm is phi(|q|), since eps/8 < floor <= phi.  On the ring
+|p| = r, x^6 + y^6 >= r^6 / 4 gives |F(p)| >= k r^3 / (2 (1 + r^2)), so
+|q| >= q_lo(r) = k r^3 / (2 (1 + r^2)) - a r, and phi is nonincreasing:
+rho(Df(p)) <= ||Df(p)|| <= phi(q_lo(r)) (3k/2 + a).
+
+``_ring_bound`` states this in floats, and only where the proof's premises
+hold: for a ``CompositeMap(RadialMap, DampedSzlenkMap)``, by exact type,
+whose profile and damped map are the records their own (R, C, eps) and
+(k, a) build (so phi has its proved shape, with eps/8 < floor/32 and a floor
+above 1/47, and 1 < k, 0 < a), and on rings with 1 <= r <= 2^200, where every
+kernel product is finite and an underflow's absolute error is far below the
+slack.  The k r^3 term of q_lo is scaled by 1 - 2^-40 and the a r term by
+1 + 2^-40, which covers a sample's radius lying a few ulps off r and the
+rounding of q_lo and of the kernel's |q|; 3k/2 + a is scaled by 1 + 2^-40,
+which covers phi's rounding (a few ulps, absolute, against phi >= floor) and
+the kernels' and the product's.  Left over is ``_radius``'s own error, a
+relative ~2e-8 near a double root, which ``PRETEST_MARGIN`` covers as it does
+for ``spectral._pretest``: a ring whose bound lies below the running sup times
+the margin holds no sample that reaches the sup, so the sweep counts it and
+evaluates none of it.  At the paper's parameters 133 of the 400 rings are
+skipped.
 """
 
 from __future__ import annotations
@@ -40,8 +73,8 @@ from .geometry import DERIVED, Point2, record, replace
 from .phi import PhiProfile, _phi_parts, build_phi
 from .planar import (CompositeMap, DampedSzlenkMap, K_MAX, PlanarMap, RadialMap,
                      compose)
-from .spectral import (_growth, _half_grid, _jacobian_sups, _lerps, _log_radii, _norm, _radius,
-                       _ring_points, _sweep_sup)
+from .spectral import (PRETEST_MARGIN, _growth, _half_grid, _jacobian_sups, _lerps, _log_radii,
+                       _norm, _radius, _ring_points, _rings, _sweep_sup)
 
 # the damped map's parameter must stay below 0.88 of the cubic-map ceiling so
 # the spectral margin survives damping and squashing
@@ -166,14 +199,63 @@ def _damped_sweep(damped: DampedSzlenkMap):
     return sup_norm, sup_sr
 
 
+# relative slack of the ring bound for rounding in q_lo, phi and the kernels
+_RING_SLACK = 2.0 ** -40
+
+
+def _rebuilds(rec) -> bool:
+    """True when ``rec`` is the record its own arguments build: a record
+    tampered past its constructor's checks is not."""
+    try:
+        return replace(rec) == rec
+    except ParameterError:
+        return False
+
+
+def _ring_bound(m: PlanarMap):
+    """r -> a bound on every float ``_radius(*m.jac(p))`` on the ring |p| = r,
+    up to the rounding of ``_radius`` that ``PRETEST_MARGIN`` covers, or +inf
+    where none is proved: off radial o damped maps whose records their own
+    parameters build, and off 1 <= r <= 2**200.  On the ring, |G_a(p)| >= q_lo(r) and the bound is
+    phi(q_lo(r)) (3k/2 + a), each with its slack (the module docstring)."""
+    if not (type(m) is CompositeMap and type(m.outer) is RadialMap
+            and type(m.inner) is DampedSzlenkMap
+            and _rebuilds(m.outer.profile) and _rebuilds(m.inner)):
+        return lambda r: math.inf
+    prof, k, a = m.outer.profile, m.inner.k, m.inner.a
+    c = (1.5 * k + a) * (1.0 + _RING_SLACK)
+
+    def bound(r):
+        if not 1.0 <= r <= 2.0 ** 200:
+            return math.inf
+        q_lo = (k * r * r * r / (2.0 * (1.0 + r * r)) * (1.0 - _RING_SLACK)
+                - a * r * (1.0 + _RING_SLACK))
+        return _phi_parts(prof, max(q_lo, 0.0), False) * c
+    return bound
+
+
 def _composite_sr_sweep(m: PlanarMap, flat_radius: float, reach: float):
     """Max sampled spectral radius of the composed map's Jacobian, where it
     is attained, and the sample count, over the origin and rings between log
     radii from far inside the flat disc out to the reach: midpoints of a
-    one-point-longer log grid, with the angles offset by half a step."""
+    one-point-longer log grid, with the angles offset by half a step.
+
+    Sup, witness and count are ``_sweep_sup``'s over every sample, bit for
+    bit, but a ring whose ``_ring_bound`` lies below the running sup times
+    ``PRETEST_MARGIN`` is counted and not evaluated: no sample on it can
+    reach the sup (the module docstring proves the bound).  Each other ring
+    is one ``_jacobian_sups`` pass from the running sup, whose pre-test is
+    the one a single pass would hold there."""
     radii = _log_radii(flat_radius * 1e-6, reach, SweepConfig.sr_radii, 0.5)
-    points = chain([(0.0, 0.0)], _ring_points(radii, SweepConfig.sr_angles, 0.5))
-    return _jacobian_sups(points, m.jac, (_radius,))[0]
+    bound = _ring_bound(m)
+    sup, at, count = _jacobian_sups([(0.0, 0.0)], m.jac, (_radius,))[0]
+    for r, ring in zip(radii, _rings(radii, SweepConfig.sr_angles, 0.5)):
+        if not bound(r) < sup * PRETEST_MARGIN:
+            ring_sup, ring_at, _ = _jacobian_sups(ring, m.jac, (_radius,), sup)[0]
+            if ring_at is not None:
+                sup, at = ring_sup, ring_at
+        count += len(ring)
+    return sup, at, count
 
 
 def build_counterexample(k: float, a: float = DEFAULT_A,

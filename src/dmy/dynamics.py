@@ -47,8 +47,8 @@ from itertools import chain
 from .errors import ConvergenceError, NumericOverflowError, ParameterError, SingularSystemError
 from .geometry import Mat2, Point2, record, replace
 from .planar import ESCAPE_RADIUS, PlanarMap, _chain_product, _finite_jac
-from .spectral import (_growth, _jacobian_sups, _log_radii, _norm, _ring_points, _sweep_sup,
-                       eig2)
+from .spectral import (_cabs, _growth, _jacobian_sups, _log_radii, _norm, _ring_points,
+                       _sweep_sup, eig2)
 
 
 class OmegaTag(Enum):
@@ -245,7 +245,7 @@ class PeriodicOrbit:
 
     @property
     def hyperbolic(self) -> bool:
-        return all(abs(abs(z) - 1.0) > _UNIT_CIRCLE_TOL for z in self.multipliers)
+        return all(abs(_cabs(z) - 1.0) > _UNIT_CIRCLE_TOL for z in self.multipliers)
 
 
 def orbit_multipliers(m: PlanarMap, points) -> tuple[complex, complex]:

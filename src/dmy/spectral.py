@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import NumericOverflowError, ParameterError
 from .geometry import Mat2, Point2, record
@@ -94,10 +94,18 @@ def _eig(a11: float, a12: float, a21: float, a22: float):
     return False, tr / 2.0, math.sqrt(-disc) / 2.0
 
 
+def _cabs(z: complex) -> float:
+    """abs(z), or inf where |z| lies past the doubles (there abs raises OverflowError)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _modulus(is_real: bool, u: float, v: float) -> float:
     """Largest eigenvalue modulus of an ``_eig`` result (complex ``abs``, not
     ``math.hypot``, which can differ in the last bit)."""
-    return max(abs(u), abs(v)) if is_real else abs(complex(u, v))
+    return max(abs(u), abs(v)) if is_real else _cabs(complex(u, v))
 
 
 def _radius(a11: float, a12: float, a21: float, a22: float) -> float:
@@ -201,14 +209,17 @@ def _log_radii(lo: float, hi: float, n: int, offset: float = 0.0) -> list[float]
     return list(map(math.exp, _lerps(math.log(lo), math.log(hi), n, offset)))
 
 
-def _ring_points(radii, angles: int, phase: float = 0.0):
-    """(x, y) on one circle per radius, at evenly spaced angles from
-    ``phase`` steps (0.0 starts on the positive x axis)."""
+def _rings(radii, angles: int, phase: float = 0.0):
+    """One list of (x, y) per radius, on its circle at evenly spaced angles
+    from ``phase`` steps (0.0 starts on the positive x axis)."""
     circle = [(math.cos(t), math.sin(t))
               for t in (2.0 * math.pi * (j + phase) / angles for j in range(angles))]
-    for r in radii:
-        for c, s in circle:
-            yield r * c, r * s
+    return ([(r * c, r * s) for c, s in circle] for r in radii)
+
+
+def _ring_points(radii, angles: int, phase: float = 0.0):
+    """The points of ``_rings``, ring after ring."""
+    return chain.from_iterable(_rings(radii, angles, phase))
 
 
 def _sweep_sup(points, value, sup: float = -math.inf, at=None):

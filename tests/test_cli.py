@@ -240,6 +240,15 @@ def test_spectrum_eigenvalue_overflow_is_counted(capsys):
     assert obj["samples"] == 9 and obj["overflows"] == 9
     assert obj["max_modulus"] is None and obj["max_modulus_at"] is None
     assert obj["checks"][0]["passed"] is False
+    # a complex pair of finite parts whose modulus lies past the doubles
+    # overflows too, rather than raising from complex abs
+    code, obj = run_strict_json(["spectrum", "--map", "linear", "--matrix",
+                                 "1.7973883342203502e+308,1.7973883342203502e+308,"
+                                 "-6.096529719442552e+304,1.79738833422035e+308",
+                                 "--region", "1:2:1:2", "--grid", "3x3",
+                                 "--check", "ball:1"], capsys)
+    assert code == 1
+    assert obj["samples"] == 9 and obj["overflows"] == 9
 
 
 def test_spectrum_composite_overflow_is_counted(capsys):
@@ -375,6 +384,12 @@ def test_periodic_jacobian_overflow_exits_one(capsys):
     ("1e308,1e308,1e308,1e308", [[0.0, 0.0], [None, 0.0]]),  # the eigenvalue 2e308 is inf
     ("0,-1e154,1e154,0", [[0.0, 1e154], [0.0, -1e154]]),       # 4 det overflows, tr^2 is 0
     ("1,-1e154,1e154,1", [[1.0, 1e154], [1.0, -1e154]]),
+    # tr overflows, and the pair's modulus lies just past the doubles: its
+    # parts are finite, and it is off the unit circle
+    ("1.7973883342203502e+308,1.7973883342203502e+308,"
+     "-6.096529719442552e+304,1.79738833422035e+308",
+     [[1.79738833422035e+308, 3.310261529994132e+306],
+      [1.79738833422035e+308, -3.310261529994132e+306]]),
 ])
 def test_periodic_multipliers_where_the_discriminant_overflows(matrix, mults, capsys):
     # the fixed point 0 closes at once; tr^2 or det of the multiplier matrix

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dmy import (K_CEIL, K_MAX, DampedSzlenkMap, ParameterError, PlanarMap, Point2,
-                 RadialMap, build_counterexample, basin_raster, build_phi, compose,
+                 RadialMap, SzlenkMap, build_counterexample, basin_raster, build_phi, compose,
                  dissipativity_bound, dynamics, find_periodic, phi_eval,
                  verify_counterexample)
 from dmy import counterexample as ce
@@ -632,3 +632,77 @@ def test_damped_sweep_half_grid_sees_the_whole_grid():
         full += [damped._jac(x, y) for x, y in rings]
         want = (max(0.0, *(_norm(*j) for j in full)), max(0.0, *(_radius(*j) for j in full)))
         assert ce._damped_sweep(damped) == want
+
+
+# ------------------------------------------------ the far-field norm lemma
+# Polynomials in (A, B) = (x^2, y^2) as {(i, j): integer coefficient of A^i B^j}.
+
+
+def _padd(*terms):
+    """The sum of (integer scale, polynomial) terms."""
+    out = {}
+    for s, p in terms:
+        for mono, c in p.items():
+            out[mono] = out.get(mono, 0) + s * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _pmul(*ps):
+    out = {(0, 0): 1}
+    for p in ps:
+        prod = {}
+        for (i, j), c in out.items():
+            for (u, v), e in p.items():
+                prod[i + u, j + v] = prod.get((i + u, j + v), 0) + c * e
+        out = {mono: c for mono, c in prod.items() if c}
+    return out
+
+
+def _ppow(p, n):
+    return _pmul(*[p] * n)
+
+
+def _peval(p, a, b):
+    return sum(c * a ** i * b ** j for (i, j), c in p.items())
+
+
+_ONE, _A, _B = {(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}
+_AB = _pmul(_A, _B)
+_D = _padd((1, _ONE), (1, _A), (1, _B))  # d = 1 + x^2 + y^2
+# DF = (k/d^2) M, M = [[2xy^3, -y^2 S12], [x^2 S21, -2x^3 y]]
+_S12 = _padd((3, _ONE), (3, _A), (1, _B))
+_S21 = _padd((3, _ONE), (1, _A), (3, _B))
+_FR = _padd((4, _pmul(_AB, _B, _B)), (1, _pmul(_B, _B, _S12, _S12)),  # ||M||_F^2
+            (1, _pmul(_A, _A, _S21, _S21)), (4, _pmul(_AB, _A, _A)))
+_DET = _padd((-4, _pmul(_AB, _AB)), (1, _pmul(_AB, _S12, _S21)))  # det M
+
+
+def test_norm_lemma_polynomials_match_the_kernel():
+    # k^2 Fr / d^4 and k^2 D / d^4 are the sum of squares and the det of
+    # the cubic's Jacobian entries
+    for k, x, y in ((1.01, 0.3, -2.0), (1.15, 7.0, 5.0), (1.004, -40.0, 0.5)):
+        j11, j12, j21, j22 = SzlenkMap(k).jac(x, y)
+        a, b = x * x, y * y
+        d4 = _peval(_D, a, b) ** 4
+        assert j11 ** 2 + j12 ** 2 + j21 ** 2 + j22 ** 2 == pytest.approx(
+            k * k * _peval(_FR, a, b) / d4, rel=1e-12)
+        assert j11 * j22 - j12 * j21 == pytest.approx(k * k * _peval(_DET, a, b) / d4, rel=1e-12)
+
+
+def test_norm_lemma_is_exact():
+    # ||M|| < 3 d^2 / 2 exactly when 9 d^4 / 4 lies past Fr / 2 and above both
+    # roots of t^2 - Fr t + D^2: when Q = 9 d^4 / 2 - Fr > 0 and
+    # P = 81 d^8 / 4 - 9 d^4 Fr + 4 D^2 > 0, here 4Q and 4P on exact integers
+    q4 = _padd((18, _ppow(_D, 4)), (-4, _FR))
+    p4 = _padd((81, _ppow(_D, 8)), (-36, _pmul(_ppow(_D, 4), _FR)), (16, _pmul(_DET, _DET)))
+    assert q4[0, 0] == 18 and all(c > 0 for c in q4.values())
+    # every monomial of degree 0 to 7 is present and positive...
+    low = {mono: c for mono, c in p4.items() if sum(mono) <= 7}
+    assert len(low) == 36 and all(c > 0 for c in low.values())
+    # ...and the degree-8 part is 9 (A - B)^2 (A + B)^4 (5A^2 + 6AB + 5B^2) >= 0,
+    # which vanishes on the diagonal, where the bound is tight far out
+    top = {mono: c for mono, c in p4.items() if sum(mono) == 8}
+    a_minus_b, a_plus_b = _padd((1, _A), (-1, _B)), _padd((1, _A), (1, _B))
+    quadratic = _padd((5, _pmul(_A, _A)), (6, _AB), (5, _pmul(_B, _B)))
+    assert top == _padd((9, _pmul(_ppow(a_minus_b, 2), _ppow(a_plus_b, 4), quadratic)))
+    assert len(low) + len(top) == len(p4)

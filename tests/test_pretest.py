@@ -1,6 +1,7 @@
 """The sup sweeps' pre-tests: sound (a sample they pass cannot raise the sup),
 live (they do pass where there is room), and invisible in every sweep result."""
 
+import functools
 import math
 import struct
 from itertools import chain
@@ -8,11 +9,12 @@ from itertools import chain
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dmy import (DampedSzlenkMap, DissipativitySampling, GridStrategy, LinearMap, Mat2,
-                 NumericOverflowError, Point2, RandomStrategy, Rect, SzlenkMap,
-                 dissipativity_bound, sample_norm_sup)
+from dmy import (K_MAX, CompositeMap, DampedSzlenkMap, DissipativitySampling, GridStrategy,
+                 LinearMap, Mat2, NumericOverflowError, Point2, RandomStrategy, Rect, SzlenkMap,
+                 build_counterexample, build_phi, compose, dissipativity_bound, sample_norm_sup)
 from dmy import counterexample as ce
 from dmy import dynamics, spectral
+from dmy.geometry import replace
 from dmy.spectral import (PRETEST_MARGIN, _eig, _jacobian_sups, _log_radii, _norm, _pretest,
                           _radius, _ring_points, _sample_points, _sweep_sup)
 
@@ -193,6 +195,68 @@ def test_spectrum_pretest_passes_a_complex_pair_below_the_sup(theta):
     assert not _pretest(_eig, 1.0)(0.5, 0.0, 0.0, 0.5 * math.cos(2.0 * theta))
 
 
+# far rings: the bound that lets the verifier's composite sweep skip a ring
+# (the lemma in dmy.counterexample's docstring)
+
+_SLACKED = 1.0 + ce._RING_SLACK  # the ring bound scales 3k/2 + a by this
+_H = math.sqrt(0.5)
+# log-uniform radii, and unit directions that include the exact diagonals
+# x = +-y, where the norm lemma is tight far out
+_log_uniform = st.floats(-60.0, 204.0).map(lambda e: 2.0 ** e)
+_directions = st.one_of(st.floats(0.0, 2.0 * math.pi).map(lambda t: (math.cos(t), math.sin(t))),
+                        st.sampled_from([(_H, _H), (-_H, _H), (-_H, -_H), (_H, -_H)]))
+
+
+@settings(deadline=None)
+@example(1.15, 1e-17, 2.0 ** 200, (_H, _H))  # the float norm rounds onto 3k/2 + a here
+@given(st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       _log_uniform.filter(lambda r: r <= 2.0 ** 200), _directions)
+def test_damped_norm_bound_soundness(k, a, r, direction):
+    # ||DG_a|| < 3k/2 + a in floats: outright where a is not lost in the
+    # rounding of 3k/2 + a, and up to the ring bound's slack everywhere
+    c, s = direction
+    n = _norm(*DampedSzlenkMap(k, a).jac(r * c, r * s))
+    assert n < (1.5 * k + a) * _SLACKED
+    if a >= 2.0 ** -20:
+        assert n < 1.5 * k + a
+
+
+@functools.cache
+def _built(k, a):
+    return build_counterexample(k, a, 0.05)
+
+
+# k and a of the certify bench's ops at seed 0: the paper's parameters first,
+# and op 5's damping is halved
+_BENCH_SEED_0 = [
+    (1.01, 0.005), (1.0101933159983219, 0.030312654925442137),
+    (1.005670713384143, 0.005201151719352782), (1.0139704286967588, 0.058313018175845895),
+    (1.007598931308964, 0.019659407964769924), (1.0108361478612184, 0.08926466739278938),
+    (1.0085429651158406, 0.029197084375117924), (1.013871510620919, 0.005100878858993531),
+    (1.0048589314361955, 0.01754145126161239), (1.0041037031118545, 0.043520162601619894),
+    (1.0144097858855734, 0.020822457513797236), (1.0118431061959356, 0.005399879065882249),
+    (1.008844850570819, 0.05269450372902973), (1.0132712760825928, 0.03910309111482298),
+    (1.0106051081467975, 0.015802853756590515), (1.0056943412047725, 0.07495872279366193),
+    (1.0079504877006906, 0.0070856945429205),
+]
+
+
+@pytest.mark.parametrize("k, a", [_BENCH_SEED_0[0], _BENCH_SEED_0[5]])
+@settings(deadline=None)
+@given(r=_log_uniform, direction=_directions)
+def test_ring_bound_soundness(k, a, r, direction):
+    # the bound is finite on 1 <= r <= 2**200 and holds the norm, and so the
+    # spectral radius, of every float Jacobian on the ring
+    m = _built(k, a).composite
+    bound = ce._ring_bound(m)(r)
+    assert math.isfinite(bound) == (1.0 <= r <= 2.0 ** 200)
+    c, s = direction
+    j = m.jac(r * c, r * s)
+    if math.isfinite(bound):
+        assert _radius(*j) < bound and _norm(*j) < bound
+
+
 # ------------------------------------------------------------ equivalence
 
 
@@ -314,15 +378,21 @@ _MAPS = {
 }
 
 
+def _sr_oracle(m, flat_radius, reach, offset=0.5):
+    """``_sweep_sup`` of the exact radius over the composite sweep's every sample:
+    the origin, then rings at ``offset`` of each log step and angle step."""
+    cfg = ce.SweepConfig
+    radii = _log_radii(flat_radius * 1e-6, reach, cfg.sr_radii, offset)
+    points = chain([(0.0, 0.0)], _ring_points(radii, cfg.sr_angles, offset))
+    return _sweep_sup(points, lambda x, y: _radius(*m._jac(x, y)))
+
+
 @pytest.mark.parametrize("name", [*_MAPS, "bundle"])
 @pytest.mark.parametrize("offset", [0.5])  # the sweep's midpoint rings and angles
 def test_composite_sr_sweep_equals_sweep_sup(name, offset, bundle):
     m, reach = (bundle.composite, bundle.reach) if name == "bundle" else (_MAPS[name], 1e3)
-    cfg = ce.SweepConfig
-    radii = _log_radii(bundle.flat_radius * 1e-6, reach, cfg.sr_radii, offset)
-    points = list(chain([(0.0, 0.0)], _ring_points(radii, cfg.sr_angles, offset)))
     _assert_same(ce._composite_sr_sweep(m, bundle.flat_radius, reach),
-                 _sweep_sup(points, lambda x, y: _radius(*m._jac(x, y))))
+                 _sr_oracle(m, bundle.flat_radius, reach, offset))
 
 
 @pytest.mark.parametrize("m, region, strategy", [
@@ -382,3 +452,62 @@ def test_verifier_sweep_takes_few_exact_radii(monkeypatch, bundle):
     got = ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
     assert got == want and got[2] == 12_801
     assert 0 < len(calls) < 2_000
+
+
+def _composite_jac_calls(monkeypatch):
+    """The points at which ``CompositeMap.jac`` is called from now on."""
+    calls, jac = [], CompositeMap.jac
+    monkeypatch.setattr(CompositeMap, "jac", lambda m, x, y: calls.append((x, y)) or jac(m, x, y))
+    return calls
+
+
+def test_verifier_sweep_skips_far_rings(monkeypatch, bundle):
+    # at the paper's parameters the ring bound skips 133 of the 400 rings:
+    # 8,545 of the 12,801 samples are evaluated
+    want = _sr_oracle(bundle.composite, bundle.flat_radius, bundle.reach)
+    calls = _composite_jac_calls(monkeypatch)
+    got = ce._composite_sr_sweep(bundle.composite, bundle.flat_radius, bundle.reach)
+    _assert_same(got, want)
+    assert got[2] == 12_801 and len(calls) <= 9_000
+
+
+@pytest.mark.parametrize("k, a", _BENCH_SEED_0)
+def test_bench_bundle_sweeps_equal_sweep_sup(k, a):
+    b = _built(k, a)
+    _assert_same(ce._composite_sr_sweep(b.composite, b.flat_radius, b.reach),
+                 _sr_oracle(b.composite, b.flat_radius, b.reach))
+
+
+def _tampered(bundle, field, value):
+    profile = replace(bundle.profile)
+    object.__setattr__(profile, field, value)
+    return replace(bundle, profile=profile).composite
+
+
+@pytest.mark.parametrize("make", [
+    # eps/8 = 0.375 passes the floor 0.314: the radial factor's norm is not phi
+    lambda b: _tampered(b, "eps", 3.0),
+    # a decay that ends at m_target 0.5, inside its unit ramp, makes phi jump
+    # up where the ramp ends, though eps/8 stays under the floor: only a
+    # profile that its own R, C and eps build has the proved shape
+    lambda b: _tampered(b, "m_target", 0.5),
+    # no damped cubic inside
+    lambda b: compose(b.radial, LinearMap(Mat2(0.5, -0.25, 0.25, 0.5))),
+])
+def test_composite_sweep_skips_nothing_without_the_lemma(make, monkeypatch, bundle):
+    m = make(bundle)
+    assert ce._ring_bound(m)(1e6) == math.inf
+    want = _sr_oracle(m, bundle.flat_radius, bundle.reach)
+    calls = _composite_jac_calls(monkeypatch)
+    _assert_same(ce._composite_sr_sweep(m, bundle.flat_radius, bundle.reach), want)
+    assert len(calls) == 12_801
+
+
+def test_overflowing_sweep_keeps_its_first_witness(bundle):
+    # at eps 0.02 the sweep runs out to 7.1e121: past 2**200 no ring is
+    # skipped, and the first sample whose Jacobian overflows stays the witness
+    steep = replace(bundle, profile=build_phi(bundle.flat_radius, bundle.c_used, 0.02))
+    span = ce.SweepConfig.sr_span * steep.profile.r_tail
+    got = ce._composite_sr_sweep(steep.composite, steep.flat_radius, span)
+    _assert_same(got, _sr_oracle(steep.composite, steep.flat_radius, span))
+    assert got[0] == math.inf and got[2] == 1 + 400 * 32

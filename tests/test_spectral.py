@@ -335,6 +335,13 @@ def _ldexp_or_inf(x, e):
         return math.copysign(math.inf, x)
 
 
+def _abs_or_inf(z):
+    try:
+        return abs(z)
+    except OverflowError:  # |z| lies past the doubles
+        return math.inf
+
+
 def _assert_core_matches(entries):
     m = Mat2(*entries)
     ref = _eig2_reference(m)
@@ -350,11 +357,12 @@ def _assert_core_matches(entries):
         assert _bits(u, v) == _bits(ref[0].real, ref[1].real)
     else:
         assert _bits(u, v) == _bits(ref[0].real, ref[0].imag)
-    assert _bits(_radius(*entries)) == _bits(max(map(abs, ref))) == _bits(spectral_radius(m))
+    assert (_bits(_radius(*entries)) == _bits(max(map(_abs_or_inf, ref)))
+            == _bits(spectral_radius(m)))
     assert _bits(_norm(*entries)) == _bits(operator_norm(m))
     pair = eig2(m)
     assert _bits(*_parts(pair)) == _bits(*_parts(ref))
-    assert _bits(max(map(abs, pair))) == _bits(_radius(*entries))
+    assert _bits(max(map(_abs_or_inf, pair))) == _bits(_radius(*entries))
     return is_real
 
 
@@ -437,6 +445,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=500, deadline=None)
+# a complex pair of finite parts whose modulus lies just past the doubles
+@example(1.7973883342203502e+308, 1.7973883342203502e+308, -6.096529719442552e+304,
+         1.79738833422035e+308)
 @given(finite, finite, finite, finite)
 def test_float_core_matches_eigen_pair_on_drawn_matrices(a, b, c, d):
     _assert_core_matches((a, b, c, d))
