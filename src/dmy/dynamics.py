@@ -143,11 +143,9 @@ def classify_omega(m: PlanarMap, p: Point2, cfg: OmegaConfig | None = None) -> O
     # the direction of the run in progress, None off runs
     prev, streak, streak_d, run_dir = nn, 0, 0, None
     for i in range(1, max_iter + 1):
-        try:
-            x, y = step(x, y)
-        except (ArithmeticError, ValueError):
-            # raw steps only raise once values leave the doubles entirely
-            return OmegaVerdict(OmegaTag.ESCAPING, i, math.inf)
+        # a raw step never raises: one that leaves the doubles returns a
+        # non-finite point, whose norm is inf or NaN
+        x, y = step(x, y)
         nn = hypot(x, y)
         if not (nn <= escape_radius):  # also catches nan
             return OmegaVerdict(OmegaTag.ESCAPING, i, nn if math.isfinite(nn) else math.inf)
@@ -646,11 +644,8 @@ def _near_mirror(m: PlanarMap, p: Point2, q: Point2, vq: OmegaVerdict,
     px, py, qx, qy = p.x, p.y, q.x, q.y
     for s in range(vq.iterations - cfg.window + 1):
         if s:  # no step follows the last check
-            try:
-                px, py = step(px, py)
-                qx, qy = step(qx, qy)
-            except (ArithmeticError, ValueError):
-                break
+            px, py = step(px, py)
+            qx, qy = step(qx, qy)
         if px == -qx and py == -qy:
             v = classify_omega(m, p, replace(cfg, max_iter=s + cfg.window))
             return _negated(vq) if v.tag is OmegaTag.UNDECIDED else v

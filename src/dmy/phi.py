@@ -28,8 +28,10 @@ phi'(r) * r = -(eps/8) * sigma(u), which never exceeds eps/8 in magnitude
 because sigma stays in [0, 1].
 
 There is one evaluation path: ``_phi_parts`` gives phi(r) and phi'(r) * r
-together from one range check, one log and one walk over the knots, and
-``phi_eval``, ``phi_log_slope`` and ``phi_deriv`` are projections of it.
+together from one log and one walk over the knots, and ``phi_eval``,
+``phi_log_slope`` and ``phi_deriv`` are projections of it, which refuse a
+negative or NaN radius first.  ``_phi_parts`` itself checks no radius: at a
+NaN radius it returns NaN, so ``RadialMap``'s kernels never raise.
 On the flat disc and the floor tail it returns before the walk.
 ``RadialMap.xy`` calls its value-only path directly on every step outside
 the flat disc, which skips the slope.
@@ -103,15 +105,14 @@ def _smoothstep_integral(t: float) -> float:
 
 
 def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
-    """(phi(r), phi'(r) * r) from one range check, one log and one knot walk,
-    or phi(r) alone when ``slope`` is false.
+    """(phi(r), phi'(r) * r) from one log and one knot walk, or phi(r) alone
+    when ``slope`` is false.  The radius is not checked: a NaN radius gives
+    NaN, and a negative one is taken as on the flat disc.
 
     The slope is the product in closed form, -(eps/8) * sigma(ln(r/R)):
     sigma lies in [0, 1], and scaling eps/8 by a factor <= 1 cannot round
     past eps/8.  The quotient form phi_deriv(r) * r can, by one ulp.
     """
-    if not r >= 0.0:
-        raise ParameterError(f"radius must be >= 0, got {r!r}")
     if r <= profile.R:
         return (1.0, 0.0) if slope else 1.0
     # compare against r_tail directly: log rounding must not push the exact
@@ -131,20 +132,26 @@ def _phi_parts(profile: PhiProfile, r: float, slope: bool = True):
     e8 = profile.eps / 8.0
     val = 1.0 - e8 * m
     # rounding may graze the floor just before the tail branch takes over
-    if not val > profile.floor:
+    if val < profile.floor:
         val = profile.floor
     if not slope:
         return val
     return val, -e8 * s if s else 0.0
 
 
+def _checked_radius(r: float) -> float:
+    if not r >= 0.0:
+        raise ParameterError(f"radius must be >= 0, got {r!r}")
+    return r
+
+
 def phi_eval(profile: PhiProfile, r: float) -> float:
-    return _phi_parts(profile, r, False)
+    return _phi_parts(profile, _checked_radius(r), False)
 
 
 def phi_log_slope(profile: PhiProfile, r: float) -> float:
     """The product phi'(r) * r, exact to the slope budget (see ``_phi_parts``)."""
-    return _phi_parts(profile, r)[1]
+    return _phi_parts(profile, _checked_radius(r))[1]
 
 
 def phi_deriv(profile: PhiProfile, r: float) -> float:

@@ -7,15 +7,20 @@ Five variants share one interface: linear maps, the Szlenk cubic map
 its damped version F - a*Id, radial squashing by a profile phi, and the
 composition ``CompositeMap(outer, inner)`` of two maps (longer chains nest).
 Each variant supplies two float kernels: ``xy(x, y)``, the image, and
-``jac(x, y)``, the row-major Jacobian entries as a 4-tuple.  ``PlanarMap``
-derives the rest from them: ``eval`` and ``jacobian`` run the kernel once and
-check the result for finiteness, and hot loops call the unchecked ``xy``
-and ``jac`` themselves, so every path shares one arithmetic.  The Jacobian
-sup sweeps of ``dmy.spectral`` apply ``_jac``'s finiteness test, ``_finite_jac``,
-only at a sample their pre-test keeps: a non-finite entry fails every
-pre-test, so a sample that passes one has the finite entries ``_jac`` would
-have returned.  ``_mul`` is the one ordered 2x2 product on floats: the
-composite's chain rule and Newton's (``_chain_product``, a fold) use it.
+``jac(x, y)``, the row-major Jacobian entries as a 4-tuple.  The kernels are
+total: they return floats, non-finite where the value leaves the doubles, and
+never raise.  Every leaf kernel maps a non-finite input to an image with a
+non-finite component, so a composite's image is non-finite wherever an
+intermediate one is.  ``PlanarMap`` derives the rest from the kernels:
+``eval`` and ``jacobian`` run the kernel once and check the result for
+finiteness, the one place where an overflow becomes NumericOverflowError, and
+hot loops call the unchecked ``xy`` and ``jac`` themselves, so every path
+shares one arithmetic.  The Jacobian sup sweeps of ``dmy.spectral`` apply
+``_jac``'s finiteness test, ``_finite_jac``, only at a sample their pre-test
+keeps: a non-finite entry fails every pre-test, so a sample that passes one
+has the finite entries ``_jac`` would have returned.  ``_mul`` is the one
+ordered 2x2 product on floats: the composite's chain rule and Newton's
+(``_chain_product``, a fold) use it.
 Map objects are immutable and the kernels are pure functions of their
 arguments, so instances can be shared freely across threads or processes.
 
@@ -33,9 +38,9 @@ negated orbit from p.  The Jacobian of an odd map is even, and the ``jac``
 kernel keeps that too: ``jac(-x, -y) == jac(x, y)`` entry for entry, as
 float equality (zero signs are free), by the same symmetry of each
 operation; the composite's chain rule multiplies factors taken at images
-that are exact negations.  So at -p exactly when at p, ``jac`` raises or
-returns a non-finite entry and ``_jac`` raises NumericOverflowError.  The
-class constant ``odd`` states this promise;
+that are exact negations.  So at -p exactly when at p, ``jac`` returns a
+non-finite entry and ``_jac`` raises NumericOverflowError.  The class
+constant ``odd`` states this promise;
 ``basin_raster`` relies on it to classify each antipodal pair of cells once,
 and ``sample_spectrum`` to evaluate each antipodal pair of grid samples
 once.  It is False on ``PlanarMap``, True on the four leaf variants and,
@@ -108,9 +113,10 @@ def _chain_product(start, factors):
 class PlanarMap(ABC):
     """A differentiable self-map of the plane, given by two float kernels.
 
-    The kernels return their result unchecked: a non-finite component means
-    the evaluation left the doubles, and callers of the raw kernels must
-    treat it as an escape.  ``eval`` and ``jacobian`` are the checked forms.
+    The kernels return their result unchecked and never raise: a non-finite
+    component means the evaluation left the doubles, and callers of the raw
+    kernels must treat it as an escape.  A non-finite input gives a non-finite
+    image.  ``eval`` and ``jacobian`` are the checked forms.
     ``odd`` is True only when ``xy(-x, -y) == (-fx, -fy)`` and
     ``jac(-x, -y) == jac(x, y)`` everywhere (float equality, so zero signs
     are free), ``_image`` and ``_jac`` raise NumericOverflowError at -p
@@ -286,18 +292,13 @@ class CompositeMap(PlanarMap):
         x, y = self.inner.xy(x, y)
         return self.outer.xy(x, y)
 
-    def _image(self, x, y):
-        # checked after each map, so a non-finite intermediate never reaches
-        # the outer kernel
-        x, y = self.inner._image(x, y)
-        return self.outer._image(x, y)
-
     def jac(self, x, y):
         # chain rule started from the inner factor, not the identity, which can
-        # flip a zero's sign; the intermediate point is checked as in eval
+        # flip a zero's sign; the intermediate point is unchecked, as in xy:
+        # _jac checks the product, as _image checks the final image
         inner = self.inner
         first = inner.jac(x, y)
-        x, y = inner._image(x, y)
+        x, y = inner.xy(x, y)
         return _mul(self.outer.jac(x, y), first)
 
     @property
@@ -318,8 +319,7 @@ def compose(outer: PlanarMap, inner: PlanarMap) -> CompositeMap:
 
 def step_function(m: PlanarMap):
     """The unchecked image kernel ``m.xy``; callers must treat non-finite
-    output, or an ArithmeticError or ValueError raised by a kernel on it, as
-    an escape."""
+    output as an escape."""
     return m.xy
 
 
@@ -344,10 +344,6 @@ class Orbit:
 
     points: tuple[Point2, ...]
     escaped: bool
-
-    @property
-    def final(self) -> Point2:
-        return self.points[-1]
 
 
 def iterate(m: PlanarMap, p: Point2, n: int, escape_radius: float = ESCAPE_RADIUS) -> Orbit:

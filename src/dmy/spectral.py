@@ -38,11 +38,13 @@ so it adds no real record, moves no first witness and is no overflow, and
 ``_eig`` is not run.  That branch test restates ``_eig``'s only inside Jury's
 bounds, where tr^2 and 4 det are finite.
 
-Both kinds of Jacobian sweep read a map's unchecked ``jac`` kernel, which no
-pre-test passes with a non-finite entry.  Where it fails, a sup prices a
-Jacobian that fails ``planar._finite_jac`` +inf; ``sample_spectrum`` counts
-an overflow on ``_eig``'s modulus alone, which is not finite only where an
-entry is not finite or an eigenvalue lies past the doubles.
+Both kinds of Jacobian sweep read a map's unchecked ``jac`` kernel, which
+never raises (``dmy.planar``): an overflow is a non-finite entry, and no
+pre-test passes one, so the sweeps need no exception handler.  Where the
+pre-test fails, a sup prices a Jacobian that fails ``planar._finite_jac``
++inf; ``sample_spectrum`` counts an overflow on ``_eig``'s modulus alone,
+which is not finite only where an entry is not finite or an eigenvalue lies
+past the doubles.
 
 ``sample_spectrum`` evaluates each antipodal pair of a symmetric grid once.
 When the map is odd (``PlanarMap.odd``: its Jacobian is even, overflow
@@ -302,16 +304,11 @@ def _jacobian_sups(points, jac, measures, sup: float = -math.inf):
     best = [[sup, None, _pretest(m, sup), m] for m in measures]  # sup, witness, test, measure
     count = 0
     for count, p in enumerate(points, 1):
-        try:
-            j = jac(*p)
-        except NumericOverflowError:
-            j = None
+        j = jac(*p)
         for b in best:
-            if j is None:
-                v = math.inf
-            elif b[2](*j):
+            if b[2](*j):
                 continue
-            elif not _finite_jac(*j) or (v := b[3](*j)) != v:  # non-finite entry or NaN
+            if not _finite_jac(*j) or (v := b[3](*j)) != v:  # non-finite entry or NaN
                 v = math.inf
             if v > b[0]:
                 b[0], b[1], b[2] = v, p, _pretest(b[3], v)
@@ -423,15 +420,11 @@ def sample_spectrum(m: PlanarMap, region: Rect, strategy) -> SpectrumReport:
     skip = _never  # True where a complex pair lies below the running max
     for idx, (x, y) in enumerate(points):
         count += 1
-        try:
-            j = jac(x, y)
-        except NumericOverflowError:
-            mod = math.inf
-        else:
-            if skip(*j):
-                continue
-            is_real, lo, hi = _eig(*j)
-            mod = _modulus(is_real, lo, hi)
+        j = jac(x, y)
+        if skip(*j):
+            continue
+        is_real, lo, hi = _eig(*j)
+        mod = _modulus(is_real, lo, hi)
         if not math.isfinite(mod):  # a non-finite entry, or an eigenvalue past the doubles
             overflow += 1
             last_overflow = idx

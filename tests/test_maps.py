@@ -39,7 +39,7 @@ def test_szlenk_frozen_values():
     orb = iterate(f, Point2(10.0, 0.0), 4)
     assert [tuple(p) for p in orb.points] == [
         (10.0, 0.0), (-0.0, 10.0), (-10.0, -0.0), (0.0, -10.0), (10.0, 0.0)]
-    assert orb.final.dist(Point2(10.0, 0.0)) == 0.0
+    assert orb.points[-1].dist(Point2(10.0, 0.0)) == 0.0
 
 
 def test_szlenk_axis_jacobians_are_nilpotent():
@@ -211,11 +211,11 @@ def test_radial_kernel_flat_disc_is_bit_equal_to_scaling_by_phi():
                                                         phi_eval(prof, r) * y), x, y)
 
 
-def test_radial_kernel_nan_radius_still_raises():
+def test_radial_kernel_nan_radius_gives_a_non_finite_image():
     h = RadialMap(build_phi(20.0, 2.0, 0.05))
     for x, y in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
-        with pytest.raises(ParameterError):
-            h.xy(x, y)
+        assert all(map(math.isnan, h.xy(x, y)))
+        assert all(map(math.isnan, h.jac(x, y)))
 
 
 def test_eval_overflow_raises():
@@ -233,7 +233,7 @@ def test_iterate_escape():
     m = LinearMap(Mat2(2.0, 0.0, 0.0, 2.0))
     orb = iterate(m, Point2(1.0, 0.0), 100, escape_radius=1e6)
     assert orb.escaped
-    assert orb.final.norm() > 1e6
+    assert orb.points[-1].norm() > 1e6
     assert len(orb.points) < 102
 
 
@@ -242,7 +242,7 @@ def test_iterate_szlenk_20_is_slow_to_escape():
     f = SzlenkMap(1.01)
     orb = iterate(f, Point2(20.0, 0.0), 200)
     assert not orb.escaped
-    assert 100.0 < orb.final.norm() < 200.0
+    assert 100.0 < orb.points[-1].norm() < 200.0
     orb2 = iterate(f, Point2(20.0, 0.0), 2000)
     assert orb2.escaped
     assert len(orb2.points) == 1798  # escape detected at iterate 1797
@@ -333,9 +333,11 @@ def _chain(*maps):
     return c
 
 
-def _sequential(maps):
+def _sequential(maps, name):
     """The kernels of maps[0] o ... o maps[-1] applied one map at a time, the
-    Jacobian as the one ordered product from the innermost factor."""
+    Jacobian as the one ordered product from the innermost factor, and their
+    checked forms, which check only the final image and the final Jacobian
+    and name the chain ``name``."""
     inner_first = maps[::-1]
 
     def xy(x, y):
@@ -344,14 +346,15 @@ def _sequential(maps):
         return x, y
 
     def image(x, y):
-        for m in inner_first:
-            x, y = m._image(x, y)
-        return x, y
+        fx, fy = xy(x, y)
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise NumericOverflowError(f"{name} overflowed evaluating ({x!r}, {y!r})")
+        return fx, fy
 
     def factors(x, y):
         out = [inner_first[0].jac(x, y)]
         for m, nxt in zip(inner_first, inner_first[1:]):
-            x, y = m._image(x, y)
+            x, y = m.xy(x, y)
             out.append(nxt.jac(x, y))
         return out
 
@@ -359,7 +362,13 @@ def _sequential(maps):
         fs = factors(x, y)
         return _chain_product(fs[0], fs[1:])
 
-    return xy, image, jac, factors
+    def checked_jac(x, y):
+        j = jac(x, y)
+        if not all(map(math.isfinite, j)):
+            raise NumericOverflowError(f"{name} Jacobian overflowed at ({x!r}, {y!r})")
+        return j
+
+    return xy, image, jac, checked_jac, factors
 
 
 def _outcome(f, x, y):
@@ -395,7 +404,7 @@ def test_right_nested_chains_match_the_sequential_kernels():
     overflowed = False
     for maps in chains:
         c = _chain(*maps)
-        xy, image, jac, factors = _sequential(maps)
+        xy, image, jac, checked_jac, factors = _sequential(maps, c.describe())
         for x, y in points:
             assert _outcome(c.xy, x, y) == _outcome(xy, x, y), (c.describe(), x, y)
             got = _outcome(c._image, x, y)
@@ -403,11 +412,13 @@ def test_right_nested_chains_match_the_sequential_kernels():
             overflowed |= got[0] is NumericOverflowError
             got = _outcome(c.jac, x, y)
             assert got == _outcome(jac, x, y), (c.describe(), x, y)
-            if _outcome(c._jac, x, y)[0] is not NumericOverflowError:  # Mat2 needs finite entries
+            checked = _outcome(c._jac, x, y)
+            assert checked == _outcome(checked_jac, x, y), (c.describe(), x, y)
+            if checked[0] is not NumericOverflowError:  # Mat2 needs finite entries
                 assert got == _raw(_mat2_jacobian(c, x, y))
                 fs = factors(x, y)
                 assert got == _raw(_mat2_chain(fs[0], fs[1:]))
-    # a checked image stops at the first map that leaves the doubles
+    # a checked image raises on the final image alone, naming the whole chain
     assert overflowed
 
 
@@ -521,7 +532,7 @@ def _signed(magnitudes):
 
 # ordinary floats, the cubic Jacobian's d*d overflow near 1.3e77, and the
 # composite's intermediate-image overflow: the damped image leaves the doubles
-# near 5.6e102, so by 1e200 every composite Jacobian raises on it
+# near 5.6e102, so by 1e200 every composite Jacobian has a non-finite entry
 _jac_coord = st.one_of(st.floats(), _signed(st.floats(1e76, 1e78)),
                        _signed(st.floats(1e102, 1e104)), _signed(st.floats(1e199, 1e201)))
 
@@ -557,5 +568,30 @@ def test_jacobian_overflow_points_are_reached():
     with pytest.raises(NumericOverflowError):
         SzlenkMap(1.01)._jac(1.3e77, 1.3e77)
     SzlenkMap(1.01)._jac(1e76, 1e76)  # finite just below it
-    with pytest.raises(NumericOverflowError, match="overflowed evaluating"):
+    with pytest.raises(NumericOverflowError, match="Jacobian overflowed"):
         compose(_PAPER_RADIAL, _DAMPED)._jac(-1e200, 1e200)
+
+
+# ------------------------------------------------------------------ totality
+
+_BIG = LinearMap(Mat2(1e200, 0.0, 0.0, 1e200))
+_TOTAL_MAPS = [LinearMap(Mat2(0.5, 1.0, 0.0, 0.5)), LinearMap(Mat2(0.0, 0.0, 0.0, 0.0)), _BIG,
+               SzlenkMap(1.01), _DAMPED, _RADIAL, _PAPER_RADIAL, compose(_PAPER_RADIAL, _DAMPED),
+               compose(_RADIAL, _BIG), CompositeMap(CompositeMap(_RADIAL, _DAMPED), _FLIP),
+               compose(_TURN, compose(_RADIAL, compose(_DAMPED, _BIG)))]
+_TOTAL_COORDS = [s * v for v in (0.0, 5e-324, 1e77, 1e154, 1e200, 1.7e308, math.inf)
+                 for s in (1.0, -1.0)] + [math.nan]
+
+
+def test_raw_kernels_never_raise_and_keep_non_finite_inputs_non_finite():
+    # an overflow has one signal, a non-finite float: the kernels return floats
+    # everywhere, and a non-finite input gives a non-finite image, leaf by
+    # leaf and so through every composite
+    for m in _TOTAL_MAPS:
+        for x in _TOTAL_COORDS:
+            for y in _TOTAL_COORDS:
+                image, jac = m.xy(x, y), m.jac(x, y)
+                assert len(image) == 2 and len(jac) == 4, (m.describe(), x, y)
+                assert all(type(v) is float for v in image + jac), (m.describe(), x, y)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    assert not all(map(math.isfinite, image)), (m.describe(), x, y, image)
